@@ -8,15 +8,11 @@ or degree divisibility).
 
 from __future__ import annotations
 
+import math
+
 from .coeffring import in_subring, witt_from_str
 
 SCHEMA_VERSION = 1
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def check_certificate(cert):
@@ -43,7 +39,7 @@ def check_certificate(cert):
         amb = tr.ring.d
         if kind == "frobenius":
             g = entry.get("check_degree")
-            if g != _gcd(d, amb):
+            if g != math.gcd(d, amb):
                 problems.append(f"degree {d}: check_degree {g} is not "
                                 f"gcd({d}, {amb})")
                 continue

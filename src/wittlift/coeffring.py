@@ -4,7 +4,8 @@ The Witt ring W(F_{l^d})/l^m is realized as (Z/l^m)[x]/(f~) where f~ is the
 coefficient-wise trivial lift of the monic irreducible modulus f of F_{l^d}.
 Elements of both rings are stored as length-d coefficient tuples (ascending
 powers of the class of x).  All values are immutable; the module-level caches
-(Frobenius generator images, embedding roots) are write-once and idempotent.
+(Frobenius generator images, residual roots, embedding powers) are write-once
+and idempotent.
 
 Canonical text form of a Witt element: ``l^m:d:[c0,...,c_{d-1}]``.
 """
@@ -226,7 +227,8 @@ class FFElem:
     coeffs: tuple
 
     def _check(self, other):
-        if self.params != other.params:
+        # params come from cached factories, so identity is the common case
+        if self.params is not other.params and self.params != other.params:
             raise ParamMismatch(f"{self.params} vs {other.params}")
 
     def __add__(self, other):
@@ -300,18 +302,6 @@ def ff_gen(params):
     return FFElem(params, (0, 1) + (0,) * (params.d - 2))
 
 
-def ff_elements(params):
-    """All elements, in serialization order."""
-    ell, d = params.ell, params.d
-    for k in range(ell ** d):
-        coeffs = []
-        kk = k
-        for _ in range(d):
-            coeffs.append(kk % ell)
-            kk //= ell
-        yield FFElem(params, tuple(coeffs))
-
-
 @dataclass(frozen=True)
 class WittElem:
     """Element of W(F_{l^d})/l^m, stored as a length-d coefficient tuple mod l^m."""
@@ -320,7 +310,7 @@ class WittElem:
     coeffs: tuple
 
     def _check(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ParamMismatch(f"{self.ring} vs {other.ring}")
 
     def __add__(self, other):
@@ -535,10 +525,6 @@ def witt_frobenius_power(x, k):
     return x
 
 
-def ff_frobenius(a, k=1):
-    return a ** (a.params.ell ** (k % a.params.d if a.params.d else 1))
-
-
 # ---------------------------------------------------------------------------
 # Hensel's lemma
 
@@ -680,13 +666,6 @@ def poly_deriv(a):
     return poly_trim(out)
 
 
-def poly_eval(a, t):
-    acc = ff_zero(t.params)
-    for c in reversed(a):
-        acc = acc * t + c
-    return acc
-
-
 def _poly_sort_key(p):
     return (poly_deg(p), tuple(c.sort_key() for c in p))
 
@@ -823,6 +802,8 @@ def _embedding_powers(small, big):
         raise NonDivisibleDegrees(f"no embedding {small} -> {big}")
     if small.d == big.d:
         powers = None
+    elif small.d == 1:
+        powers = [witt_one(big)]  # the generator's image is never used
     else:
         intermediates = [e for e in range(small.d + 1, big.d)
                          if e % small.d == 0 and big.d % e == 0]
@@ -841,14 +822,35 @@ def _embedding_powers(small, big):
 
 def _embed_gen(small, big):
     """Direct image of the small generator: smallest residual root, lifted."""
-    big_field = big.residue_field
-    res_poly = [ff_from_int(big_field, c) for c in small.lifted_modulus]
-    roots = ff_roots(res_poly)
-    if not roots:
-        raise NonDivisibleDegrees("small modulus has no root in the big field")
-    rbar = roots[0][0]
+    rbar = _residual_root(small.ell, small.d, big.d)
     poly = [witt_from_int(big, c) for c in small.lifted_modulus]
     return hensel_root(poly, rbar)
+
+
+@functools.lru_cache(maxsize=None)
+def _residual_root(ell, d, d_big):
+    """Smallest root (by sort_key) of the F_{l^d} modulus in F_{l^d_big}.
+
+    The roots of an irreducible f over F_l in an extension are the Frobenius
+    orbit r, r^l, ..., r^(l^(d-1)) of any one of them.  When the big modulus
+    is f composed with x^(d_big/d), the class of x^(d_big/d) is such an r, so
+    no factorization is needed; other moduli fall back to ff_roots.  The root
+    does not depend on the precision m, so it is cached per (l, d, d_big).
+    """
+    small, big = make_field(ell, d), make_field(ell, d_big)
+    k = d_big // d
+    composed = [0] * (d_big + 1)
+    for i, c in enumerate(small.modulus):
+        composed[i * k] = c
+    if tuple(composed) == big.modulus:
+        orbit = [ff_gen(big) ** k]
+        for _ in range(d - 1):
+            orbit.append(orbit[-1] ** ell)
+        return min(orbit, key=FFElem.sort_key)
+    roots = ff_roots([ff_from_int(big, c) for c in small.modulus])
+    if not roots:
+        raise NonDivisibleDegrees("small modulus has no root in the big field")
+    return roots[0][0]
 
 
 def embed(x, d_big):

@@ -266,10 +266,6 @@ def invariants_dim(group, module):
     return len(linalg.nullspace(rows, field))
 
 
-def cocycle_from_flat(group, module, flat):
-    return Cocycle(module, _vec_to_values(group, module, flat))
-
-
 def cocycle_flat(group, cocycle):
     return [x for name in group.generators for x in cocycle.values[name]]
 

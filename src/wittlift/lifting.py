@@ -10,6 +10,7 @@ transcendence-style certificate: no small degree d admits all traces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import coeffring as cr
@@ -131,7 +132,8 @@ def solve_trace_targets(rho, module, targets, locked_places=()):
     exactly and vanishing at the locked places' sigma/tau words.
 
     Targets must agree with the current traces mod l^(m-1) (Inconsistent
-    otherwise); an unsolvable system raises Unreachable.
+    otherwise); an unsolvable system raises Unreachable, naming the place
+    and the cause when a target asks to move a trace no twist can move.
     """
     group = rho.group
     ring = rho.ring
@@ -150,6 +152,11 @@ def solve_trace_targets(rho, module, targets, locked_places=()):
         cols = _word_eval_columns(group, module, place.sigma)
         rres = evaluate_word(rho, place.sigma).residue()
         row = [(adjoint_from_coords(field, c) * rres).trace() for c in cols]
+        if not u.is_zero() and all(x.is_zero() for x in row):
+            # tr(f * c I) = c tr f = 0 for every trace-zero f
+            scalar = rres == Mat.identity(rres.ring, rres.n).scale(rres.rows[0][0])
+            raise Unreachable(f"trace functional at {place.label} vanishes"
+                              + (": rhobar(sigma) is scalar" if scalar else ""))
         rows.append(row)
         rhs.append(u)
     lrows, lrhs = _locked_rows(group, module, locked_places)
@@ -530,7 +537,7 @@ def make_certificate(tower, d_top):
         found = None
         for label, level, tr in traces:
             amb = tr.ring.d
-            g = _gcd(d, amb)
+            g = math.gcd(d, amb)
             if not cr.in_subring(tr, g):
                 found = {"d": d, "kind": "frobenius", "place": label,
                          "level": level, "check_degree": g,
@@ -547,12 +554,6 @@ def make_certificate(tower, d_top):
         entries.append(found)
     return {"schema_version": SCHEMA_VERSION, "d_top": d_top,
             "entries": entries}
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ def rref(rows):
         r += 1
         if r == len(rows):
             break
-    return rows[:r] + rows[r:], pivots
+    return rows, pivots
 
 
 def rank(rows):
@@ -81,19 +81,6 @@ def solve(rows, rhs, params):
     for i, pc in enumerate(pivots):
         x[pc] = red[i][-1]
     return x
-
-
-def left_nullspace(rows, params):
-    """Basis of {y : y * rows = 0}."""
-    if not rows:
-        return []
-    transposed = [[rows[i][j] for i in range(len(rows))] for j in range(len(rows[0]))]
-    return nullspace(transposed, params)
-
-
-def span_contains(basis_rows, vec, params):
-    return solve([[basis_rows[i][j] for i in range(len(basis_rows))]
-                  for j in range(len(vec))], list(vec), params) is not None
 
 
 def independent_complement(sub_rows, all_rows, params):

@@ -10,6 +10,7 @@ the fraction field of a truncated Witt ring.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import coeffring as cr
@@ -296,7 +297,7 @@ def splitting_roots(poly_ff):
     e = 1
     for f, _ in factors:
         k = cr.poly_deg(f)
-        e = e * k // _gcd(e, k)
+        e = math.lcm(e, k)
     ext = base.d * e
     roots = []
     for f, mult in factors:
@@ -305,12 +306,6 @@ def splitting_roots(poly_ff):
             roots.append((root, rmult * mult))
     roots.sort(key=lambda rm: rm[0].sort_key())
     return cr.make_field(base.ell, ext), roots
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +533,6 @@ class KElem:
     @classmethod
     def zero(cls, ring):
         return cls(ring, None, 0)
-
-    @classmethod
-    def from_witt(cls, x, den=0):
-        return cls(x.ring, x, den)
 
     @classmethod
     def from_int_pair(cls, ring, numerator, den=0):

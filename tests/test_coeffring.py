@@ -31,6 +31,18 @@ def test_field_basic_arithmetic():
     assert (a * b) / b == a
 
 
+def test_param_mismatch_is_still_detected():
+    with pytest.raises(ParamMismatch):
+        cr.ff_one(cr.make_field(5, 2)) + cr.ff_one(cr.make_field(7, 2))
+    with pytest.raises(ParamMismatch):
+        cr.witt_one(cr.make_witt_ring(5, 2, 2)) * cr.witt_one(cr.make_witt_ring(5, 2, 3))
+    # equal but not identical params still combine
+    f = cr.make_field(5, 2)
+    twin = cr.FieldParams(f.ell, f.d, f.modulus)
+    assert twin is not f
+    assert cr.ff_gen(f) + cr.FFElem(twin, (1, 0)) == cr.FFElem(f, (1, 1))
+
+
 def test_field_inverse_of_zero_fails():
     f = cr.make_field(5, 1)
     with pytest.raises(ZeroInverse):
@@ -152,6 +164,33 @@ def test_embed_is_ring_map_and_chain_compatible():
         assert cr.embed(x + y, 4) == cr.embed(x, 4) + cr.embed(y, 4)
         # 2 -> 4 -> 8 equals 2 -> 8
         assert cr.embed(cr.embed(x, 4), 8) == cr.embed(x, 8)
+
+
+@pytest.mark.parametrize("ell, d, d_big, composed", [
+    (5, 2, 4, True), (5, 4, 8, True), (13, 2, 4, True), (13, 4, 8, True),
+    # x^4 + x + 1 is not x^2 + 1 composed with x^2: factorization fallback
+    (7, 2, 4, False),
+])
+def test_residual_root_matches_factorization(monkeypatch, ell, d, d_big, composed):
+    calls = []
+    factorize = cr.ff_factorize
+    cr._residual_root.cache_clear()
+    monkeypatch.setattr(cr, "ff_factorize",
+                        lambda poly: calls.append(1) or factorize(poly))
+    root = cr._residual_root(ell, d, d_big)
+    assert bool(calls) is not composed
+    big = cr.make_field(ell, d_big)
+    oracle = cr.ff_roots([cr.ff_from_int(big, c)
+                          for c in cr.make_field(ell, d).modulus])
+    assert len(oracle) == d
+    assert root == oracle[0][0]
+    assert cr._residual_root(ell, d, d_big) is root  # cached per (l, d, D)
+
+
+def test_embed_from_degree_one_is_coefficientwise():
+    ring1 = cr.make_witt_ring(7, 1, 3)
+    x = cr.witt_from_int(ring1, 200)
+    assert cr.embed(x, 4) == cr.witt_from_int(cr.make_witt_ring(7, 4, 3), 200)
 
 
 def test_embed_rejects_non_divisible():

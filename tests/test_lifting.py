@@ -1,6 +1,8 @@
 """Tests for the tower engine: twisting, trace targeting, place selection,
 obstruction repair, and certificates."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -21,6 +23,7 @@ from wittlift.errors import (
     NotACocycle,
     OracleNotFound,
     ParamMismatch,
+    Unreachable,
 )
 from wittlift.galois_model import evaluate_word
 from wittlift.lifting import (
@@ -146,6 +149,20 @@ def test_solve_trace_targets_current_trace_gives_valid_cocycle():
     f = solve_trace_targets(rho, module, [(place, cur)])
     rho2 = twist(rho, f)
     assert evaluate_word(rho2, place.sigma).trace() == cur
+
+
+def test_unreachable_target_names_the_vanishing_functional():
+    rho = deformation_tame(2)
+    place = rho.group.place("q08")  # sigma = s w maps to 2 I
+    module = build_module(rho.reduce(1), 1)
+    cur = evaluate_word(rho, place.sigma).trace()
+    target = cur + cr.witt_from_int(rho.ring, 5 * 3)
+    with pytest.raises(Unreachable, match=r"trace functional at q08 vanishes: "
+                       r"rhobar\(sigma\) is scalar"):
+        solve_trace_targets(rho, module, [(place, target)])
+    # the unchanged trace stays reachable: the zero row asks for nothing
+    f = solve_trace_targets(rho, module, [(place, cur)])
+    assert evaluate_word(twist(rho, f), place.sigma).trace() == cur
 
 
 def test_locked_places_keep_local_data():
@@ -351,6 +368,42 @@ def test_build_tower_tame_surrogate():
     traces = [tr for _, _, tr in logged_traces(tower)]
     assert field_of_definition(traces, 4) is None
     assert check_certificate(cert) == []
+
+
+TAME_PLAN_5 = TowerPlan(residual_tame(), 5,
+                        {2: "q03", 3: "q04", 4: "q05", 5: "q03"})
+# sha256 of the level-5 tame tower and certificate, serialized as below
+TAME_5_SHA256 = "d553bae2f1743fcb63b64cb3c21dec653b1a75385d8df5986513b64ac54942a8"
+
+
+@pytest.fixture(scope="module")
+def cold_tame_tower_5():
+    """The level-5 tame tower built with empty coefficient-ring caches,
+    with the number of ff_factorize calls the build made."""
+    calls = []
+    factorize = cr.ff_factorize
+    with pytest.MonkeyPatch.context() as mp:
+        for cache in ("_EMBED_CACHE", "_FROB_CACHE"):
+            mp.setattr(cr, cache, {})
+        cr._residual_root.cache_clear()
+        mp.setattr(cr, "ff_factorize",
+                   lambda poly: calls.append(1) or factorize(poly))
+        tower, cert = build_tower(TAME_PLAN_5)
+    return tower, cert, len(calls)
+
+
+def test_tame_tower_needs_no_factorization(cold_tame_tower_5):
+    assert cold_tame_tower_5[2] == 0
+
+
+def test_tame_tower_level_5_is_pinned(cold_tame_tower_5):
+    tower, cert, _ = cold_tame_tower_5
+    text = json.dumps({"tower": tower_to_json_dict(tower), "certificate": cert},
+                      indent=2, default=str)
+    assert hashlib.sha256(text.encode()).hexdigest() == TAME_5_SHA256
+    data = json.loads(text)
+    assert verify_tower_dict(data["tower"]) == []
+    assert check_certificate(data["certificate"]) == []
 
 
 def test_certificate_structure():
