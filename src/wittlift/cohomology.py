@@ -9,6 +9,7 @@ explicit linear system, so Z^1 is a nullspace and B^1 an image.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from . import coeffring as cr
@@ -32,11 +33,22 @@ class GModule:
     action: dict  # generator name -> Mat over field (dim x dim)
     twist: str  # "adjoint" | "cartier_dual" | "custom"
     epsilon: dict  # generator name -> integer (needed for the dual pairing)
+    # memo tables, filled on first use: generator name -> inverse action, and
+    # (generators, word) -> Fox Jacobian rows
+    _inverses: dict = dataclasses.field(default_factory=dict, init=False,
+                                        repr=False, compare=False)
+    _fox: dict = dataclasses.field(default_factory=dict, init=False,
+                                   repr=False, compare=False)
 
     def act_gen(self, name, e=1):
         if name not in self.action:
             raise UnknownGenerator(name)
-        return self.action[name] ** e
+        if e >= 0:
+            return self.action[name] ** e
+        inv = self._inverses.get(name)
+        if inv is None:
+            inv = self._inverses[name] = self.action[name].inverse()
+        return inv ** (-e)
 
     def word_matrix(self, word):
         acc = Mat.identity(self.field, self.dim)
@@ -178,7 +190,7 @@ def cocycle_eval(module, values, word):
                 acc = vec_add(acc, matvec(prefix, v))
                 prefix = prefix * a
         else:
-            ainv = a.inverse()
+            ainv = module.act_gen(name, -1)
             vinv = vec_neg(matvec(ainv, v))  # f(g^-1) = -g^-1.f(g)
             for _ in range(-e):
                 prefix = prefix * ainv
@@ -186,37 +198,54 @@ def cocycle_eval(module, values, word):
     return acc
 
 
-def _unit_values(group, module, gi, ci):
+def fox_jacobian(group, module, word):
+    """The Fox Jacobian of a word: dim rows, one column per (generator, coordinate).
+
+    Column (g, c) is the value at the word of the cocycle sending g to the
+    c-th basis vector and every other generator to 0, so the matrix maps the
+    flat generator values of any cocycle to its value at the word.  One pass
+    keeps the prefix action P: a letter g^e with e > 0 adds P, P A, ...,
+    P A^(e-1) to g's block (A the action of g); with e < 0 it subtracts
+    P A^-1, ..., P A^e.  Memoised per word on the module; rows are tuples.
+    """
+    memo_key = (group.generators, word)
+    rows = module._fox.get(memo_key)
+    if rows is not None:
+        return rows
     field, dim = module.field, module.dim
-    values = {}
-    for j, name in enumerate(group.generators):
-        v = [cr.ff_zero(field)] * dim
-        if j == gi:
-            v[ci] = cr.ff_one(field)
-        values[name] = tuple(v)
-    return values
+    index = {name: gi for gi, name in enumerate(group.generators)}
+    blocks = [Mat.zero(field, dim)] * len(index)
+    prefix = Mat.identity(field, dim)
+    for name, e in word:
+        if name not in index:
+            raise UnknownGenerator(name)
+        gi = index[name]
+        if e > 0:
+            a = module.act_gen(name)
+            for _ in range(e):
+                blocks[gi] = blocks[gi] + prefix
+                prefix = prefix * a
+        elif e < 0:
+            ainv = module.act_gen(name, -1)
+            for _ in range(-e):
+                prefix = prefix * ainv
+                blocks[gi] = blocks[gi] - prefix
+    rows = tuple(tuple(x for b in blocks for x in b.rows[i]) for i in range(dim))
+    module._fox[memo_key] = rows
+    return rows
 
 
 def relator_system(group, module):
     """Rows of the linear map (values on generators) -> (relator evaluations).
 
-    Columns index (generator, coordinate); rows index (relator, coordinate).
-    This is the numerically assembled Fox-derivative system.
+    Columns index (generator, coordinate); rows index (relator, coordinate):
+    the Fox Jacobians of the relators, stacked.  Without relators the map is
+    zero, given as a single zero row.
     """
-    field, dim = module.field, module.dim
-    ngen = len(group.generators)
-    cols = []
-    for gi in range(ngen):
-        for ci in range(dim):
-            values = _unit_values(group, module, gi, ci)
-            col = []
-            for rel in group.relators:
-                col.extend(cocycle_eval(module, values, rel))
-            cols.append(col)
     if not group.relators:
-        return [[cr.ff_zero(field)] * (ngen * dim)]
-    return [[cols[j][i] for j in range(ngen * dim)]
-            for i in range(len(group.relators) * dim)]
+        return [[cr.ff_zero(module.field)] * (len(group.generators) * module.dim)]
+    return [list(row) for rel in group.relators
+            for row in fox_jacobian(group, module, rel)]
 
 
 def _vec_to_values(group, module, flat):
@@ -237,12 +266,7 @@ def coboundary_of(group, module, m_elem):
 def cocycle_space(group, module):
     """(Z^1 basis, B^1 basis, h^1) as echelonized flat vectors over F_{l^d}."""
     field, dim = module.field, module.dim
-    ngen = len(group.generators)
-    rows = relator_system(group, module)
-    z1 = linalg.nullspace(rows, field)
-    if not group.relators:
-        # the relator system is the zero map; nullspace of the zero row
-        z1 = linalg.nullspace([[cr.ff_zero(field)] * (ngen * dim)], field)
+    z1 = linalg.nullspace(relator_system(group, module), field)
     b_raw = []
     for ci in range(dim):
         m_elem = [cr.ff_zero(field)] * dim
@@ -303,30 +327,18 @@ def restrict_and_classify(f, place):
 def sha_kernel(group, module, places):
     """Echelonized basis of locally-trivial classes modulo coboundaries."""
     field, dim = module.field, module.dim
-    ngen = len(group.generators)
-    ncoc = ngen * dim
+    ncoc = len(group.generators) * dim  # cocycle coords, then one m_v per place
     places = list(places)
-    nplace = len(places)
-    unknowns = ncoc + nplace * dim  # cocycle coords plus one m_v per place
-    rows = []
     zero = cr.ff_zero(field)
-    base_rows = relator_system(group, module)
-    for r in base_rows:
-        rows.append(list(r) + [zero] * (nplace * dim))
+    pad = [zero] * (len(places) * dim)
+    rows = [r + pad for r in relator_system(group, module)]
     ident = Mat.identity(field, dim)
     for pi, place in enumerate(places):
         for word in (place.sigma, place.tau):
-            a = module.word_matrix(word)
-            delta = a - ident
-            # f(word) - (A - I) m_v = 0, coordinates of f(word) linear in coords
-            word_cols = []
-            for gi in range(ngen):
-                for ci in range(dim):
-                    values = _unit_values(group, module, gi, ci)
-                    word_cols.append(cocycle_eval(module, values, word))
-            for i in range(dim):
-                row = [word_cols[j][i] for j in range(ncoc)]
-                row += [zero] * (nplace * dim)
+            delta = module.word_matrix(word) - ident
+            # f(word) - (A - I) m_v = 0, with f(word) the Fox Jacobian times f
+            for i, fox_row in enumerate(fox_jacobian(group, module, word)):
+                row = list(fox_row) + pad
                 for j in range(dim):
                     row[ncoc + pi * dim + j] = -delta.rows[i][j]
                 rows.append(row)

@@ -21,13 +21,13 @@ from .cohomology import (
     apply_adjustment,
     build_module,
     cocycle_eval,
+    fox_jacobian,
     lift_solve,
     normalize_det,
     relator_defects,
     relator_system,
     restrict_and_classify,
     sha_kernel,
-    _unit_values,
     _vec_to_values,
     dual_module,
     vec_zero,
@@ -104,27 +104,19 @@ def _digit_of(x, k):
                      tuple((c // lk) % ell for c in x.coeffs))
 
 
-def _word_eval_columns(group, module, word):
-    """cocycle_eval of every unit cocycle at a word (one column per unknown)."""
-    cols = []
-    for gi in range(len(group.generators)):
-        for ci in range(module.dim):
-            cols.append(cocycle_eval(module, _unit_values(group, module, gi, ci),
-                                     word))
-    return cols
+def _trace_row(group, module, word, rres):
+    """Coefficients of the linear map f -> tr(f~(word) rres) on flat cocycle
+    values, where rres is the residual image of the word."""
+    field = module.field
+    return [(adjoint_from_coords(field, col) * rres).trace()
+            for col in zip(*fox_jacobian(group, module, word))]
 
 
 def _locked_rows(group, module, places):
     """Rows forcing a cocycle's extension to vanish at sigma and tau words."""
-    rows, rhs = [], []
-    zero = cr.ff_zero(module.field)
-    for place in places:
-        for word in (place.sigma, place.tau):
-            cols = _word_eval_columns(group, module, word)
-            for i in range(module.dim):
-                rows.append([c[i] for c in cols])
-                rhs.append(zero)
-    return rows, rhs
+    rows = [list(r) for place in places for word in (place.sigma, place.tau)
+            for r in fox_jacobian(group, module, word)]
+    return rows, [cr.ff_zero(module.field)] * len(rows)
 
 
 def solve_trace_targets(rho, module, targets, locked_places=()):
@@ -139,7 +131,7 @@ def solve_trace_targets(rho, module, targets, locked_places=()):
     ring = rho.ring
     m = ring.m
     field = module.field
-    rows = [list(r) for r in relator_system(group, module)]
+    rows = relator_system(group, module)
     rhs = [cr.ff_zero(field)] * len(rows)
     for place, want in targets:
         cur = evaluate_word(rho, place.sigma).trace()
@@ -149,9 +141,8 @@ def solve_trace_targets(rho, module, targets, locked_places=()):
                 f"target at {place.label} differs from the current trace "
                 f"below the top digit")
         u = _digit_of(diff, m - 1)
-        cols = _word_eval_columns(group, module, place.sigma)
         rres = evaluate_word(rho, place.sigma).residue()
-        row = [(adjoint_from_coords(field, c) * rres).trace() for c in cols]
+        row = _trace_row(group, module, place.sigma, rres)
         if not u.is_zero() and all(x.is_zero() for x in row):
             # tr(f * c I) = c tr f = 0 for every trace-zero f
             scalar = rres == Mat.identity(rres.ring, rres.n).scale(rres.rows[0][0])
@@ -365,19 +356,15 @@ def resolve_obstructions(candidate, rho_prev, module, r_targets=(),
     field = module.field
     lifts = {g: candidate.image(g) for g in group.generators}
     defects = relator_defects(rho_prev, lifts)
-    dim = module.dim
-    ngen = len(group.generators)
-    zero_adj = {g: vec_zero(field, dim) for g in group.generators}
+    zero_adj = {g: vec_zero(field, module.dim) for g in group.generators}
     if all(all(x.is_zero() for x in z) for z in defects):
         return zero_adj, ()
-    rows = [list(r) for r in relator_system(group, module)]
+    rows = relator_system(group, module)
     rhs = [-x for z in defects for x in z]
     # preservation: the adjustment must not move the targeted traces ...
     for place in r_targets:
-        cols = _word_eval_columns(group, module, place.sigma)
         rres = evaluate_word(candidate, place.sigma).residue()
-        rows.append([(adjoint_from_coords(field, c) * rres).trace()
-                     for c in cols])
+        rows.append(_trace_row(group, module, place.sigma, rres))
         rhs.append(cr.ff_zero(field))
     # ... nor the locked places' local reductions
     lrows, lrhs = _locked_rows(group, module, locked_places)

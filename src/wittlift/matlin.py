@@ -151,14 +151,18 @@ class Mat:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        result = Mat.identity(self.ring, self.n)
+        if e == 0:
+            return Mat.identity(self.ring, self.n)
+        # no product with the identity, and no squaring past the top bit
+        result = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def residue(self):
         return Mat.from_rows(self.ring.residue_field,

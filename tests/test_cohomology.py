@@ -1,8 +1,11 @@
 """Tests for cocycle spaces, local classification, and obstruction solving."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wittlift.coeffring as cr
 from wittlift.cohomology import (
@@ -14,6 +17,7 @@ from wittlift.cohomology import (
     cocycle_eval,
     cocycle_space,
     dual_module,
+    fox_jacobian,
     invariants_dim,
     lift_solve,
     matvec,
@@ -21,6 +25,7 @@ from wittlift.cohomology import (
     normalize_det,
     pairing,
     relator_defects,
+    relator_system,
     restrict_and_classify,
     sha_kernel,
 )
@@ -124,6 +129,89 @@ def test_fox_h1_matches_brute_force():
                 mismatches.append((name, mod_name, (len(z1), len(b1), h1),
                                    (bz, bb, bh)))
     assert mismatches == []
+
+
+def test_brute_force_oracle_does_not_use_the_fox_jacobian(monkeypatch):
+    import wittlift.cohomology as co
+
+    def refuse(*args):
+        raise AssertionError("the oracle reached the Fox-derivative system")
+
+    for fn in ("fox_jacobian", "relator_system", "cocycle_space"):
+        monkeypatch.setattr(co, fn, refuse)
+    name, group, images, order = finite_groups()[0]
+    for mod_name, module in module_suite(group, images):
+        brute_force_h1(group, images, module)
+
+
+@functools.lru_cache(maxsize=None)
+def _fox_cases():
+    """(label, group, module): the finite suite and the tame adjoint module."""
+    cases = [(f"{name}/{mod_name}", group, module)
+             for name, group, images, _ in finite_groups()
+             for mod_name, module in module_suite(group, images)]
+    rho = residual_tame()
+    cases += [(f"tame/d{d}", rho.group, build_module(rho, d)) for d in (1, 2, 4)]
+    return tuple(cases)
+
+
+def _unit_cocycle_columns(group, module, word):
+    """Oracle: cocycle_eval at the word of every unit cocycle, one per
+    (generator, coordinate)."""
+    zero, one = cr.ff_zero(module.field), cr.ff_one(module.field)
+    cols = []
+    for name in group.generators:
+        for ci in range(module.dim):
+            values = {g: tuple(one if g == name and k == ci else zero
+                               for k in range(module.dim))
+                      for g in group.generators}
+            cols.append(cocycle_eval(module, values, word))
+    return cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fox_jacobian_matches_unit_cocycles(data):
+    label, group, module = data.draw(st.sampled_from(_fox_cases()))
+    word = tuple(data.draw(st.lists(
+        st.tuples(st.sampled_from(group.generators), st.integers(-4, 4)),
+        max_size=6)))
+    jac = fox_jacobian(group, module, word)
+    assert len(jac) == module.dim
+    assert list(zip(*jac)) == _unit_cocycle_columns(group, module, word), label
+    assert fox_jacobian(group, module, word) is jac  # memoised on the module
+
+
+def test_fox_jacobian_of_the_empty_word_is_zero():
+    for label, group, module in _fox_cases():
+        zero = cr.ff_zero(module.field)
+        width = len(group.generators) * module.dim
+        assert fox_jacobian(group, module, ()) == \
+            ((zero,) * width,) * module.dim, label
+
+
+def test_relator_system_without_relators_is_one_zero_row():
+    fr = ModelGroup(("x", "y"), (), (), {"x": 1, "y": 1})
+    zero = cr.ff_zero(F5)
+    assert relator_system(fr, trivial_module(fr, 3)) == [[zero] * 6]
+
+
+def test_inverse_action_is_computed_once_per_generator(monkeypatch):
+    rho = residual_tame()
+    module = build_module(rho, 2)
+    calls = []
+    inverse = Mat.inverse
+    monkeypatch.setattr(Mat, "inverse",
+                        lambda a: calls.append(1) or inverse(a))
+    word = parse_word("s^-2 t^-1 s^-1 u w^-3")
+    one, zero = cr.ff_one(module.field), cr.ff_zero(module.field)
+    values = {g: (one, zero, one) for g in rho.group.generators}
+    for _ in range(2):
+        module.word_matrix(word)
+        cocycle_eval(module, values, word)
+        fox_jacobian(rho.group, module, word)
+    assert len(calls) == 3  # s, t and w, once each
+    assert module.act_gen("w", -3) == inverse(module.action["w"]) ** 3
 
 
 def test_coboundary_dimension_identity():

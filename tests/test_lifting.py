@@ -406,6 +406,25 @@ def test_tame_tower_level_5_is_pinned(cold_tame_tower_5):
     assert check_certificate(data["certificate"]) == []
 
 
+TAME_PLAN_8 = TowerPlan(residual_tame(), 8,
+                        {k: ("q03", "q04", "q05")[(k - 2) % 3]
+                         for k in range(2, 9)})
+# sha256 of the level-8 tame tower and certificate, recorded before the Fox
+# Jacobian replaced the per-unit-cocycle column builders
+TAME_8_SHA256 = "2cfe128e902475651b5171151c01fe1f5c0744abc49d271eafa7b5b7e1ab396a"
+
+
+def test_tame_tower_level_8():
+    tower, cert = build_tower(TAME_PLAN_8)
+    assert tower.levels[-1].rho.ring.d == 128
+    text = json.dumps({"tower": tower_to_json_dict(tower), "certificate": cert},
+                      indent=2, default=str)
+    assert hashlib.sha256(text.encode()).hexdigest() == TAME_8_SHA256
+    data = json.loads(text)
+    assert verify_tower_dict(data["tower"]) == []
+    assert check_certificate(data["certificate"]) == []
+
+
 def test_certificate_structure():
     tower, cert = build_tower(PLAN)
     assert cert["d_top"] == 8

@@ -51,6 +51,23 @@ def test_matrix_inverse_and_power():
     assert g ** -2 == (g * g).inverse()
 
 
+def test_matrix_power_products(monkeypatch):
+    rng = random.Random(17)
+    g = random_invertible(R54, rng)
+    expect = Mat.identity(R54, 2)
+    products = []
+    mul = Mat.__mul__
+    monkeypatch.setattr(Mat, "__mul__",
+                        lambda a, b: products.append(1) or mul(a, b))
+    for e in range(1, 20):
+        expect = mul(expect, g)
+        products.clear()
+        assert g ** e == expect
+        # one squaring per bit below the top, one product per further set bit
+        assert len(products) == e.bit_length() - 1 + bin(e).count("1") - 1
+    assert g ** 1 is g
+
+
 def test_singular_matrix_has_no_inverse():
     g = Mat.from_ints(R54, [[5, 0], [0, 1]])
     with pytest.raises(Singular):
