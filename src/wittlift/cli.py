@@ -16,7 +16,14 @@ from . import __version__
 from . import coeffring as cr
 from .certcheck import check_certificate
 from .cohomology import build_module, cocycle_space, module_from_action
-from .density import Monomial, TubeQuery, tube_measure
+from .density import (
+    ENUM_LIMIT,
+    Monomial,
+    TubeQuery,
+    counts_exactly,
+    gl_order,
+    tube_measure,
+)
 from .errors import (
     OracleNotFound,
     SchemaError,
@@ -229,6 +236,12 @@ def _cmd_density(args):
                  for g in data.get("generators", ()))
     query = TubeQuery(int(data["ell"]), int(data["n"]), int(data["m"]),
                       int(data["alpha"]), monos, gens)
+    if args.exact and not counts_exactly(query):
+        ell, n, m = query.ell, query.n, query.m
+        raise ValueError(
+            f"--exact: GL_{n}(Z/{ell}^{m}) has {gl_order(ell, n, m)} elements, "
+            f"and counting them enumerates {ell}^({m}*{n}^2) matrices, more "
+            f"than ENUM_LIMIT = {ENUM_LIMIT}; without --exact it is sampled")
     sample = args.sample if args.sample else 200000
     res = tube_measure(query, seed=args.seed, sample_count=sample)
     _report(args, {

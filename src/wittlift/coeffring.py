@@ -180,6 +180,14 @@ def _int_poly_gcd_is_one(a, f, ell):
             a[i + shift] = (a[i + shift] - c * b[i]) % ell
 
 
+def check_ell(ell):
+    """Raise unless ell is a prime >= 5, the residue characteristics supported."""
+    if not _is_prime(ell):
+        raise NotPrime(f"{ell} is not prime")
+    if ell <= 3:
+        raise EllTooSmall(f"ell must be >= 5, got {ell}")
+
+
 @functools.lru_cache(maxsize=None)
 def make_field(ell, d):
     """Field parameters for F_{l^d} with the smallest monic irreducible modulus.
@@ -188,10 +196,7 @@ def make_field(ell, d):
     0, 1, 2, ... (least significant digit = constant term), so the choice is
     deterministic.
     """
-    if not _is_prime(ell):
-        raise NotPrime(f"{ell} is not prime")
-    if ell <= 3:
-        raise EllTooSmall(f"ell must be >= 5, got {ell}")
+    check_ell(ell)
     if d < 1:
         raise ParamMismatch("extension degree must be >= 1")
     for k in range(ell ** d):
@@ -255,14 +260,18 @@ class FFElem:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        result = ff_one(self.params)
+        if e == 0:
+            return ff_one(self.params)
+        # no product with 1, and no squaring past the top bit
+        result = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def inverse(self):
         if self.is_zero():
@@ -337,14 +346,18 @@ class WittElem:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        result = witt_one(self.ring)
+        if e == 0:
+            return witt_one(self.ring)
+        # no product with 1, and no squaring past the top bit
+        result = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def inverse(self):
         """Inverse of a unit, by residual inversion plus Newton lifting."""

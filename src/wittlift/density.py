@@ -3,6 +3,11 @@
 The measure of {gamma : v(f(gamma)) > alpha} inside GL_n(Z/l^m) (or a
 generated subgroup) is computed as an exact counting fraction by full
 enumeration, or as a seeded unbiased estimate above a size threshold.
+
+Whether v(f(gamma)) > alpha holds depends only on gamma mod l^(alpha+1), and
+reduction from level m maps the full group onto GL_n(Z/l^k) with fibres of
+equal size, so counts and samples are taken at level k = min(alpha + 1, m).
+Entries and values are int64 while n * l^(2k) fits, Python ints past it.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from .galois_model import evaluate_word
 from .matlin import Mat
 
 ENUM_LIMIT = 10 ** 7
+_SAMPLE_BATCH = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -39,12 +45,18 @@ class TubeQuery:
     generators: tuple = ()  # empty = full GL_n(Z/l^m); else integer matrices
 
     def __post_init__(self):
+        cr.check_ell(self.ell)
+        if self.m < 1:
+            raise ParamMismatch("precision level must be >= 1")
         if self.alpha > self.m or self.alpha < 0:
             raise AlphaExceedsPrecision(
                 f"alpha = {self.alpha} outside 0..{self.m}")
         for mono in self.monomials:
             if len(mono.exps) != self.n * self.n:
                 raise ParamMismatch("monomial arity != n^2")
+        for g in self.generators:
+            if len(g) != self.n or any(len(r) != self.n for r in g):
+                raise ParamMismatch("generator is not n x n")
 
 
 def det_minus_one_query(ell, m, alpha):
@@ -56,11 +68,32 @@ def det_minus_one_query(ell, m, alpha):
     ))
 
 
+def gl_order(ell, n, m):
+    """|GL_n(Z/l^m)| = |GL_n(F_l)| * l^((m-1) n^2)."""
+    order = 1
+    for i in range(n):
+        order *= ell ** n - ell ** i
+    return order * ell ** ((m - 1) * n * n)
+
+
+def counts_exactly(query):
+    """Whether tube_measure enumerates (subgroups, and full groups whose
+    l^(m n^2) matrices fit ENUM_LIMIT) rather than samples."""
+    return bool(query.generators) or \
+        query.ell ** (query.m * query.n * query.n) <= ENUM_LIMIT
+
+
+def _dtype(n, modulus):
+    """int64 while every product and sum of n of them stays below 2^63."""
+    return np.int64 if n * modulus * modulus < 2 ** 63 else object
+
+
 def _poly_eval_rows(query, rows, modulus):
-    """Evaluate the polynomial on an (N, n^2) integer array, mod modulus."""
-    acc = np.zeros(len(rows), dtype=np.int64)
+    """Evaluate the polynomial on an (N, n^2) array of entries < modulus,
+    mod modulus, in the array's dtype."""
+    acc = np.zeros(len(rows), dtype=rows.dtype)
     for mono in query.monomials:
-        term = np.full(len(rows), mono.coeff % modulus, dtype=np.int64)
+        term = np.full(len(rows), mono.coeff % modulus, dtype=rows.dtype)
         for j, e in enumerate(mono.exps):
             for _ in range(e):
                 term = term * rows[:, j] % modulus
@@ -68,9 +101,17 @@ def _poly_eval_rows(query, rows, modulus):
     return acc
 
 
-def _det_unit_mask(query, rows, ell):
-    n = query.n
-    mats = rows.reshape(len(rows), n, n)
+def _tube_hits(query, rows):
+    """How many rows (entries mod l^k, k = min(alpha + 1, m)) lie in the tube."""
+    if query.alpha >= query.m:
+        return 0
+    vals = _poly_eval_rows(query, rows, query.ell ** (query.alpha + 1))
+    return int(np.count_nonzero(vals == 0))
+
+
+def _det_unit_mask(rows, n, ell):
+    """Which rows are invertible matrices: det mod l of the entries mod l."""
+    mats = (rows % ell).astype(np.int64).reshape(len(rows), n, n)
     if n == 1:
         dets = mats[:, 0, 0]
     elif n == 2:
@@ -87,41 +128,59 @@ def _det_unit_mask(query, rows, ell):
     return dets % ell != 0
 
 
-def _enumerate_full(query):
-    ell, n, m = query.ell, query.n, query.m
-    modulus = ell ** m
-    total = modulus ** (n * n)
-    if total > ENUM_LIMIT:
-        return None
-    grids = np.meshgrid(*([np.arange(modulus)] * (n * n)), indexing="ij")
-    rows = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
-    return rows[_det_unit_mask(query, rows, ell)]
+def _all_rows(modulus, width):
+    """Every vector of (Z/modulus)^width, one per row."""
+    return np.indices((modulus,) * width, dtype=np.int64).reshape(width, -1).T
+
+
+def _enumerate_full(query, k):
+    """GL_n(Z/l^k): the residual units plus l times every lift (int64, as
+    l^(k n^2) <= ENUM_LIMIT)."""
+    ell, n = query.ell, query.n
+    units = _all_rows(ell, n * n)
+    units = units[_det_unit_mask(units, n, ell)]
+    lifts = _all_rows(ell ** (k - 1), n * n)
+    return (units[:, None, :] + ell * lifts[None, :, :]).reshape(-1, n * n)
 
 
 def _enumerate_subgroup(query):
-    ell, n, m = query.ell, query.n, query.m
-    modulus = ell ** m
-    ring = cr.make_witt_ring(ell, 1, m)
-    gens = [Mat.from_ints(ring, g) for g in query.generators]
-    ident = Mat.identity(ring, n)
-    seen = {ident.entry_key(): ident}
+    """The closure of the generators in GL_n(Z/l^m), one row-major row per
+    element: each BFS layer is multiplied by every generator in numpy, and
+    the seen set holds integer tuples."""
+    n, modulus = query.n, query.ell ** query.m
+    dtype = _dtype(n, modulus)
+    gens = [np.array([[v % modulus for v in r] for r in g], dtype=dtype)
+            for g in query.generators]
+    ident = tuple(int(i == j) for i in range(n) for j in range(n))
+    seen = {ident}
     frontier = [ident]
     while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                k = y.entry_key()
-                if k not in seen:
+        mats = np.array(frontier, dtype=dtype).reshape(-1, n, n)
+        frontier = []
+        for g in gens:
+            for y in map(tuple, (mats @ g % modulus).reshape(-1, n * n).tolist()):
+                if y not in seen:
                     if len(seen) >= ENUM_LIMIT:
                         raise ParamMismatch("subgroup closure exceeds the "
                                             "enumeration limit")
-                    seen[k] = y
-                    nxt.append(y)
-        frontier = nxt
-    rows = np.array([[mat.rows[i][j].coeffs[0] for i in range(n)
-                      for j in range(n)] for mat in seen.values()],
-                    dtype=np.int64) % modulus
+                    seen.add(y)
+                    frontier.append(y)
+    return np.array(list(seen), dtype=dtype)
+
+
+def _uniform_rows(rng, count, n, ell, k):
+    """count uniform matrices over Z/l^k, entries in _dtype(n, l^k)."""
+    modulus = ell ** k
+    if _dtype(n, modulus) is np.int64:
+        return rng.integers(0, modulus, size=(count, n * n))
+    # past int64: base-l^j digits drawn in int64, summed as Python ints
+    j = 1
+    while ell ** (j + 1) < 2 ** 62:
+        j += 1
+    rows = np.zeros((count, n * n), dtype=object)
+    for low in range(0, k, j):
+        step = ell ** min(j, k - low)
+        rows += rng.integers(0, step, size=(count, n * n)).astype(object) * ell ** low
     return rows
 
 
@@ -136,35 +195,30 @@ class TubeResult:
 
 
 def tube_measure(query, seed=0, sample_count=200000):
-    """Exact fraction by enumeration, or a seeded estimate when too large."""
-    ell, m, alpha = query.ell, query.m, query.alpha
-    modulus = ell ** m
-    if query.generators:
-        rows = _enumerate_subgroup(query)
-    else:
-        rows = _enumerate_full(query)
-    if rows is not None:
-        vals = _poly_eval_rows(query, rows, modulus)
-        if alpha >= m:
-            hits = 0
+    """Exact fraction by enumeration, or a seeded estimate when too large.
+
+    Both count at level k = min(alpha + 1, m).  A full group's population is
+    |GL_n(Z/l^m)|; a subgroup's is the size of its closure at level m.
+    """
+    ell, n, m = query.ell, query.n, query.m
+    k = min(query.alpha + 1, m)
+    if counts_exactly(query):
+        if query.generators:
+            rows = (_enumerate_subgroup(query) % ell ** k).astype(_dtype(n, ell ** k))
+            population = len(rows)
         else:
-            hits = int(np.count_nonzero(vals % ell ** (alpha + 1) == 0))
-        return TubeResult(Fraction(hits, len(rows)), True, len(rows))
-    # sampled path (full group too large to enumerate)
-    rng = random.Random(seed)
-    n = query.n
+            rows = _enumerate_full(query, k)
+            population = gl_order(ell, n, m)
+        return TubeResult(Fraction(_tube_hits(query, rows), len(rows)), True,
+                          population)
+    rng = np.random.default_rng(seed)
     hits = 0
     got = 0
-    batch = 5000
     while got < sample_count:
-        take = min(batch, sample_count - got)
-        cand = np.array([[rng.randrange(modulus) for _ in range(n * n)]
-                         for _ in range(take)], dtype=np.int64)
-        mask = _det_unit_mask(query, cand, ell)
-        cand = cand[mask]
-        vals = _poly_eval_rows(query, cand, modulus)
-        if alpha < m:
-            hits += int(np.count_nonzero(vals % ell ** (alpha + 1) == 0))
+        cand = _uniform_rows(rng, min(_SAMPLE_BATCH, sample_count - got),
+                             n, ell, k)
+        cand = cand[_det_unit_mask(cand, n, ell)]
+        hits += _tube_hits(query, cand)
         got += len(cand)
     p = hits / got if got else 0.0
     se = (p * (1 - p) / got) ** 0.5 if got else 0.0

@@ -282,16 +282,12 @@ def _localization_ranks(group, module, dmodule, s_r_places, q_places):
         got = 0
     else:
         ident = Mat.identity(module.field, module.dim)
-        rows = []
-        for z in z1:
-            values = _vec_to_values(group, module, z)
-            row = []
-            for p in q_places:
-                fv = cocycle_eval(module, values, p.sigma)
-                delta = module.word_matrix(p.sigma) - ident
-                # coordinates of fv in coker(delta): append raw, rank below
-                row.extend(fv)
-            rows.append(row)
+        zero = cr.ff_zero(module.field)
+        fox_rows = [r for p in q_places
+                    for r in fox_jacobian(group, module, p.sigma)]
+        # each Z^1 vector's values at the sigma words
+        rows = [[sum((a * b for a, b in zip(r, z)), zero) for r in fox_rows]
+                for z in z1]
         # rank of the composed map = rank of restrictions modulo im(delta)
         im_rows = []
         for p_i, p in enumerate(q_places):

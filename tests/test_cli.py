@@ -163,6 +163,34 @@ def test_density_exact(tmp_path, capsys):
     assert report["exact"] is True
 
 
+def test_density_exact_flag_refuses_to_sample(tmp_path, capsys):
+    det_minus_one = [
+        {"coeff": 1, "exps": [1, 0, 0, 1]},
+        {"coeff": -1, "exps": [0, 1, 1, 0]},
+        {"coeff": -1, "exps": [0, 0, 0, 0]},
+    ]
+    big = write_json(tmp_path / "big.json", {
+        "schema_version": SCHEMA_VERSION,
+        "ell": 5, "n": 2, "m": 3, "alpha": 0, "monomials": det_minus_one,
+    })
+    assert main(["--exact", "density", big]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "input"
+    # |GL_2(Z/125)| and the limit both appear in the reason
+    assert str(480 * 5 ** 8) in err["error"]
+    assert "ENUM_LIMIT = 10000000" in err["error"]
+    # without the flag the same query is sampled; small ones stay exact
+    assert main(["--sample", "1000", "density", big]) == 0
+    assert json.loads(capsys.readouterr().out)["exact"] is False
+    small = write_json(tmp_path / "small.json", {
+        "schema_version": SCHEMA_VERSION,
+        "ell": 5, "n": 2, "m": 2, "alpha": 1, "monomials": det_minus_one,
+    })
+    assert main(["--exact", "density", small]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["exact"] is True and report["fraction"] == "1/20"
+
+
 def test_density_bad_alpha_is_input_error(tmp_path):
     query = write_json(tmp_path / "q.json", {
         "schema_version": SCHEMA_VERSION,

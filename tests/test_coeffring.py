@@ -49,6 +49,42 @@ def test_field_inverse_of_zero_fails():
         cr.ff_zero(f).inverse()
 
 
+@pytest.mark.parametrize("cls,one,make", [
+    (cr.FFElem, cr.ff_one, lambda rng: cr.FFElem(
+        cr.make_field(5, 4), tuple(rng.randrange(5) for _ in range(4)))),
+    (cr.WittElem, cr.witt_one, lambda rng: cr.WittElem(
+        cr.make_witt_ring(5, 2, 3), tuple(rng.randrange(125) for _ in range(2)))),
+])
+def test_power_products(monkeypatch, cls, one, make):
+    x = make(random.Random(23))
+    params = x.params if cls is cr.FFElem else x.ring
+    expect = one(params)
+    products = []
+    mul = cls.__mul__
+    monkeypatch.setattr(cls, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    assert x ** 0 == one(params) and not products
+    for e in range(1, 40):
+        expect = mul(expect, x)
+        products.clear()
+        assert x ** e == expect
+        # one squaring per bit below the top, one product per further set bit
+        assert len(products) == e.bit_length() - 1 + bin(e).count("1") - 1
+    assert x ** 1 is x
+
+
+def test_large_field_inverse_takes_sixty_products(monkeypatch):
+    f = cr.make_field(5, 16)
+    a = cr.FFElem(f, tuple(range(16)))
+    products = []
+    mul = cr.FFElem.__mul__
+    monkeypatch.setattr(cr.FFElem, "__mul__",
+                        lambda x, y: products.append(1) or mul(x, y))
+    inv = a.inverse()
+    # q - 2 = 5^16 - 2 has 38 bits, 24 of them set: 37 squarings + 23 products
+    assert len(products) == 60
+    assert mul(a, inv) == cr.ff_one(f)
+
+
 def test_witt_ring_arithmetic_round_trip():
     ring = cr.make_witt_ring(5, 2, 3)
     rng = random.Random(7)

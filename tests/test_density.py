@@ -1,21 +1,28 @@
 """Tests for tube measures and Frobenius valuation scans."""
 
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import wittlift.coeffring as cr
 from wittlift.density import (
     Monomial,
     TubeQuery,
+    _uniform_rows,
     det_minus_one_query,
     frobenius_scan,
     tube_measure,
 )
 from wittlift.errors import (
     AlphaExceedsPrecision,
+    EllTooSmall,
     NotConjugationInvariant,
+    NotPrime,
     ParamMismatch,
 )
 from wittlift.galois_model import Deformation, ModelGroup, Place, parse_word
@@ -58,6 +65,23 @@ def test_alpha_validation():
         TubeQuery(5, 2, 1, -1, ())
 
 
+def test_ell_validation():
+    # the same rule as make_field, with and without generators
+    with pytest.raises(NotPrime):
+        det_minus_one_query(4, 1, 0)
+    with pytest.raises(NotPrime):
+        TubeQuery(4, 2, 1, 0, (), generators=(((1, 0), (0, 1)),))
+    with pytest.raises(EllTooSmall):
+        det_minus_one_query(3, 1, 0)
+
+
+def test_shape_validation():
+    with pytest.raises(ParamMismatch):
+        TubeQuery(5, 2, 0, 0, ())
+    with pytest.raises(ParamMismatch):
+        TubeQuery(5, 2, 1, 0, (), generators=(((1, 0, 0), (0, 1, 0)),))
+
+
 def test_monomial_arity_validation():
     with pytest.raises(ParamMismatch):
         TubeQuery(5, 2, 1, 0, (Monomial(1, (1, 0)),))
@@ -91,6 +115,61 @@ def test_sampled_agrees_with_exact_value():
     assert again.fraction == res.fraction  # seeded determinism
 
 
+@pytest.mark.parametrize("m", [14, 20, 30])
+def test_sampled_det_minus_one_at_high_level(m):
+    # past int64 at level m; counted at level alpha + 1 = 1
+    res = tube_measure(det_minus_one_query(5, m, 0), seed=m, sample_count=50000)
+    assert not res.exact and res.sample_count == 50000
+    se = (0.25 * 0.75 / res.sample_count) ** 0.5
+    assert abs(float(res.fraction) - 0.25) < 4 * se
+
+
+def test_sampled_past_int64_at_counting_level():
+    # 5^29 > 2^63: entries and values are Python ints.  f = 5^28 (det - 1)
+    # has v(f) > 28 exactly when det = 1 mod 5, a measure of 1/4.
+    big = 5 ** 28
+    q = TubeQuery(5, 2, 30, 28, tuple(
+        Monomial(c * big, mono.exps)
+        for c, mono in zip((1, -1, -1), det_minus_one_query(5, 1, 0).monomials)))
+    res = tube_measure(q, seed=5, sample_count=20000)
+    assert not res.exact and res.sample_count == 20000
+    assert abs(float(res.fraction) - 0.25) < 4 * (0.25 * 0.75 / 20000) ** 0.5
+    assert tube_measure(q, seed=5, sample_count=20000) == res  # seeded
+    tiny = tube_measure(det_minus_one_query(5, 30, 28), seed=1, sample_count=2000)
+    assert not tiny.exact and tiny.sample_count == 2000
+
+
+def test_uniform_rows_past_int64_cover_every_digit():
+    # 5^29 is drawn as int64 digits summed in Python ints; every base-5
+    # digit, the top one included, must be uniform
+    rows = _uniform_rows(np.random.default_rng(3), 2000, 2, 5, 29)
+    assert rows.dtype == object and rows.shape == (2000, 4)
+    entries = [int(x) for x in rows.ravel()]
+    assert all(0 <= x < 5 ** 29 for x in entries)
+    for pos in (0, 13, 25, 26, 28):
+        counts = [0] * 5
+        for x in entries:
+            counts[x // 5 ** pos % 5] += 1
+        assert all(abs(c - 1600) < 200 for c in counts), (pos, counts)
+
+
+def test_full_group_population_is_level_m_order():
+    for alpha in range(3):
+        res = tube_measure(det_minus_one_query(5, 2, alpha))
+        assert res.exact
+        assert res.population == 300000  # |GL_2(Z/25)| = 480 * 5^4
+
+
+def test_subgroup_past_int64():
+    # the dihedral group of order 8 at level 30, where l^m passes 2^63
+    trace = (Monomial(1, (1, 0, 0, 0)), Monomial(1, (0, 0, 0, 1)))
+    gens = (((0, -1), (1, 0)), ((-1, 0), (0, 1)))
+    for alpha, want in ((0, Fraction(3, 4)), (29, Fraction(3, 4)), (30, 0)):
+        res = tube_measure(TubeQuery(5, 2, 30, alpha, trace, gens))
+        assert res.exact and res.population == 8
+        assert res.fraction == want
+
+
 def test_subgroup_mode_diagonal():
     q = TubeQuery(5, 2, 1, 0, det_minus_one_query(5, 1, 0).monomials,
                   generators=(((2, 0), (0, 1)),))
@@ -98,6 +177,122 @@ def test_subgroup_mode_diagonal():
     assert res.exact
     assert res.population == 4  # <diag(2,1)> mod 5
     assert res.fraction == Fraction(1, 4)
+
+
+# ---------------------------------------------------------------------------
+# the m <-> alpha + 1 identity, against a plain-int counter at level m
+
+
+def _det(x, n):
+    return x[0] if n == 1 else x[0] * x[3] - x[1] * x[2]
+
+
+def _closure(gens, n, mod):
+    gens = [tuple(v % mod for r in g for v in r) for g in gens]
+    ident = tuple(int(i == j) for i in range(n) for j in range(n))
+    seen = {ident}
+    todo = [ident]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = tuple(sum(x[i * n + t] * g[t * n + j] for t in range(n)) % mod
+                      for i in range(n) for j in range(n))
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+def _oracle(ell, n, m, monomials, generators):
+    """(population, [measure at alpha for alpha in 0..m]) by counting every
+    element at level m."""
+    mod = ell ** m
+    if generators:
+        elems = _closure(generators, n, mod)
+    else:
+        elems = [x for x in itertools.product(range(mod), repeat=n * n)
+                 if _det(x, n) % ell]
+    pows = [[x ** e % mod for x in range(mod)] for e in range(4)]
+    # valuation of f(x) mod l^m, which is m when f(x) = 0 mod l^m
+    vals = [next(v for v in range(m + 1) if v == m or y % ell ** (v + 1))
+            for y in range(mod)]
+    above = [0] * (m + 1)  # above[a] = #{x : v(f(x)) > a}
+    for x in elems:
+        y = 0
+        for mono in monomials:
+            term = mono.coeff
+            for xi, e in zip(x, mono.exps):
+                term *= pows[e][xi]
+            y += term
+        for a in range(vals[y % mod]):
+            above[a] += 1
+    return len(elems), [Fraction(h, len(elems)) for h in above]
+
+
+def _monomials(n):
+    return st.lists(st.builds(Monomial, st.integers(-6, 6),
+                              st.tuples(*[st.integers(0, 3)] * (n * n))),
+                    min_size=1, max_size=3).map(tuple)
+
+
+def _check_every_alpha(ell, n, m, monos, gens):
+    population, want = _oracle(ell, n, m, monos, gens)
+    for alpha in range(m + 1):
+        res = tube_measure(TubeQuery(ell, n, m, alpha, monos, gens))
+        assert res.exact
+        assert res.population == population
+        assert res.fraction == want[alpha]
+
+
+@settings(max_examples=12, deadline=None)
+@example(((2, 2), det_minus_one_query(5, 2, 0).monomials))
+@given(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]).flatmap(
+    lambda nm: st.tuples(st.just(nm), _monomials(nm[0]))))
+def test_full_group_counts_at_alpha_plus_one(case):
+    (n, m), monos = case
+    _check_every_alpha(5, n, m, monos, ())
+
+
+# generator sets whose closures stay below ~2 * 10^4 elements at m <= 3
+_SMALL_CLOSURES = (
+    (((2, 0), (0, 1)), ((1, 1), (0, 1))),  # a Borel subgroup, 12500 at m = 3
+    (((2, 0), (0, 1)), ((1, 0), (0, 2))),  # the diagonal torus
+    (((0, -1), (1, 0)), ((-1, 0), (0, 1))),  # dihedral of order 8
+    (((-1, 0), (0, 1)), ((1, 1), (0, 1))),
+    (((2, 0), (0, 3)),),
+)
+
+
+@st.composite
+def _subgroup_cases(draw):
+    m = draw(st.integers(1, 3))
+    mod = 5 ** m
+    n = draw(st.sampled_from([1, 2]))
+    if n == 1:
+        gens = (((draw(st.integers(1, mod - 1).map(lambda u: u + (u % 5 == 0))),),),)
+    else:
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        while True:  # a conjugator in GL_2(Z/l^m)
+            a, b, c, d = (rng.randrange(mod) for _ in range(4))
+            if (a * d - b * c) % 5:
+                break
+        det_inv = pow(a * d - b * c, -1, mod)
+        cinv = ((d * det_inv, -b * det_inv), (-c * det_inv, a * det_inv))
+
+        def mul(x, y):
+            return tuple(tuple(sum(x[i][t] * y[t][j] for t in range(2)) % mod
+                               for j in range(2)) for i in range(2))
+        gens = tuple(mul(mul(((a, b), (c, d)), g), cinv)
+                     for g in draw(st.sampled_from(_SMALL_CLOSURES)))
+    return n, m, draw(_monomials(n)), gens
+
+
+@settings(max_examples=25, deadline=None)
+@example((2, 3, det_minus_one_query(5, 3, 0).monomials, _SMALL_CLOSURES[0]))
+@given(_subgroup_cases())
+def test_subgroup_counts_at_alpha_plus_one(case):
+    n, m, monos, gens = case
+    _check_every_alpha(5, n, m, monos, gens)
 
 
 def test_frobenius_scan_constant_unit():

@@ -15,6 +15,7 @@ from wittlift.cohomology import (
     build_module,
     coboundary_of,
     cocycle_space,
+    dual_module,
     restrict_and_classify,
     _vec_to_values,
 )
@@ -30,6 +31,7 @@ from wittlift.lifting import (
     OracleConstraints,
     TowerPlan,
     _digit_of,
+    _localization_ranks,
     build_tower,
     field_of_definition,
     is_nice,
@@ -280,6 +282,21 @@ def test_select_auxiliary_rank_checks():
     assert ranks["inj_module"] and ranks["inj_dual"]
     assert ranks["surj_unramified"]
     assert all(is_rho_m_nice(p, rho) for p in q_places)
+
+
+def test_localization_coker_ranks():
+    # ranks of the restriction to the unramified local quotients, as
+    # computed with one cocycle_eval per Z^1 vector before the Fox rows
+    rho = deformation_tame(2)
+    group = rho.group
+    module = build_module(rho.reduce(1), 1)
+    s_r = (group.place("q01"), group.place("q02"))
+    for labels, target, got in ((("q08",), 3, 2), (("q03", "q04"), 2, 2),
+                                (("q03", "q06"), 2, 1), (("q04", "q08"), 4, 2)):
+        ranks = _localization_ranks(group, module, dual_module(module), s_r,
+                                    [group.place(q) for q in labels])
+        assert (ranks["coker_target"], ranks["coker_rank"]) == (target, got)
+        assert ranks["surj_unramified"] == (target == got)
 
 
 # ---------------------------------------------------------------------------
