@@ -58,6 +58,8 @@ def _load_json(path):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SchemaError(f"{path}: top level is not a JSON object")
     return data
 
 

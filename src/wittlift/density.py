@@ -21,9 +21,8 @@ import numpy as np
 from . import coeffring as cr
 from .errors import AlphaExceedsPrecision, NotConjugationInvariant, ParamMismatch
 from .galois_model import evaluate_word
-from .matlin import Mat
+from .matlin import ENUM_LIMIT, Mat, group_closure, int_dtype
 
-ENUM_LIMIT = 10 ** 7
 _SAMPLE_BATCH = 1 << 16
 
 
@@ -54,9 +53,12 @@ class TubeQuery:
         for mono in self.monomials:
             if len(mono.exps) != self.n * self.n:
                 raise ParamMismatch("monomial arity != n^2")
-        for g in self.generators:
+        for i, g in enumerate(self.generators):
             if len(g) != self.n or any(len(r) != self.n for r in g):
                 raise ParamMismatch("generator is not n x n")
+            if Mat.from_ints(cr.make_field(self.ell, 1), g).det().is_zero():
+                raise ParamMismatch(f"generator {i} is not invertible: its "
+                                    f"determinant is 0 mod {self.ell}")
 
 
 def det_minus_one_query(ell, m, alpha):
@@ -81,11 +83,6 @@ def counts_exactly(query):
     l^(m n^2) matrices fit ENUM_LIMIT) rather than samples."""
     return bool(query.generators) or \
         query.ell ** (query.m * query.n * query.n) <= ENUM_LIMIT
-
-
-def _dtype(n, modulus):
-    """int64 while every product and sum of n of them stays below 2^63."""
-    return np.int64 if n * modulus * modulus < 2 ** 63 else object
 
 
 def _poly_eval_rows(query, rows, modulus):
@@ -143,35 +140,10 @@ def _enumerate_full(query, k):
     return (units[:, None, :] + ell * lifts[None, :, :]).reshape(-1, n * n)
 
 
-def _enumerate_subgroup(query):
-    """The closure of the generators in GL_n(Z/l^m), one row-major row per
-    element: each BFS layer is multiplied by every generator in numpy, and
-    the seen set holds integer tuples."""
-    n, modulus = query.n, query.ell ** query.m
-    dtype = _dtype(n, modulus)
-    gens = [np.array([[v % modulus for v in r] for r in g], dtype=dtype)
-            for g in query.generators]
-    ident = tuple(int(i == j) for i in range(n) for j in range(n))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        mats = np.array(frontier, dtype=dtype).reshape(-1, n, n)
-        frontier = []
-        for g in gens:
-            for y in map(tuple, (mats @ g % modulus).reshape(-1, n * n).tolist()):
-                if y not in seen:
-                    if len(seen) >= ENUM_LIMIT:
-                        raise ParamMismatch("subgroup closure exceeds the "
-                                            "enumeration limit")
-                    seen.add(y)
-                    frontier.append(y)
-    return np.array(list(seen), dtype=dtype)
-
-
 def _uniform_rows(rng, count, n, ell, k):
-    """count uniform matrices over Z/l^k, entries in _dtype(n, l^k)."""
+    """count uniform matrices over Z/l^k, entries in int_dtype(n, l^k)."""
     modulus = ell ** k
-    if _dtype(n, modulus) is np.int64:
+    if int_dtype(n, modulus) is np.int64:
         return rng.integers(0, modulus, size=(count, n * n))
     # past int64: base-l^j digits drawn in int64, summed as Python ints
     j = 1
@@ -204,13 +176,17 @@ def tube_measure(query, seed=0, sample_count=200000):
     k = min(query.alpha + 1, m)
     if counts_exactly(query):
         if query.generators:
-            rows = (_enumerate_subgroup(query) % ell ** k).astype(_dtype(n, ell ** k))
+            rows = np.array(list(group_closure(query.generators, ell ** m)),
+                            dtype=int_dtype(n, ell ** m))
+            rows = (rows % ell ** k).astype(int_dtype(n, ell ** k))
             population = len(rows)
         else:
             rows = _enumerate_full(query, k)
             population = gl_order(ell, n, m)
         return TubeResult(Fraction(_tube_hits(query, rows), len(rows)), True,
                           population)
+    if sample_count < 1:
+        raise ParamMismatch(f"sample_count = {sample_count} must be >= 1")
     rng = np.random.default_rng(seed)
     hits = 0
     got = 0
@@ -220,8 +196,8 @@ def tube_measure(query, seed=0, sample_count=200000):
         cand = cand[_det_unit_mask(cand, n, ell)]
         hits += _tube_hits(query, cand)
         got += len(cand)
-    p = hits / got if got else 0.0
-    se = (p * (1 - p) / got) ** 0.5 if got else 0.0
+    p = hits / got
+    se = (p * (1 - p) / got) ** 0.5
     return TubeResult(Fraction(hits, got), False, 0, got, se, seed)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import coeffring as cr
 from .errors import ParamMismatch, SchemaError, UnknownGenerator
-from .matlin import Mat
+from .matlin import Mat, group_closure
 
 SCHEMA_VERSION = 1
 
@@ -218,24 +218,9 @@ def check_running_hypotheses(rho):
         return False
     if not validate_deformation(rho).ok:
         return False
-    target = (ell ** 2 - 1) * (ell ** 2 - ell)
-    gens = [rho.image(n) for n in rho.group.generators]
-    ident = Mat.identity(rho.ring, 2)
-    seen = {ident.entry_key()}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                m2 = m * g
-                k = m2.entry_key()
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append(m2)
-        frontier = nxt
-        if len(seen) > target:
-            return False
-    return len(seen) == target
+    gens = [[[a.coeffs[0] for a in row] for row in rho.image(n).rows]
+            for n in rho.group.generators]
+    return len(group_closure(gens, ell)) == (ell ** 2 - 1) * (ell ** 2 - ell)
 
 
 def check_tame_consistency(group, ell, max_level=3):

@@ -30,7 +30,6 @@ from .cohomology import (
     sha_kernel,
     _vec_to_values,
     dual_module,
-    vec_zero,
 )
 from .errors import (
     Inconsistent,
@@ -333,50 +332,6 @@ def select_auxiliary(rho_m, module, s_r_places, pool):
                                 f"checks incomplete: {ranks}")
         used.add(place.label)
         q_places.append(place)
-
-
-# ---------------------------------------------------------------------------
-# obstruction resolution
-
-
-def resolve_obstructions(candidate, rho_prev, module, r_targets=(),
-                         locked_places=(), pool=()):
-    """Repair relator defects of a candidate level-(m+1) lift.
-
-    Finds a generator adjustment h (digit l^m) cancelling all relator defects
-    while leaving the traces at r_targets and the locked places' local data
-    unchanged; returns (h values, newly ramified place labels).  With no
-    defects the zero adjustment is returned.
-    """
-    group = rho_prev.group
-    field = module.field
-    lifts = {g: candidate.image(g) for g in group.generators}
-    defects = relator_defects(rho_prev, lifts)
-    zero_adj = {g: vec_zero(field, module.dim) for g in group.generators}
-    if all(all(x.is_zero() for x in z) for z in defects):
-        return zero_adj, ()
-    rows = relator_system(group, module)
-    rhs = [-x for z in defects for x in z]
-    # preservation: the adjustment must not move the targeted traces ...
-    for place in r_targets:
-        rres = evaluate_word(candidate, place.sigma).residue()
-        rows.append(_trace_row(group, module, place.sigma, rres))
-        rhs.append(cr.ff_zero(field))
-    # ... nor the locked places' local reductions
-    lrows, lrhs = _locked_rows(group, module, locked_places)
-    rows.extend(lrows)
-    rhs.extend(lrhs)
-    sol = linalg.solve(rows, rhs, field)
-    if sol is None:
-        raise SupportConditionUnavailable(
-            "no adjustment cancels the defects under the support constraints")
-    h = _vec_to_values(group, module, sol)
-    adjusted = apply_adjustment(lifts, h, rho_prev.ring.m)
-    out = Deformation(group, candidate.ring, adjusted)
-    newly = tuple(p.label for p in group.places
-                  if is_unramified_at(candidate, p)[0]
-                  and not is_unramified_at(out, p)[0])
-    return h, newly
 
 
 # ---------------------------------------------------------------------------

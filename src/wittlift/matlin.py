@@ -2,9 +2,10 @@
 
 Covers characteristic polynomials and eigenvalues, Hensel diagonalization of
 2x2 matrices over truncated Witt rings, multiplicative Jordan decomposition,
-the tame-relation branch test, split-diagonal extraction from subgroups with
-full residual image, and the module-basis / integral-model algorithms over
-the fraction field of a truncated Witt ring.
+the tame-relation branch test, the BFS closure of integer matrix groups,
+split-diagonal extraction from subgroups with full residual image, and the
+module-basis / integral-model algorithms over the fraction field of a
+truncated Witt ring.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import coeffring as cr
 from .errors import (
@@ -26,6 +29,7 @@ from .errors import (
 )
 
 _INF = 10 ** 9
+ENUM_LIMIT = 10 ** 7
 
 
 def _is_field(ring):
@@ -436,28 +440,64 @@ def check_tame_relation(x, y, q):
 
 
 # ---------------------------------------------------------------------------
-# split-diagonal extraction (the full-residual-image subgroup lemma)
+# group closures of integer matrices
 
 
-def _residual_closure(res_mats, cap=200000):
-    """BFS closure with word tracking; words are tuples of generator indices."""
-    ident = Mat.identity(res_mats[0].ring, res_mats[0].n)
-    seen = {ident.entry_key(): (ident, ())}
-    frontier = [(ident, ())]
+def int_dtype(n, modulus):
+    """int64 while every product and sum of n of them stays below 2^63."""
+    return np.int64 if n * modulus * modulus < 2 ** 63 else object
+
+
+def group_closure(gens, modulus):
+    """The closure of n x n integer matrices (nested lists) mod modulus.
+
+    Returns a dict over the elements, row-major int tuples, in discovery
+    order, mapping each element to its BFS parent (the identity to None);
+    closure_word reads an element's word off the parents.  Each BFS layer is
+    one numpy product, parents major and generators minor, so every
+    element's word is its lexicographically smallest shortest word and
+    discovery order is the order of (len(word), word).
+    """
+    n, ngen = len(gens[0]), len(gens)
+    dtype = int_dtype(n, modulus)
+    gmats = np.array([[[v % modulus for v in r] for r in g] for g in gens],
+                     dtype=dtype)[None]
+    ident = tuple(int(i == j) for i in range(n) for j in range(n))
+    closure = {ident: None}
+    frontier = [ident]
     while frontier:
-        nxt = []
-        for m, w in frontier:
-            for gi, g in enumerate(res_mats):
-                m2 = m * g
-                k = m2.entry_key()
-                if k not in seen:
-                    entry = (m2, w + (gi,))
-                    seen[k] = entry
-                    nxt.append(entry)
-                    if len(seen) > cap:
-                        raise ResidualImageTooSmall("closure exceeded cap")
-        frontier = nxt
-    return seen
+        mats = np.array(frontier, dtype=dtype).reshape(-1, 1, n, n)
+        prods = (mats @ gmats % modulus).reshape(-1, n * n).tolist()
+        parents, frontier = frontier, []
+        for j, y in enumerate(map(tuple, prods)):
+            if y not in closure:
+                if len(closure) >= ENUM_LIMIT:
+                    raise ParamMismatch("group closure exceeds the "
+                                        "enumeration limit")
+                closure[y] = parents[j // ngen]
+                frontier.append(y)
+    return closure
+
+
+def closure_word(closure, gens, modulus, x):
+    """x's word in group_closure(gens, modulus), a tuple of generator
+    indices: at each step the first generator that takes the parent to the
+    element, as in the BFS."""
+    n = len(gens[0])
+
+    def times(p, g):
+        return tuple(sum(p[i * n + t] * g[t][j] for t in range(n)) % modulus
+                     for i in range(n) for j in range(n))
+    word = []
+    while closure[x] is not None:
+        p = closure[x]
+        word.append(next(gi for gi, g in enumerate(gens) if times(p, g) == x))
+        x = p
+    return tuple(reversed(word))
+
+
+# ---------------------------------------------------------------------------
+# split-diagonal extraction (the full-residual-image subgroup lemma)
 
 
 def find_split_diagonal(gens):
@@ -469,29 +509,24 @@ def find_split_diagonal(gens):
     """
     ring = gens[0].ring
     ell, m = ring.ell, ring.m
-    res = [g.residue() for g in gens]
-    closure = _residual_closure(res)
+    for i, g in enumerate(gens):
+        if any(c % ell for row in g.rows for a in row for c in a.coeffs[1:]):
+            raise ResidualImageTooSmall(
+                f"generator {i} has a residue entry outside F_{ell}, so the "
+                f"residual image is not GL_2(F_{ell})")
+    res = [[[a.coeffs[0] for a in row] for row in g.rows] for g in gens]
+    closure = group_closure(res, ell)
     target_size = (ell ** 2 - 1) * (ell ** 2 - ell)
-    prime_field_only = all(
-        all(all(c == 0 for c in a.coeffs[1:]) for a in row)
-        for mat, _ in closure.values() for row in mat.rows)
-    if len(closure) != target_size or not prime_field_only:
+    if len(closure) != target_size:
         raise ResidualImageTooSmall(
             f"residual image has {len(closure)} elements, need GL_2(F_{ell})")
     # first BFS element of the form diag(abar, 1) with abar not 0, +-1
-    word = None
-    items = sorted(closure.values(), key=lambda mw: (len(mw[1]), mw[1]))
-    for mat, w in items:
-        r = mat.rows
-        if (r[0][1].is_zero() and r[1][0].is_zero()
-                and r[1][1] == cr.ff_one(mat.ring)
-                and r[0][0].coeffs[0] not in (0, 1, ell - 1)):
-            word = w
-            break
-    if word is None:
+    x = next((x for x in closure if x[1] == x[2] == 0 and x[3] == 1
+              and x[0] not in (0, 1, ell - 1)), None)
+    if x is None:
         raise ResidualImageTooSmall("no split residual diagonal found")
     g = Mat.identity(ring, 2)
-    for gi in word:
+    for gi in closure_word(closure, res, ell, x):
         g = g * gens[gi]
     p, d = hensel_diagonalize(g)
     power = ell ** (m - 1)

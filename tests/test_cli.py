@@ -199,5 +199,14 @@ def test_density_bad_alpha_is_input_error(tmp_path):
     assert main(["density", query]) == 2  # verification-class failure
 
 
+def test_non_object_json_is_input_error(tmp_path, capsys):
+    arr = write_json(tmp_path / "arr.json", [1, 2])
+    for argv in (["density", arr], ["tower", "build", arr]):
+        assert main(argv) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "input"
+        assert "not a JSON object" in err["error"]
+
+
 def test_missing_file_is_input_error(tmp_path):
     assert main(["h1", str(tmp_path / "nope.json"), "trivial:1"]) == 4

@@ -26,7 +26,7 @@ from wittlift.errors import (
     ParamMismatch,
 )
 from wittlift.galois_model import Deformation, ModelGroup, Place, parse_word
-from wittlift.matlin import Mat
+from wittlift.matlin import Mat, closure_word, group_closure
 from wittlift.presets import deformation_tame
 
 
@@ -80,6 +80,21 @@ def test_shape_validation():
         TubeQuery(5, 2, 0, 0, ())
     with pytest.raises(ParamMismatch):
         TubeQuery(5, 2, 1, 0, (), generators=(((1, 0, 0), (0, 1, 0)),))
+
+
+def test_generators_must_be_invertible():
+    # a singular generator would make the closure a monoid, not a subgroup
+    with pytest.raises(ParamMismatch, match="generator 1 is not invertible"):
+        TubeQuery(5, 2, 2, 0, (), generators=(((2, 0), (0, 1)),
+                                              ((5, 0), (0, 1))))
+    with pytest.raises(ParamMismatch, match="generator 0 is not invertible"):
+        TubeQuery(5, 1, 2, 0, (), generators=(((10,),),))
+
+
+def test_sampled_needs_a_sample():
+    for count in (0, -1):
+        with pytest.raises(ParamMismatch, match="sample_count"):
+            tube_measure(det_minus_one_query(5, 4, 0), sample_count=count)
 
 
 def test_monomial_arity_validation():
@@ -293,6 +308,38 @@ def _subgroup_cases(draw):
 def test_subgroup_counts_at_alpha_plus_one(case):
     n, m, monos, gens = case
     _check_every_alpha(5, n, m, monos, gens)
+
+
+def _word_product(gens, word, n, mod):
+    x = tuple(int(i == j) for i in range(n) for j in range(n))
+    for gi in word:
+        g = tuple(v % mod for r in gens[gi] for v in r)
+        x = tuple(sum(x[i * n + t] * g[t * n + j] for t in range(n)) % mod
+                  for i in range(n) for j in range(n))
+    return x
+
+
+@st.composite
+def _closure_cases(draw):
+    """(n, modulus, generators): conjugated small closures mod 5, 25 and 125,
+    or any one to three matrices mod 5."""
+    if draw(st.booleans()):
+        n, m, _, gens = draw(_subgroup_cases())
+        return n, 5 ** m, gens
+    n = draw(st.sampled_from([1, 2]))
+    mat = st.tuples(*[st.tuples(*[st.integers(0, 4)] * n)] * n)
+    return n, 5, tuple(draw(st.lists(mat, min_size=1, max_size=3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_closure_cases())
+def test_group_closure_matches_plain_closure(case):
+    n, mod, gens = case
+    closure = group_closure(gens, mod)
+    assert set(closure) == _closure(gens, n, mod)
+    for x in closure:
+        word = closure_word(closure, gens, mod, x)
+        assert _word_product(gens, word, n, mod) == x
 
 
 def test_frobenius_scan_constant_unit():

@@ -1,5 +1,5 @@
 """Tests for the tower engine: twisting, trace targeting, place selection,
-obstruction repair, and certificates."""
+and certificates."""
 
 import hashlib
 import json
@@ -11,7 +11,6 @@ import wittlift.coeffring as cr
 from wittlift.certcheck import check_certificate
 from wittlift.cohomology import (
     Cocycle,
-    apply_adjustment,
     build_module,
     coboundary_of,
     cocycle_space,
@@ -39,7 +38,6 @@ from wittlift.lifting import (
     logged_traces,
     make_certificate,
     oracle_find_places,
-    resolve_obstructions,
     select_auxiliary,
     solve_trace_targets,
     tower_to_json_dict,
@@ -47,7 +45,6 @@ from wittlift.lifting import (
     twist,
     verify_tower_dict,
 )
-from wittlift.matlin import Mat
 from wittlift.presets import (
     deformation_tame,
     residual_free,
@@ -297,42 +294,6 @@ def test_localization_coker_ranks():
                                     [group.place(q) for q in labels])
         assert (ranks["coker_target"], ranks["coker_rank"]) == (target, got)
         assert ranks["surj_unramified"] == (target == got)
-
-
-# ---------------------------------------------------------------------------
-# obstruction repair
-
-
-def test_resolve_obstructions_no_defects():
-    rho = deformation_tame(2)
-    candidate = deformation_tame(3)
-    module = build_module(rho.reduce(1), 1)
-    h, newly = resolve_obstructions(candidate, rho, module)
-    assert newly == ()
-    assert all(all(x.is_zero() for x in v) for v in h.values())
-
-
-def test_resolve_obstructions_seeded_defect():
-    from wittlift.galois_model import Deformation
-    rho = deformation_tame(2)
-    group = rho.group
-    candidate0 = deformation_tame(3)
-    ring3 = candidate0.ring
-    bad = Mat.from_ints(ring3, [[1 + 25 * 2, 25], [25 * 3, 1 - 25 * 2]])
-    images = dict(candidate0.images)
-    images["t"] = bad * images["t"]
-    candidate = Deformation(group, ring3, images)
-    module = build_module(rho.reduce(1), 1)
-    place = group.place("q03")
-    before = evaluate_word(candidate, place.sigma).trace()
-    h, newly = resolve_obstructions(candidate, rho, module,
-                                    r_targets=(place,))
-    fixed = apply_adjustment({g: candidate.image(g) for g in group.generators},
-                             h, 2)
-    out = Deformation(group, ring3, fixed)
-    for rel in group.relators:
-        assert evaluate_word(out, rel).is_identity()
-    assert evaluate_word(out, place.sigma).trace() == before
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import wittlift.coeffring as cr
 from wittlift.errors import (
     DoesNotSpan,
     EigenvaluesNotInField,
+    ParamMismatch,
     RepeatedResidualEigenvalues,
     ResidualImageTooSmall,
     Singular,
@@ -20,7 +21,9 @@ from wittlift.matlin import (
     char_poly,
     char_poly_eigs,
     check_tame_relation,
+    closure_word,
     find_split_diagonal,
+    group_closure,
     hensel_diagonalize,
     integral_model,
     jordan_decompose,
@@ -161,6 +164,77 @@ def test_find_split_diagonal_needs_full_image():
     ring = cr.make_witt_ring(5, 1, 2)
     with pytest.raises(ResidualImageTooSmall):
         find_split_diagonal([Mat.from_ints(ring, [[1, 1], [0, 1]])])
+
+
+def test_find_split_diagonal_residue_outside_prime_field(monkeypatch):
+    # diag(x, 1) over W(F_25)/25 has a residue outside F_5: refused from the
+    # generators alone, without closing them in GL_2(F_25)
+    ring = cr.make_witt_ring(5, 2, 2)
+    zero, one = cr.witt_zero(ring), cr.witt_one(ring)
+    x = cr.WittElem(ring, (0, 1))
+    gens = [Mat.from_ints(ring, [[1, 1], [0, 1]]),
+            Mat.from_rows(ring, [[x, zero], [zero, one]])]
+
+    def no_closure(*args):
+        raise AssertionError("closure enumerated")
+    monkeypatch.setattr("wittlift.matlin.group_closure", no_closure)
+    with pytest.raises(ResidualImageTooSmall,
+                       match="generator 1 has a residue entry outside F_5"):
+        find_split_diagonal(gens)
+
+
+# ---------------------------------------------------------------------------
+# group closure
+
+
+def _imat_mul(x, y, n, mod):
+    return tuple(sum(x[i * n + t] * y[t * n + j] for t in range(n)) % mod
+                 for i in range(n) for j in range(n))
+
+
+def _first_words_by_length(gens, mod):
+    """Each element's lexicographically smallest shortest word, found by
+    evaluating every word of each length in lexicographic order."""
+    n = len(gens[0])
+    flat = [tuple(v % mod for r in g for v in r) for g in gens]
+    ident = tuple(int(i == j) for i in range(n) for j in range(n))
+    first = {ident: ()}
+    layer = [((), ident)]  # every word of the current length, in order
+    while True:
+        layer = [(w + (gi,), _imat_mul(x, g, n, mod))
+                 for w, x in layer for gi, g in enumerate(flat)]
+        new = [(w, x) for w, x in layer if x not in first]
+        if not new:
+            return first
+        for w, x in new:
+            first.setdefault(x, w)
+
+
+@pytest.mark.parametrize("gens, mod, order", [
+    # the worked instance: GL_2(F_5)
+    ((((2, 0), (0, 1)), ((1, 1), (0, 1)), ((1, 0), (1, 1))), 5, 480),
+    # dihedral of order 8 at m = 2
+    ((((0, -1), (1, 0)), ((1, 0), (0, -1))), 25, 8),
+    # quaternion of order 8 at m = 2 (7^2 = -1 mod 25)
+    ((((7, 0), (0, -7)), ((0, -1), (1, 0))), 25, 8),
+    # diag(7, -7) and j generate 40 elements mod 125
+    ((((7, 0), (0, -7)), ((0, -1), (1, 0))), 125, 40),
+])
+def test_group_closure_words_are_smallest_shortest(gens, mod, order):
+    closure = group_closure(gens, mod)
+    assert len(closure) == order
+    # same words, and discovery order is (length, word) order
+    assert [(x, closure_word(closure, gens, mod, x)) for x in closure] == \
+        list(_first_words_by_length(gens, mod).items())
+
+
+def test_group_closure_limit(monkeypatch):
+    monkeypatch.setattr("wittlift.matlin.ENUM_LIMIT", 479)
+    gens = (((2, 0), (0, 1)), ((1, 1), (0, 1)), ((1, 0), (1, 1)))
+    with pytest.raises(ParamMismatch, match="enumeration limit"):
+        group_closure(gens, 5)
+    monkeypatch.setattr("wittlift.matlin.ENUM_LIMIT", 480)
+    assert len(group_closure(gens, 5)) == 480
 
 
 def test_root_of_unity_bound():
