@@ -25,6 +25,7 @@ from .density import (
     tube_measure,
 )
 from .errors import (
+    InputError,
     OracleNotFound,
     SchemaError,
     UnboundedGroup,
@@ -315,7 +316,7 @@ def main(argv=None):
         print(json.dumps({"error": str(exc), "kind": "oracle_not_found"}),
               file=sys.stderr)
         return EXIT_ORACLE
-    except (SchemaError, KeyError, ValueError) as exc:
+    except (InputError, KeyError, TypeError, ValueError) as exc:
         print(json.dumps({"error": str(exc), "kind": "input"}),
               file=sys.stderr)
         return EXIT_INPUT

@@ -12,6 +12,7 @@ Canonical text form of a Witt element: ``l^m:d:[c0,...,c_{d-1}]``.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import random
 import re
@@ -82,7 +83,7 @@ class WittRingParams:
     m: int
     lifted_modulus: tuple
 
-    @property
+    @functools.cached_property
     def q(self):
         return self.ell ** self.m
 
@@ -94,22 +95,115 @@ class WittRingParams:
         return f"W(GF({self.ell}^{self.d}))/{self.ell}^{self.m}"
 
 
-def _poly_mulmod(a, b, modulus, q):
-    """Product of two coefficient tuples of length d, reduced mod (modulus, q)."""
+@functools.lru_cache(maxsize=None)
+def _kronecker_plan(modulus, q):
+    """Slot width, slot mask and fold terms for products mod (modulus, q).
+
+    A slot of 2*bitlen(q) + bitlen(d) + 1 bits holds any coefficient of the
+    product of two reduced operands (at most d (q-1)^2) with no carry.  The
+    fold terms are (j - d, c_j) for the nonzero low coefficients c_j of the
+    monic modulus, since x^d == -(c_0 + ... + c_{d-1} x^{d-1}).
+    """
     d = len(modulus) - 1
-    prod = [0] * (2 * d - 1) if d > 1 else [0]
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % q
-    # monic modulus: x^d == -(lower part)
-    for i in range(len(prod) - 1, d - 1, -1):
+    width = 2 * q.bit_length() + d.bit_length() + 1
+    fold = tuple((j - d, c) for j, c in enumerate(modulus[:-1]) if c)
+    return width, (1 << width) - 1, fold, range(2 * d - 1), range(2 * d - 2, d - 1, -1)
+
+
+def _poly_mulmod(a, b, modulus, q):
+    """Product of two coefficient tuples of length d, reduced mod (modulus, q).
+
+    Kronecker substitution: each operand, reduced mod q, is packed into one
+    integer, one big-integer product forms every coefficient, and the high
+    coefficients are folded down through the modulus top-down before a
+    single reduction mod q.
+    """
+    if len(a) == 1:
+        return (a[0] * b[0] % q,)
+    width, mask, fold, slots, top = _kronecker_plan(modulus, q)
+    x = y = 0
+    for c in reversed(a):
+        x = x << width | c % q
+    for c in reversed(b):
+        y = y << width | c % q
+    p = x * y
+    prod = []
+    for _ in slots:
+        prod.append(p & mask)
+        p >>= width
+    for i in top:
         c = prod[i]
         if c:
-            prod[i] = 0
-            for j in range(d):
-                prod[i - d + j] = (prod[i - d + j] - c * modulus[j]) % q
-    return tuple(prod[:d])
+            for offset, mj in fold:
+                prod[i + offset] -= c * mj
+    del prod[len(a):]
+    return tuple([c % q for c in prod])
+
+
+def _poly_inverse(a, modulus, ell):
+    """Inverse of a mod (modulus, ell), a given as d coefficients.
+
+    pow at d = 1; otherwise the extended Euclidean algorithm over F_l[x] on
+    the coefficients reduced mod l, tracking only the cofactor of a.
+    Raises ZeroInverse when a is 0 mod l or, for a reducible modulus,
+    shares a factor with it.
+    """
+    r1 = [c % ell for c in a]
+    while r1 and not r1[-1]:
+        r1.pop()
+    if not r1:
+        raise ZeroInverse("0 has no inverse")
+    if len(a) == 1:
+        return (pow(r1[0], -1, ell),)
+    r0, s0, s1 = list(modulus), [], [1]
+    while len(r1) > 1:
+        # r0 = quot * r1 + rem, then (r0, r1) <- (r1, rem)
+        lead = pow(r1[-1], -1, ell)
+        n = len(r1) - 1
+        quot = [0] * (len(r0) - n)
+        for k in range(len(r0) - 1 - n, -1, -1):
+            c = r0[k + n] * lead % ell
+            quot[k] = c
+            if c:
+                for j in range(n):
+                    r0[k + j] = (r0[k + j] - c * r1[j]) % ell
+        del r0[n:]
+        while r0 and not r0[-1]:
+            r0.pop()
+        # s0 - quot * s1, the cofactor of the new remainder
+        s = s0 + [0] * (len(quot) + len(s1) - 1 - len(s0))
+        for i, qi in enumerate(quot):
+            if qi:
+                for j, sj in enumerate(s1):
+                    s[i + j] = (s[i + j] - qi * sj) % ell
+        while s and not s[-1]:
+            s.pop()
+        r0, r1, s0, s1 = r1, r0, s1, s
+    if not r1:
+        raise ZeroInverse("not invertible: shares a factor with the modulus")
+    c = pow(r1[0], -1, ell)
+    inv = [si * c % ell for si in s1]
+    return tuple(inv) + (0,) * (len(a) - len(inv))
+
+
+def _power(x, e):
+    """x^e for an element x of either type, by binary powering.
+
+    No product with 1, and no squaring past the top bit.
+    """
+    if e < 0:
+        return _power(x.inverse(), -e)
+    if e == 0:
+        return dataclasses.replace(x, coeffs=(1,) + (0,) * (len(x.coeffs) - 1))
+    result = None
+    base = x
+    while True:
+        if e & 1:
+            result = base if result is None else result * base
+        e >>= 1
+        if not e:
+            return result
+        base = base * base
 
 
 def _int_poly_is_irreducible(coeffs, ell):
@@ -149,35 +243,12 @@ def _int_poly_is_irreducible(coeffs, ell):
     for p in primes:
         h = powmod_x(ell ** (d // p))
         diff = tuple((hi - xi) % ell for hi, xi in zip(h, x_cls))
-        # gcd(h - x, f) must be 1
-        if _int_poly_gcd_is_one(diff, coeffs, ell) is False:
+        # gcd(h - x, f) must be 1: h - x must be invertible mod f
+        try:
+            _poly_inverse(diff, coeffs, ell)
+        except ZeroInverse:
             return False
     return True
-
-
-def _int_poly_gcd_is_one(a, f, ell):
-    """True iff gcd(a, f) = 1 over F_ell (a given as tuple, f monic)."""
-    a = list(a)
-    b = list(f)
-
-    def deg(p):
-        for i in range(len(p) - 1, -1, -1):
-            if p[i] % ell:
-                return i
-        return -1
-
-    while True:
-        da, db = deg(a), deg(b)
-        if db == -1:
-            return da == 0
-        if da < db:
-            a, b = b, a
-            continue
-        inv = pow(b[deg(b)], -1, ell)
-        shift = da - db
-        c = a[da] * inv % ell
-        for i in range(db + 1):
-            a[i + shift] = (a[i + shift] - c * b[i]) % ell
 
 
 def check_ell(ell):
@@ -239,12 +310,12 @@ class FFElem:
     def __add__(self, other):
         self._check(other)
         p = self.params.ell
-        return FFElem(self.params, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return FFElem(self.params, tuple([(a + b) % p for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __sub__(self, other):
         self._check(other)
         p = self.params.ell
-        return FFElem(self.params, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return FFElem(self.params, tuple([(a - b) % p for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self):
         p = self.params.ell
@@ -257,33 +328,21 @@ class FFElem:
             _poly_mulmod(self.coeffs, other.coeffs, self.params.modulus, self.params.ell),
         )
 
-    def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        if e == 0:
-            return ff_one(self.params)
-        # no product with 1, and no squaring past the top bit
-        result = None
-        base = self
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                return result
-            base = base * base
+    __pow__ = _power
 
     def inverse(self):
-        if self.is_zero():
-            raise ZeroInverse("0 has no inverse")
-        # a^(q-2) avoids an extended-gcd code path; q is small here
-        return self ** (self.params.order - 2)
+        p = self.params
+        return FFElem(p, _poly_inverse(self.coeffs, p.modulus, p.ell))
 
     def __truediv__(self, other):
         return self * other.inverse()
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        p = self.params.ell
+        for c in self.coeffs:
+            if c % p:
+                return False
+        return True
 
     def sort_key(self):
         return self.coeffs
@@ -325,12 +384,12 @@ class WittElem:
     def __add__(self, other):
         self._check(other)
         q = self.ring.q
-        return WittElem(self.ring, tuple((a + b) % q for a, b in zip(self.coeffs, other.coeffs)))
+        return WittElem(self.ring, tuple([(a + b) % q for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __sub__(self, other):
         self._check(other)
         q = self.ring.q
-        return WittElem(self.ring, tuple((a - b) % q for a, b in zip(self.coeffs, other.coeffs)))
+        return WittElem(self.ring, tuple([(a - b) % q for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self):
         q = self.ring.q
@@ -343,43 +402,42 @@ class WittElem:
             _poly_mulmod(self.coeffs, other.coeffs, self.ring.lifted_modulus, self.ring.q),
         )
 
-    def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        if e == 0:
-            return witt_one(self.ring)
-        # no product with 1, and no squaring past the top bit
-        result = None
-        base = self
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                return result
-            base = base * base
+    __pow__ = _power
 
     def inverse(self):
-        """Inverse of a unit, by residual inversion plus Newton lifting."""
+        """Inverse of a unit: pow at d = 1, else residual inverse plus Newton lifting."""
+        ring, x = self.ring, self.coeffs
         if not self.is_unit():
             raise ZeroInverse("not a unit")
-        y = lift_trivial(self.residue().inverse(), self.ring.m)
-        two = witt_from_int(self.ring, 2)
+        q, modulus = ring.q, ring.lifted_modulus
+        if len(x) == 1:
+            return WittElem(ring, (pow(x[0], -1, q),))
+        y = _poly_inverse(x, modulus, ring.ell)
         # y <- y(2 - xy) doubles the number of correct l-adic digits
         k = 1
-        while k < self.ring.m:
-            y = y * (two - self * y)
+        while k < ring.m:
+            t = _poly_mulmod(x, y, modulus, q)
+            y = _poly_mulmod(y, ((2 - t[0]) % q,) + tuple([-c % q for c in t[1:]]),
+                             modulus, q)
             k *= 2
-        return y
+        return WittElem(ring, y)
 
     def __truediv__(self, other):
         return self * other.inverse()
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        q = self.ring.q
+        for c in self.coeffs:
+            if c % q:
+                return False
+        return True
 
     def is_unit(self):
-        return not self.residue().is_zero()
+        ell = self.ring.ell
+        for c in self.coeffs:
+            if c % ell:
+                return True
+        return False
 
     def valuation(self):
         """min_i v_l(c_i), saturated at m for the zero element."""

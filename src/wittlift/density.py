@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import coeffring as cr
-from .errors import AlphaExceedsPrecision, NotConjugationInvariant, ParamMismatch
+from .errors import AlphaExceedsPrecision, InvalidQuery, NotConjugationInvariant
 from .galois_model import evaluate_word
 from .matlin import ENUM_LIMIT, Mat, group_closure, int_dtype
 
@@ -46,19 +46,20 @@ class TubeQuery:
     def __post_init__(self):
         cr.check_ell(self.ell)
         if self.m < 1:
-            raise ParamMismatch("precision level must be >= 1")
+            raise InvalidQuery("precision level must be >= 1")
         if self.alpha > self.m or self.alpha < 0:
             raise AlphaExceedsPrecision(
                 f"alpha = {self.alpha} outside 0..{self.m}")
         for mono in self.monomials:
             if len(mono.exps) != self.n * self.n:
-                raise ParamMismatch("monomial arity != n^2")
+                raise InvalidQuery(f"monomial arity {len(mono.exps)} != "
+                                   f"n^2 = {self.n * self.n}")
         for i, g in enumerate(self.generators):
             if len(g) != self.n or any(len(r) != self.n for r in g):
-                raise ParamMismatch("generator is not n x n")
+                raise InvalidQuery(f"generator {i} is not {self.n} x {self.n}")
             if Mat.from_ints(cr.make_field(self.ell, 1), g).det().is_zero():
-                raise ParamMismatch(f"generator {i} is not invertible: its "
-                                    f"determinant is 0 mod {self.ell}")
+                raise InvalidQuery(f"generator {i} is not invertible: its "
+                                   f"determinant is 0 mod {self.ell}")
 
 
 def det_minus_one_query(ell, m, alpha):
@@ -121,7 +122,7 @@ def _det_unit_mask(rows, n, ell):
                 + mats[:, 0, 2] * (mats[:, 1, 0] * mats[:, 2, 1]
                                    - mats[:, 1, 1] * mats[:, 2, 0]))
     else:
-        raise ParamMismatch("tube queries support n <= 3")
+        raise InvalidQuery(f"full-group tube queries support n <= 3, got n = {n}")
     return dets % ell != 0
 
 
@@ -186,7 +187,7 @@ def tube_measure(query, seed=0, sample_count=200000):
         return TubeResult(Fraction(_tube_hits(query, rows), len(rows)), True,
                           population)
     if sample_count < 1:
-        raise ParamMismatch(f"sample_count = {sample_count} must be >= 1")
+        raise InvalidQuery(f"sample_count = {sample_count} must be >= 1")
     rng = np.random.default_rng(seed)
     hits = 0
     got = 0

@@ -5,13 +5,17 @@ class WittliftError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InputError(WittliftError):
+    """Input outside the supported range; the CLI exits 4 on it."""
+
+
 # -- coefficient rings ------------------------------------------------------
 
-class NotPrime(WittliftError):
+class NotPrime(InputError):
     pass
 
 
-class EllTooSmall(WittliftError):
+class EllTooSmall(InputError):
     pass
 
 
@@ -119,5 +123,9 @@ class NotConjugationInvariant(WittliftError):
     pass
 
 
-class SchemaError(WittliftError):
+class InvalidQuery(InputError, ParamMismatch):
+    """A tube query or sample count of the wrong shape."""
+
+
+class SchemaError(InputError):
     pass

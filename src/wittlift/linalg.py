@@ -15,7 +15,12 @@ def mat_copy(rows):
 
 
 def rref(rows):
-    """Reduced row echelon form; returns (rref rows, pivot column list)."""
+    """Reduced row echelon form; returns (rref rows, pivot column list).
+
+    A normalized pivot row is zero left of its pivot, so its support (the
+    columns where it is nonzero) is recorded once; every other row is then
+    updated in place on those columns only.
+    """
     rows = mat_copy(rows)
     if not rows:
         return rows, []
@@ -31,12 +36,16 @@ def rref(rows):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        inv = prow[c].inverse()
+        support = [j for j in range(c, ncols) if not prow[j].is_zero()]
+        for j in support:
+            prow[j] = prow[j] * inv
+        for row in rows:
+            f = row[c]
+            if row is not prow and not f.is_zero():
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
         if r == len(rows):

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 import wittlift.coeffring as cr
 from wittlift.cli import main
 from wittlift.galois_model import SCHEMA_VERSION, deformation_to_json_dict
@@ -210,3 +212,28 @@ def test_non_object_json_is_input_error(tmp_path, capsys):
 
 def test_missing_file_is_input_error(tmp_path):
     assert main(["h1", str(tmp_path / "nope.json"), "trivial:1"]) == 4
+
+
+def _density_query(**fields):
+    query = {"schema_version": SCHEMA_VERSION, "ell": 5, "n": 2, "m": 1,
+             "alpha": 0, "monomials": [{"coeff": 1, "exps": [1, 0, 0, 1]}]}
+    query.update(fields)
+    return query
+
+
+@pytest.mark.parametrize("fields, reason", [
+    ({"ell": 4}, "4 is not prime"),
+    ({"monomials": [{"coeff": 1, "exps": [1, 0]}]}, "monomial arity 2 != n^2 = 4"),
+    ({"ell": [5]}, "int()"),
+    ({"monomials": [5]}, "not subscriptable"),
+    ({"n": 4, "monomials": []}, "support n <= 3, got n = 4"),
+], ids=["ell_not_prime", "monomial_arity", "ell_is_list", "monomial_is_int",
+        "full_group_n_4"])
+def test_density_input_error_exits_4(tmp_path, capsys, fields, reason):
+    path = write_json(tmp_path / "q.json", _density_query(**fields))
+    assert main(["density", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)  # one JSON object, no traceback
+    assert err["kind"] == "input"
+    assert reason in err["error"]

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wittlift.coeffring as cr
 from wittlift.errors import (
@@ -12,6 +14,7 @@ from wittlift.errors import (
     ParamMismatch,
     ZeroInverse,
 )
+from wittlift.linalg import nullspace, rref
 
 
 def test_make_field_rejects_bad_params():
@@ -72,7 +75,7 @@ def test_power_products(monkeypatch, cls, one, make):
     assert x ** 1 is x
 
 
-def test_large_field_inverse_takes_sixty_products(monkeypatch):
+def test_large_field_inverse_makes_no_products(monkeypatch):
     f = cr.make_field(5, 16)
     a = cr.FFElem(f, tuple(range(16)))
     products = []
@@ -80,9 +83,32 @@ def test_large_field_inverse_takes_sixty_products(monkeypatch):
     monkeypatch.setattr(cr.FFElem, "__mul__",
                         lambda x, y: products.append(1) or mul(x, y))
     inv = a.inverse()
-    # q - 2 = 5^16 - 2 has 38 bits, 24 of them set: 37 squarings + 23 products
-    assert len(products) == 60
+    # extended Euclid on coefficients: no element products at all
+    assert products == []
+    assert inv.coeffs == _oracle_field_inverse(a.coeffs, f.modulus, 5)
     assert mul(a, inv) == cr.ff_one(f)
+
+
+def test_unreduced_zero_has_no_inverse():
+    f = cr.make_field(5, 1)
+    z = cr.FFElem(f, (5,))
+    assert z.is_zero()
+    with pytest.raises(ZeroInverse):
+        z.inverse()
+    f16 = cr.make_field(5, 16)
+    z16 = cr.FFElem(f16, (10, -5) + (0,) * 14)
+    assert z16.is_zero()
+    with pytest.raises(ZeroInverse):
+        z16.inverse()
+    ring = cr.make_witt_ring(5, 2, 2)
+    assert cr.WittElem(ring, (25, -50)).is_zero()
+    for coeffs in ((25, -50), (5, 0), (0, -10)):
+        x = cr.WittElem(ring, coeffs)
+        assert not x.is_unit()
+        with pytest.raises(ZeroInverse):
+            x.inverse()
+    with pytest.raises(ZeroInverse):
+        cr.WittElem(cr.make_witt_ring(5, 1, 3), (250,)).inverse()
 
 
 def test_witt_ring_arithmetic_round_trip():
@@ -256,3 +282,167 @@ def test_valuation():
     assert cr.witt_from_int(ring, 25).valuation() == 2
     assert cr.witt_from_int(ring, 7).valuation() == 0
     assert cr.witt_zero(ring).valuation() == 3
+
+
+# ---------------------------------------------------------------------------
+# kernel oracles: plain schoolbook arithmetic written here, never calling the
+# library's product or inverse
+
+
+def _oracle_mulmod(a, b, modulus, q):
+    """Schoolbook product of coefficient tuples mod (monic modulus, q)."""
+    d = len(modulus) - 1
+    prod = [0] * (2 * d - 1) if d > 1 else [0]
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % q
+    # monic modulus: x^d == -(lower part)
+    for i in range(len(prod) - 1, d - 1, -1):
+        c = prod[i]
+        if c:
+            prod[i] = 0
+            for j in range(d):
+                prod[i - d + j] = (prod[i - d + j] - c * modulus[j]) % q
+    return tuple(c % q for c in prod[:d])
+
+
+def _oracle_field_inverse(a, modulus, ell):
+    """a^(l^d - 2) by square and multiply on schoolbook products."""
+    d = len(modulus) - 1
+    result = (1,) + (0,) * (d - 1)
+    base = tuple(c % ell for c in a)
+    e = ell ** d - 2
+    while e:
+        if e & 1:
+            result = _oracle_mulmod(result, base, modulus, ell)
+        base = _oracle_mulmod(base, base, modulus, ell)
+        e >>= 1
+    return result
+
+
+def test_kernel_cases_cover_a_non_binomial_modulus():
+    modulus = cr.make_field(7, 4).modulus
+    assert sum(1 for c in modulus[:-1] if c) > 1
+
+
+@st.composite
+def _kernel_cases(draw):
+    ell = draw(st.sampled_from([5, 7, 13]))
+    d = draw(st.sampled_from([1, 2, 3, 4, 8, 16]))
+    m = draw(st.sampled_from([1, 3, 30]))
+    q = ell ** m
+    # unreduced and negative coefficients, as the constructors accept them
+    coeff = st.one_of(st.integers(0, q - 1), st.integers(-3 * q, 3 * q))
+    a = tuple(draw(st.lists(coeff, min_size=d, max_size=d)))
+    b = tuple(draw(st.lists(coeff, min_size=d, max_size=d)))
+    return ell, d, m, a, b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_kernel_cases())
+def test_products_match_schoolbook(case):
+    ell, d, m, a, b = case
+    f = cr.make_field(ell, d)
+    ring = cr.make_witt_ring(ell, d, m)
+    q = ring.q
+    expect = _oracle_mulmod(a, b, f.modulus, q)
+    assert cr._poly_mulmod(a, b, ring.lifted_modulus, q) == expect
+    assert (cr.WittElem(ring, a) * cr.WittElem(ring, b)).coeffs == expect
+    assert (cr.FFElem(f, a) * cr.FFElem(f, b)).coeffs == \
+        _oracle_mulmod(a, b, f.modulus, ell)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_kernel_cases())
+def test_inverses_match_oracle(case):
+    ell, d, m, a, _ = case
+    f = cr.make_field(ell, d)
+    x = cr.FFElem(f, a)
+    if x.is_zero():
+        with pytest.raises(ZeroInverse):
+            x.inverse()
+    else:
+        assert x.inverse().coeffs == _oracle_field_inverse(a, f.modulus, ell)
+    ring = cr.make_witt_ring(ell, d, m)
+    y = cr.WittElem(ring, a)
+    if not y.is_unit():
+        with pytest.raises(ZeroInverse):
+            y.inverse()
+        return
+    # the inverse in (Z/l^m)[x]/(f) is unique: its schoolbook product is 1
+    inv = y.inverse().coeffs
+    assert all(0 <= c < ring.q for c in inv)
+    assert _oracle_mulmod(a, inv, ring.lifted_modulus, ring.q) == \
+        (1,) + (0,) * (d - 1)
+
+
+def _oracle_rref(rows):
+    """Reduced row echelon form updating every column of every row."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, len(rows)):
+            if not rows[i][c].is_zero():
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+@st.composite
+def _sparse_matrices(draw):
+    d = draw(st.sampled_from([1, 2, 4]))
+    f = cr.make_field(5, d)
+    nrows = draw(st.integers(1, 7))
+    ncols = draw(st.integers(1, 9))
+    entry = st.one_of(st.just((0,) * d),
+                      st.lists(st.integers(0, 4), min_size=d, max_size=d).map(tuple))
+    rows = [[cr.FFElem(f, draw(entry)) for _ in range(ncols)] for _ in range(nrows)]
+    # repeat some rows as combinations of others so that ranks drop
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        k = cr.FFElem(f, draw(entry))
+        rows.append([x + k * y for x, y in zip(rows[i], rows[j])])
+    return f, rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_sparse_matrices())
+def test_rref_and_nullspace_match_full_row_update(case):
+    f, rows = case
+    before = [list(r) for r in rows]
+    red, pivots = rref(rows)
+    expect, expect_pivots = _oracle_rref(rows)
+    assert rows == before  # the input is not modified
+    assert pivots == expect_pivots
+    assert [[x.coeffs for x in r] for r in red] == \
+        [[x.coeffs for x in r] for r in expect]
+    ncols = len(rows[0])
+    free = [c for c in range(ncols) if c not in expect_pivots]
+    basis = nullspace(rows, f)
+    assert len(basis) == len(free)
+    for vec, fc in zip(basis, free):
+        assert vec[fc] == cr.ff_one(f)
+        for c in free:
+            if c != fc:
+                assert vec[c].is_zero()
+        for i, pc in enumerate(expect_pivots):
+            assert vec[pc].coeffs == (-expect[i][fc]).coeffs
