@@ -1,13 +1,18 @@
 """Finite-level tube measures and Frobenius statistics.
 
 The measure of {gamma : v(f(gamma)) > alpha} inside GL_n(Z/l^m) (or a
-generated subgroup) is computed as an exact counting fraction by full
-enumeration, or as a seeded unbiased estimate above a size threshold.
+generated subgroup) is computed as an exact counting fraction, or as a
+seeded unbiased estimate above a size threshold.
 
 Whether v(f(gamma)) > alpha holds depends only on gamma mod l^(alpha+1), and
 reduction from level m maps the full group onto GL_n(Z/l^k) with fibres of
 equal size, so counts and samples are taken at level k = min(alpha + 1, m).
-Entries and values are int64 while n * l^(2k) fits, Python ints past it.
+A full group is counted on a broadcast grid: entry j of every matrix over
+Z/l^k is arange(l^k) laid along axis j, so a monomial is an outer product of
+one-dimensional power tables and the det-unit mask is broadcast the same way.
+Subgroup closures and samples pass their rows' columns to the same
+polynomial evaluator.  Entries and values are int64 while n * l^(2k) fits,
+Python ints past it.
 """
 
 from __future__ import annotations
@@ -80,65 +85,58 @@ def gl_order(ell, n, m):
 
 
 def counts_exactly(query):
-    """Whether tube_measure enumerates (subgroups, and full groups whose
+    """Whether tube_measure counts exactly (subgroups, and full groups whose
     l^(m n^2) matrices fit ENUM_LIMIT) rather than samples."""
     return bool(query.generators) or \
         query.ell ** (query.m * query.n * query.n) <= ENUM_LIMIT
 
 
-def _poly_eval_rows(query, rows, modulus):
-    """Evaluate the polynomial on an (N, n^2) array of entries < modulus,
-    mod modulus, in the array's dtype."""
-    acc = np.zeros(len(rows), dtype=rows.dtype)
+def _poly_eval(query, entries, modulus):
+    """The polynomial mod modulus at the n^2 matrix entries (row-major),
+    arrays below modulus that broadcast against each other.
+
+    Each monomial is an outer product of its factors' power arrays, so on a
+    broadcast grid only its last factor spans the whole grid.  The result has
+    the broadcast shape of the monomials (a Python int if all are constant).
+    """
+    acc = 0
     for mono in query.monomials:
-        term = np.full(len(rows), mono.coeff % modulus, dtype=rows.dtype)
-        for j, e in enumerate(mono.exps):
-            for _ in range(e):
-                term = term * rows[:, j] % modulus
-        acc = (acc + term) % modulus
-    return acc
+        term = mono.coeff % modulus
+        for x, e in zip(entries, mono.exps):
+            if e:
+                power = x
+                for _ in range(e - 1):
+                    power = power * x % modulus
+                term = term * power % modulus
+        acc = acc + term  # below len(monomials) * modulus, far from 2^63
+    return acc % modulus
 
 
-def _tube_hits(query, rows):
-    """How many rows (entries mod l^k, k = min(alpha + 1, m)) lie in the tube."""
+def _tube_hits(query, entries, unit):
+    """How many cells where the boolean array unit holds lie in the tube;
+    entries are the matrix entries mod l^k, k = min(alpha + 1, m), as arrays
+    broadcasting to unit's shape."""
     if query.alpha >= query.m:
         return 0
-    vals = _poly_eval_rows(query, rows, query.ell ** (query.alpha + 1))
-    return int(np.count_nonzero(vals == 0))
+    vals = _poly_eval(query, entries, query.ell ** (query.alpha + 1))
+    return int(np.count_nonzero((vals == 0) & unit))
 
 
-def _det_unit_mask(rows, n, ell):
-    """Which rows are invertible matrices: det mod l of the entries mod l."""
-    mats = (rows % ell).astype(np.int64).reshape(len(rows), n, n)
-    if n == 1:
-        dets = mats[:, 0, 0]
-    elif n == 2:
-        dets = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-    elif n == 3:
-        dets = (mats[:, 0, 0] * (mats[:, 1, 1] * mats[:, 2, 2]
-                                 - mats[:, 1, 2] * mats[:, 2, 1])
-                - mats[:, 0, 1] * (mats[:, 1, 0] * mats[:, 2, 2]
-                                   - mats[:, 1, 2] * mats[:, 2, 0])
-                + mats[:, 0, 2] * (mats[:, 1, 0] * mats[:, 2, 1]
-                                   - mats[:, 1, 1] * mats[:, 2, 0]))
-    else:
+def _det_unit_mask(entries, n, ell):
+    """Where the matrix with these entries (row-major, broadcasting against
+    each other) is invertible: its determinant mod l is nonzero."""
+    if n > 3:
         raise InvalidQuery(f"full-group tube queries support n <= 3, got n = {n}")
-    return dets % ell != 0
-
-
-def _all_rows(modulus, width):
-    """Every vector of (Z/modulus)^width, one per row."""
-    return np.indices((modulus,) * width, dtype=np.int64).reshape(width, -1).T
-
-
-def _enumerate_full(query, k):
-    """GL_n(Z/l^k): the residual units plus l times every lift (int64, as
-    l^(k n^2) <= ENUM_LIMIT)."""
-    ell, n = query.ell, query.n
-    units = _all_rows(ell, n * n)
-    units = units[_det_unit_mask(units, n, ell)]
-    lifts = _all_rows(ell ** (k - 1), n * n)
-    return (units[:, None, :] + ell * lifts[None, :, :]).reshape(-1, n * n)
+    a = [(x % ell).astype(np.int64) for x in entries]
+    if n == 1:
+        return a[0] != 0
+    # det = 0 mod l compared as two residues, so that only the comparison
+    # spans a whole broadcast grid
+    if n == 2:
+        return a[0] * a[3] % ell != a[1] * a[2] % ell
+    return ((a[0] * (a[4] * a[8] - a[5] * a[7])
+             + a[2] * (a[3] * a[7] - a[4] * a[6])) % ell
+            != a[1] * (a[3] * a[8] - a[5] * a[6]) % ell)
 
 
 def _uniform_rows(rng, count, n, ell, k):
@@ -168,24 +166,26 @@ class TubeResult:
 
 
 def tube_measure(query, seed=0, sample_count=200000):
-    """Exact fraction by enumeration, or a seeded estimate when too large.
+    """Exact fraction by counting, or a seeded estimate when too large.
 
     Both count at level k = min(alpha + 1, m).  A full group's population is
     |GL_n(Z/l^m)|; a subgroup's is the size of its closure at level m.
     """
     ell, n, m = query.ell, query.n, query.m
     k = min(query.alpha + 1, m)
+    if query.generators:
+        rows = np.array(list(group_closure(query.generators, ell ** m)),
+                        dtype=int_dtype(n, ell ** m))
+        rows = (rows % ell ** k).astype(int_dtype(n, ell ** k))
+        hits = _tube_hits(query, rows.T, np.ones(len(rows), dtype=bool))
+        return TubeResult(Fraction(hits, len(rows)), True, len(rows))
     if counts_exactly(query):
-        if query.generators:
-            rows = np.array(list(group_closure(query.generators, ell ** m)),
-                            dtype=int_dtype(n, ell ** m))
-            rows = (rows % ell ** k).astype(int_dtype(n, ell ** k))
-            population = len(rows)
-        else:
-            rows = _enumerate_full(query, k)
-            population = gl_order(ell, n, m)
-        return TubeResult(Fraction(_tube_hits(query, rows), len(rows)), True,
-                          population)
+        hits = 0
+        if query.alpha < m:  # at alpha = m the tube is empty
+            grid = np.ix_(*[np.arange(ell ** k)] * (n * n))
+            hits = _tube_hits(query, grid, _det_unit_mask(grid, n, ell))
+        return TubeResult(Fraction(hits, gl_order(ell, n, k)), True,
+                          gl_order(ell, n, m))
     if sample_count < 1:
         raise InvalidQuery(f"sample_count = {sample_count} must be >= 1")
     rng = np.random.default_rng(seed)
@@ -193,10 +193,10 @@ def tube_measure(query, seed=0, sample_count=200000):
     got = 0
     while got < sample_count:
         cand = _uniform_rows(rng, min(_SAMPLE_BATCH, sample_count - got),
-                             n, ell, k)
-        cand = cand[_det_unit_mask(cand, n, ell)]
-        hits += _tube_hits(query, cand)
-        got += len(cand)
+                             n, ell, k).T
+        unit = _det_unit_mask(cand, n, ell)
+        hits += _tube_hits(query, cand, unit)
+        got += int(np.count_nonzero(unit))
     p = hits / got
     se = (p * (1 - p) / got) ** 0.5
     return TubeResult(Fraction(hits, got), False, 0, got, se, seed)

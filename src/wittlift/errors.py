@@ -115,8 +115,8 @@ class SupportConditionUnavailable(WittliftError):
 
 # -- density / CLI ----------------------------------------------------------
 
-class AlphaExceedsPrecision(WittliftError):
-    pass
+class AlphaExceedsPrecision(InputError):
+    """A tube threshold alpha outside 0..m."""
 
 
 class NotConjugationInvariant(WittliftError):

@@ -193,12 +193,18 @@ def test_density_exact_flag_refuses_to_sample(tmp_path, capsys):
     assert report["exact"] is True and report["fraction"] == "1/20"
 
 
-def test_density_bad_alpha_is_input_error(tmp_path):
-    query = write_json(tmp_path / "q.json", {
-        "schema_version": SCHEMA_VERSION,
-        "ell": 5, "n": 2, "m": 1, "alpha": 9, "monomials": [],
-    })
-    assert main(["density", query]) == 2  # verification-class failure
+def test_density_bad_alpha_is_input_error(tmp_path, capsys):
+    for alpha in (9, -1):
+        query = write_json(tmp_path / "q.json", {
+            "schema_version": SCHEMA_VERSION,
+            "ell": 5, "n": 2, "m": 1, "alpha": alpha, "monomials": [],
+        })
+        assert main(["density", query]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)  # one JSON object, no traceback
+        assert err["kind"] == "input"
+        assert f"alpha = {alpha} outside 0..1" in err["error"]
 
 
 def test_non_object_json_is_input_error(tmp_path, capsys):
