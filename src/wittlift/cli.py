@@ -45,7 +45,7 @@ from .lifting import (
     tower_to_json_dict,
     verify_tower_dict,
 )
-from .matlin import Mat, check_tame_relation, integral_model
+from .matlin import Mat, check_tame_relation, integral_model, kelem_from_rational
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -182,17 +182,8 @@ def _cmd_integral_model(args):
     ell = int(data.get("ell", 5))
     precision = int(data.get("precision", 30))
     ring = cr.make_witt_ring(ell, 1, precision)
-    gens = []
-    for gmat in data["generators"]:
-        rows = []
-        for row in gmat:
-            out = []
-            for ent in row:
-                num, den = int(ent["num"]), int(ent.get("den", 1))
-                from .matlin import kelem_from_rational
-                out.append(kelem_from_rational(ring, num, den))
-            rows.append(out)
-        gens.append(rows)
+    gens = [[[kelem_from_rational(ring, int(ent["num"]), int(ent.get("den", 1)))
+              for ent in row] for row in gmat] for gmat in data["generators"]]
     try:
         p = integral_model(gens)
     except UnboundedGroup as exc:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .errors import (
     EllTooSmall,
+    InvalidQuery,
     NonDivisibleDegrees,
     NotASimpleRoot,
     NotPrime,
@@ -186,8 +187,40 @@ def _poly_inverse(a, modulus, ell):
     return tuple(inv) + (0,) * (len(a) - len(inv))
 
 
+def _witt_unit_inverse(x, ring):
+    """Inverse of the unit with coefficients x, as coefficients; the one
+    routine WittElem.inverse and the fraction-field pairs share."""
+    q, modulus = ring.q, ring.lifted_modulus
+    if len(x) == 1:
+        return (pow(x[0], -1, q),)
+    y = _poly_inverse(x, modulus, ring.ell)
+    # y <- y(2 - xy) doubles the number of correct l-adic digits
+    k = 1
+    while k < ring.m:
+        t = _poly_mulmod(x, y, modulus, q)
+        y = _poly_mulmod(y, ((2 - t[0]) % q,) + tuple([-c % q for c in t[1:]]),
+                         modulus, q)
+        k *= 2
+    return y
+
+
+def _witt_valuation(x, ring):
+    """min_i v_l(x_i) over the coefficients x, saturated at m for zero."""
+    ell = ring.ell
+    best = ring.m
+    for c in x:
+        if c:
+            v = 0
+            while c % ell == 0:
+                c //= ell
+                v += 1
+            if v < best:
+                best = v
+    return best
+
+
 def _power(x, e):
-    """x^e for an element x of either type, by binary powering.
+    """x^e for an element of either type or a Mat, by binary powering.
 
     No product with 1, and no squaring past the top bit.
     """
@@ -286,7 +319,7 @@ def make_field(ell, d):
 def make_witt_ring(ell, d, m):
     """W(F_{l^d})/l^m with the trivial lift of make_field's modulus."""
     if m < 1:
-        raise ParamMismatch("precision level must be >= 1")
+        raise InvalidQuery(f"precision level m = {m} must be >= 1")
     fp = make_field(ell, d)
     return WittRingParams(ell, d, m, fp.modulus)
 
@@ -406,21 +439,9 @@ class WittElem:
 
     def inverse(self):
         """Inverse of a unit: pow at d = 1, else residual inverse plus Newton lifting."""
-        ring, x = self.ring, self.coeffs
         if not self.is_unit():
             raise ZeroInverse("not a unit")
-        q, modulus = ring.q, ring.lifted_modulus
-        if len(x) == 1:
-            return WittElem(ring, (pow(x[0], -1, q),))
-        y = _poly_inverse(x, modulus, ring.ell)
-        # y <- y(2 - xy) doubles the number of correct l-adic digits
-        k = 1
-        while k < ring.m:
-            t = _poly_mulmod(x, y, modulus, q)
-            y = _poly_mulmod(y, ((2 - t[0]) % q,) + tuple([-c % q for c in t[1:]]),
-                             modulus, q)
-            k *= 2
-        return WittElem(ring, y)
+        return WittElem(self.ring, _witt_unit_inverse(self.coeffs, self.ring))
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -441,16 +462,7 @@ class WittElem:
 
     def valuation(self):
         """min_i v_l(c_i), saturated at m for the zero element."""
-        ell, m = self.ring.ell, self.ring.m
-        best = m
-        for c in self.coeffs:
-            if c:
-                v = 0
-                while c % ell == 0:
-                    c //= ell
-                    v += 1
-                best = min(best, v)
-        return best
+        return _witt_valuation(self.coeffs, self.ring)
 
     def residue(self):
         fp = self.ring.residue_field

@@ -242,6 +242,9 @@ def frobenius_scan(rho, places, monomials, alpha, seed=0):
     ring = rho.ring
     if alpha > ring.m or alpha < 0:
         raise AlphaExceedsPrecision(f"alpha = {alpha} outside 0..{ring.m}")
+    for mono in monomials:
+        if len(mono.exps) != 4:
+            raise InvalidQuery(f"monomial arity {len(mono.exps)} != n^2 = 4")
     rng = random.Random(seed)
     _check_conjugation_invariant(monomials, ring, 2, rng)
     hits = 0

@@ -20,6 +20,7 @@ from . import coeffring as cr
 from .errors import (
     DoesNotSpan,
     EigenvaluesNotInField,
+    InvalidQuery,
     ParamMismatch,
     PrecisionExhausted,
     RepeatedResidualEigenvalues,
@@ -153,20 +154,7 @@ class Mat:
         return Mat.from_rows(self.ring, inv)
 
     def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        if e == 0:
-            return Mat.identity(self.ring, self.n)
-        # no product with the identity, and no squaring past the top bit
-        result = None
-        base = self
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                return result
-            base = base * base
+        return Mat.identity(self.ring, self.n) if e == 0 else cr._power(self, e)
 
     def residue(self):
         return Mat.from_rows(self.ring.residue_field,
@@ -555,14 +543,78 @@ def root_of_unity_bound(ring):
 
 # ---------------------------------------------------------------------------
 # fraction-field elements and the integral-model algorithms
+#
+# The saturation computes on num / l^den as the pair (coeffs, den): coeffs
+# is num's coefficient tuple mod l^m, None for the exact zero.
+
+_ZERO = (None, 0)
+
+
+def _kadd(ring, a, b):
+    """a + b, both numerators scaled to the larger den."""
+    (x, dx), (y, dy) = a, b
+    if x is None:
+        return b
+    if y is None:
+        return a
+    q, den = ring.q, max(dx, dy)
+    kx, ky = ring.ell ** (den - dx), ring.ell ** (den - dy)
+    return tuple([(s * kx + t * ky) % q for s, t in zip(x, y)]), den
+
+
+def _kneg(ring, a):
+    if a[0] is None:
+        return a
+    return tuple([-s % ring.q for s in a[0]]), a[1]
+
+
+def _ksub(ring, a, b):
+    return _kadd(ring, a, _kneg(ring, b))
+
+
+def _kmul(ring, a, b):
+    if a[0] is None or b[0] is None:
+        return _ZERO
+    return cr._poly_mulmod(a[0], b[0], ring.lifted_modulus, ring.q), a[1] + b[1]
+
+
+def _kval(ring, a):
+    """The numerator's valuation (saturated at m) minus den; _INF for 0."""
+    if a[0] is None:
+        return _INF
+    return cr._witt_valuation(a[0], ring) - a[1]
+
+
+def _unit_part(ring, x, v):
+    k, q = ring.ell ** v, ring.q
+    return tuple([c // k % q for c in x])
+
+
+def _kinv(ring, a):
+    """1 / a: l^v splits off the numerator and its unit part is inverted."""
+    x, dx = a
+    if x is None:
+        raise Singular("division by zero")
+    v = cr._witt_valuation(x, ring)
+    if v >= ring.m:
+        raise PrecisionExhausted("cannot invert an (effectively) zero element")
+    inv = cr._witt_unit_inverse(_unit_part(ring, x, v), ring)
+    # value = l^den / (l^v * unit)
+    if dx >= v:
+        k, q = ring.ell ** (dx - v), ring.q
+        return tuple([c * k % q for c in inv]), 0
+    return inv, v - dx
 
 
 @dataclass(frozen=True)
 class KElem:
     """num / l^den over the fraction field of a working-precision Witt ring.
 
-    num is None for the exact zero.  Relative precision is num's precision
-    minus den; the guard in effective_valuation keeps ambiguity visible.
+    num is a WittElem, None for the exact zero.  KElem is the boundary type:
+    its operators convert to (coeffs, den) pairs and call the same _k*
+    functions that module_basis, _ksolve and integral_model run on.
+    Relative precision is num's precision minus den; the guard in
+    module_basis keeps ambiguity visible.
     """
 
     ring: object
@@ -570,62 +622,39 @@ class KElem:
     den: int
 
     @classmethod
-    def zero(cls, ring):
-        return cls(ring, None, 0)
+    def from_pair(cls, ring, a):
+        return cls(ring, None if a[0] is None else cr.WittElem(ring, a[0]), a[1])
 
-    @classmethod
-    def from_int_pair(cls, ring, numerator, den=0):
-        if numerator == 0:
-            return cls.zero(ring)
-        return cls(ring, cr.witt_from_int(ring, numerator), den)
+    def pair(self, ring):
+        """(coeffs, den); self must be over ring."""
+        if self.ring is not ring and self.ring != ring:
+            raise ParamMismatch(f"{self.ring} vs {ring}")
+        return (None if self.num is None else self.num.coeffs), self.den
 
     def is_exact_zero(self):
         return self.num is None
 
     def valuation(self):
-        if self.num is None:
-            return _INF
-        return self.num.valuation() - self.den
+        return _kval(self.ring, self.pair(self.ring))
+
+    def _op(self, fn, *others):
+        ring = self.ring
+        return KElem.from_pair(ring, fn(ring, *[x.pair(ring) for x in (self, *others)]))
 
     def __add__(self, other):
-        if self.num is None:
-            return other
-        if other.num is None:
-            return self
-        den = max(self.den, other.den)
-        ell = self.ring.ell
-        a = cr.witt_scale(self.num, ell ** (den - self.den))
-        b = cr.witt_scale(other.num, ell ** (den - other.den))
-        s = a + b
-        return KElem(self.ring, s, den)
+        return self._op(_kadd, other)
 
     def __neg__(self):
-        if self.num is None:
-            return self
-        return KElem(self.ring, -self.num, self.den)
+        return self._op(_kneg)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._op(_ksub, other)
 
     def __mul__(self, other):
-        if self.num is None or other.num is None:
-            return KElem.zero(self.ring)
-        return KElem(self.ring, self.num * other.num, self.den + other.den)
+        return self._op(_kmul, other)
 
     def inverse(self):
-        if self.num is None:
-            raise Singular("division by zero")
-        v = self.num.valuation()
-        if v >= self.ring.m:
-            raise PrecisionExhausted("cannot invert an (effectively) zero element")
-        ell = self.ring.ell
-        unit = cr.WittElem(self.ring,
-                           tuple((c // ell ** v) % self.ring.q for c in self.num.coeffs))
-        inv_unit = unit.inverse()
-        # value = l^den / (l^v * unit)
-        if self.den >= v:
-            return KElem(self.ring, cr.witt_scale(inv_unit, ell ** (self.den - v)), 0)
-        return KElem(self.ring, inv_unit, v - self.den)
+        return self._op(_kinv)
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -633,12 +662,8 @@ class KElem:
     def key(self):
         if self.num is None:
             return ("zero",)
-        v = min(self.num.valuation(), self.den)
-        ell = self.ring.ell
-        num = cr.WittElem(self.ring,
-                          tuple((c // ell ** v) % self.ring.q for c in self.num.coeffs)) \
-            if v else self.num
-        return (num.coeffs, self.den - v)
+        x, v = self.num.coeffs, min(self.num.valuation(), self.den)
+        return (_unit_part(self.ring, x, v) if v else x), self.den - v
 
     def __repr__(self):
         if self.num is None:
@@ -648,22 +673,17 @@ class KElem:
 
 def kelem_from_rational(ring, numerator, denominator=1):
     """Build a KElem from an integer pair; the denominator must be a power of l."""
-    ell = ring.ell
     if denominator < 0:
         numerator, denominator = -numerator, -denominator
-    den = 0
-    while denominator > 1 and denominator % ell == 0:
-        denominator //= ell
+    den, rest = 0, denominator
+    while rest > 1 and rest % ring.ell == 0:
+        rest //= ring.ell
         den += 1
-    if denominator != 1:
-        raise ParamMismatch("denominator must be a power of l")
+    if rest != 1:
+        raise InvalidQuery(f"denominator {denominator} is not a power of l = {ring.ell}")
     if numerator == 0:
-        return KElem.zero(ring)
+        return KElem(ring, None, 0)
     return KElem(ring, cr.witt_from_int(ring, numerator), den)
-
-
-def _effectively_zero(x, guard):
-    return x.is_exact_zero() or x.valuation() >= guard
 
 
 def module_basis(gens, expect_span=True, guard=None):
@@ -675,57 +695,48 @@ def module_basis(gens, expect_span=True, guard=None):
     """
     if not gens:
         raise DoesNotSpan("no generators")
-    ring = None
-    for v in gens:
-        for x in v:
-            if x.num is not None:
-                ring = x.ring
-                break
-        if ring:
-            break
+    ring = next((x.ring for v in gens for x in v if x.num is not None), None)
     if ring is None:
         raise DoesNotSpan("all generators are zero")
     if guard is None:
         guard = ring.m - 6
     n = len(gens[0])
-    cols = [list(v) for v in gens]
+    cols = [[x.pair(ring) for x in v] for v in gens]
     remaining = list(range(n))
     basis = []
     while cols and remaining:
         best = None
         for j, col in enumerate(cols):
             for i in remaining:
-                x = col[i]
-                if _effectively_zero(x, guard):
-                    continue
-                v = x.valuation()
-                if best is None or v < best[0]:
+                v = _kval(ring, col[i])
+                if v < guard and (best is None or v < best[0]):
                     best = (v, j, i)
         if best is None:
             break
         _, j, i = best
         pivot = cols.pop(j)
-        inv = pivot[i].inverse()
+        inv = _kinv(ring, pivot[i])
         for col in cols:
-            if not _effectively_zero(col[i], guard):
-                f = col[i] * inv
+            if _kval(ring, col[i]) < guard:
+                f = _kmul(ring, col[i], inv)
                 for r in range(n):
-                    col[r] = col[r] - f * pivot[r]
-            col[i] = KElem.zero(ring)
+                    col[r] = _ksub(ring, col[r], _kmul(ring, f, pivot[r]))
+            col[i] = _ZERO
         basis.append((i, pivot))
         remaining.remove(i)
     if remaining and expect_span:
         raise DoesNotSpan(f"generators span a module of rank {len(basis)} < {n}")
     for col in cols:
         for i in remaining:
-            if not _effectively_zero(col[i], guard):
+            if _kval(ring, col[i]) < guard:
                 raise PrecisionExhausted("leftover mass below pivot threshold")
     basis.sort(key=lambda p: p[0])
-    return [tuple(v) for _, v in basis]
+    return [tuple(KElem.from_pair(ring, x) for x in v) for _, v in basis]
 
 
-def _ksolve(columns, target, guard):
-    """Solve sum x_j * columns[j] = target by the same pivoting; returns x."""
+def _ksolve(ring, columns, target, guard):
+    """Solve sum x_j * columns[j] = target over pairs by the same pivoting;
+    returns x."""
     n = len(target)
     k = len(columns)
     a = [[columns[j][i] for j in range(k)] for i in range(n)]
@@ -738,37 +749,34 @@ def _ksolve(columns, target, guard):
         best = None
         for j in cols_left:
             for i in rows_left:
-                if _effectively_zero(a[i][j], guard):
-                    continue
-                v = a[i][j].valuation()
-                if best is None or v < best[0]:
+                v = _kval(ring, a[i][j])
+                if v < guard and (best is None or v < best[0]):
                     best = (v, i, j)
         if best is None:
             break
         _, pi, pj = best
-        inv = a[pi][pj].inverse()
+        inv = _kinv(ring, a[pi][pj])
         for i in rows_left:
-            if i == pi or _effectively_zero(a[i][pj], guard):
+            if i == pi or _kval(ring, a[i][pj]) >= guard:
                 continue
-            f = a[i][pj] * inv
+            f = _kmul(ring, a[i][pj], inv)
             for j in cols_left:
-                a[i][j] = a[i][j] - f * a[pi][j]
-            b[i] = b[i] - f * b[pi]
+                a[i][j] = _ksub(ring, a[i][j], _kmul(ring, f, a[pi][j]))
+            b[i] = _ksub(ring, b[i], _kmul(ring, f, b[pi]))
         row_used.append((pi, pj))
         rows_left.remove(pi)
         cols_left.remove(pj)
     for i in rows_left:
-        if not _effectively_zero(b[i], guard):
+        if _kval(ring, b[i]) < guard:
             return None
-    zero = KElem.zero(target[0].ring)
     for j in cols_left:
-        sol[j] = zero
+        sol[j] = _ZERO
     for pi, pj in reversed(row_used):
         acc = b[pi]
         for j in range(k):
-            if j != pj and sol[j] is not None and not _effectively_zero(a[pi][j], guard):
-                acc = acc - a[pi][j] * sol[j]
-        sol[pj] = acc * a[pi][pj].inverse()
+            if j != pj and sol[j] is not None and _kval(ring, a[pi][j]) < guard:
+                acc = _ksub(ring, acc, _kmul(ring, a[pi][j], sol[j]))
+        sol[pj] = _kmul(ring, acc, _kinv(ring, a[pi][pj]))
     return sol
 
 
@@ -777,87 +785,72 @@ def integral_model(gens, max_iter=50, den_budget=None):
 
     Saturates M <- sum_j (V^n + g_j M) from the standard lattice; the basis
     columns of the stable lattice form P.  Raises UnboundedGroup when the
-    saturation fails to stabilize within the iteration or denominator budget.
+    saturation fails to stabilize within the iteration or denominator budget,
+    and InvalidQuery unless the generators are n x n with a nonzero entry
+    and m >= 7 (at m <= 6 the guard m - 6 treats every entry as zero).
     """
+    if not gens:
+        raise InvalidQuery("integral_model needs at least one generator")
     n = len(gens[0])
-    ring = None
-    for g in gens:
-        for row in g:
-            for x in row:
-                if x.num is not None:
-                    ring = x.ring
+    for gi, g in enumerate(gens):
+        if not n or len(g) != n or any(len(row) != n for row in g):
+            raise InvalidQuery(f"generator {gi} is not {n} x {n} (n is the row "
+                               f"count of generator 0)" if n else
+                               "generator 0 has no rows")
+    ring = next((x.ring for g in gens for row in g for x in row
+                 if x.num is not None), None)
     if ring is None:
-        raise ParamMismatch("zero generators")
+        raise InvalidQuery("every generator entry is the exact zero")
     guard = ring.m - 6
+    if guard < 1:
+        raise InvalidQuery(f"precision {ring.m} leaves guard m - 6 = {guard}: "
+                           f"integral_model needs m >= 7")
     if den_budget is None:
         den_budget = ring.m // 3
-
-    def matvec(g, v):
-        out = []
-        for i in range(n):
-            acc = KElem.zero(ring)
-            for j in range(n):
-                acc = acc + g[i][j] * v[j]
-            out.append(acc)
-        return tuple(out)
+    one = ((1,) + (0,) * (ring.d - 1), 0)
+    units = [tuple(one if i == j else _ZERO for i in range(n)) for j in range(n)]
 
     def mat_inverse(g):
-        cols = [tuple(g[i][j] for i in range(n)) for j in range(n)]
-        inv_cols = []
-        for b in range(n):
-            target = tuple(KElem.from_int_pair(ring, 1 if i == b else 0)
-                           for i in range(n))
-            sol = _ksolve(cols, target, guard)
-            if sol is None:
-                raise Singular("generator not invertible")
-            inv_cols.append(sol)
-        return [[inv_cols[j][i] for j in range(n)] for i in range(n)]
+        inv_cols = [_ksolve(ring, list(zip(*g)), target, guard) for target in units]
+        if None in inv_cols:
+            raise Singular("generator not invertible")
+        return [list(row) for row in zip(*inv_cols)]
 
-    all_gens = list(gens) + [mat_inverse(g) for g in gens]
-    basis = [tuple(KElem.from_int_pair(ring, 1 if i == j else 0) for i in range(n))
-             for j in range(n)]
+    gens = [[[x.pair(ring) for x in row] for row in g] for g in gens]
+    all_gens = gens + [mat_inverse(g) for g in gens]
+    basis = units
     for _ in range(max_iter):
-        candidates = list(basis)
-        candidates += [tuple(KElem.from_int_pair(ring, 1 if i == j else 0)
-                             for i in range(n)) for j in range(n)]
+        candidates = basis + units
         for g in all_gens:
-            candidates += [matvec(g, b) for b in basis]
-        for v in candidates:
-            for x in v:
-                if x.num is not None and x.den - x.num.valuation() > den_budget:
-                    raise UnboundedGroup("denominators keep growing")
-        new_basis = module_basis(candidates, expect_span=True, guard=guard)
-        old_cols = [tuple(b) for b in basis]
-        stable = True
-        for v in new_basis:
-            sol = _ksolve(old_cols, v, guard)
-            if sol is None or any((not x.is_exact_zero()) and x.valuation() < 0
-                                  for x in sol):
-                stable = False
-                break
-        if stable:
-            p_rows = [[new_basis[j][i] for j in range(n)] for i in range(n)]
+            # the columns of g B are g b for the basis vectors b
+            candidates += zip(*_kmatmul(ring, g, list(zip(*basis))))
+        if any(-_kval(ring, x) > den_budget for v in candidates for x in v):
+            raise UnboundedGroup("denominators keep growing")
+        new_basis = [tuple(x.pair(ring) for x in v) for v in module_basis(
+            [tuple(KElem.from_pair(ring, x) for x in v) for v in candidates],
+            expect_span=True, guard=guard)]
+        sols = (_ksolve(ring, basis, v, guard) for v in new_basis)
+        if all(s is not None and all(_kval(ring, x) >= 0 for x in s) for s in sols):
+            p_rows = [list(row) for row in zip(*new_basis)]
             p_inv = mat_inverse(p_rows)
             for g in gens:
-                conj = _kmatmul(_kmatmul(p_inv, g, ring), p_rows, ring)
-                for row in conj:
-                    for x in row:
-                        if not x.is_exact_zero() and x.valuation() < 0:
-                            raise UnboundedGroup("conjugated generator not integral")
-            return p_rows
+                conj = _kmatmul(ring, _kmatmul(ring, p_inv, g), p_rows)
+                if any(_kval(ring, x) < 0 for row in conj for x in row):
+                    raise UnboundedGroup("conjugated generator not integral")
+            return [[KElem.from_pair(ring, x) for x in row] for row in p_rows]
         basis = new_basis
     raise UnboundedGroup(f"saturation did not stabilize in {max_iter} iterations")
 
 
-def _kmatmul(a, b, ring):
-    n = len(a)
+def _kmatmul(ring, a, b):
+    """The product of pair matrices (lists of rows) a and b."""
     out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = KElem.zero(ring)
-            for k in range(n):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
+    for row in a:
+        out_row = []
+        for col in zip(*b):
+            acc = _ZERO
+            for x, y in zip(row, col):
+                acc = _kadd(ring, acc, _kmul(ring, x, y))
+            out_row.append(acc)
+        out.append(out_row)
     return out

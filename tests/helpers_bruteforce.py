@@ -1,9 +1,10 @@
-"""Brute-force cohomology oracle for small finite groups.
+"""Brute-force oracles: cohomology of small finite groups, and integrality
+of integral_model's conjugates in plain integers.
 
-Independent of the Fox-derivative machinery: group elements are enumerated
-through a faithful matrix realization, and every assignment of generator
-values is tested directly against the crossed-homomorphism rule on all
-(element, generator) edges.
+The cohomology oracle is independent of the Fox-derivative machinery: group
+elements are enumerated through a faithful matrix realization, and every
+assignment of generator values is tested directly against the
+crossed-homomorphism rule on all (element, generator) edges.
 """
 
 import itertools
@@ -101,3 +102,45 @@ def brute_force_h1(group, images, module):
     dim_z = log_ell(z_count)
     dim_b = log_ell(b_count)
     return dim_z, dim_b, dim_z - dim_b
+
+
+def _int_valuation(x, ell, m):
+    """v_l(x mod l^m), saturated at m."""
+    x %= ell ** m
+    if not x:
+        return m
+    v = 0
+    while x % ell == 0:
+        x //= ell
+        v += 1
+    return v
+
+
+def _int_matrix(a, ell):
+    """(e, A') with a = A' / l^e and A' integral, read off each entry's
+    num.coeffs[0] and den (degree-1 entries); no KElem arithmetic."""
+    e = max((x.den for row in a for x in row if not x.is_exact_zero()), default=0)
+    return e, [[0 if x.is_exact_zero() else x.num.coeffs[0] * ell ** (e - x.den)
+                for x in row] for row in a]
+
+
+def conjugate_is_integral(p, g, ell, m):
+    """Whether P^-1 g P is integral, for 2 x 2 matrices of KElem over
+    W(F_l)/l^m, in plain integers.
+
+    With P = P'/l^e and g = G'/l^k, P^-1 g P = adj(P') G' P' / (det P' l^k),
+    so it is integral iff every entry of adj(P') G' P' has valuation at
+    least v(det P') + k.  That bound must stay at most m/2, so that the
+    check is decided well inside the working precision.
+    """
+    _, pp = _int_matrix(p, ell)
+    k, gg = _int_matrix(g, ell)
+    need = _int_valuation(pp[0][0] * pp[1][1] - pp[0][1] * pp[1][0], ell, m) + k
+    assert need <= m // 2, f"conjugator too close to singular ({need})"
+    adj = [[pp[1][1], -pp[0][1]], [-pp[1][0], pp[0][0]]]
+
+    def mul(a, b):
+        return [[sum(a[i][t] * b[t][j] for t in range(2)) for j in range(2)]
+                for i in range(2)]
+    return all(_int_valuation(x, ell, m) >= need
+               for row in mul(mul(adj, gg), pp) for x in row)

@@ -35,7 +35,6 @@ from wittlift.lifting import (
 )
 from wittlift.matlin import (
     Mat,
-    _kmatmul,
     find_split_diagonal,
     hensel_diagonalize,
     integral_model,
@@ -52,7 +51,7 @@ from wittlift.presets import (
     surrogate_free,
     surrogate_tame,
 )
-from helpers_bruteforce import brute_force_h1
+from helpers_bruteforce import brute_force_h1, conjugate_is_integral
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +451,16 @@ def _kmat_int(rng):
             return [[_k(a), _k(b)], [_k(c), _k(d)]]
 
 
+def _kmat_mul(a, b):
+    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)]
+            for i in range(2)]
+
+
 def _conjugate(p, g):
     det = p[0][0] * p[1][1] - p[0][1] * p[1][0]
     inv = [[p[1][1] / det, -p[0][1] / det],
            [-p[1][0] / det, p[0][0] / det]]
-    return _kmatmul(_kmatmul(inv, g, RK), p, RK)
+    return _kmat_mul(_kmat_mul(inv, g), p)
 
 
 def _is_integral(g):
@@ -471,6 +475,7 @@ def test_acceptance_8_integral_model():
     assert p[0][0].key() == _k(1).key()
     assert p[1][1].key() == _k(1, 5).key()
     assert _is_integral(_conjugate(p, g))
+    assert conjugate_is_integral(p, g, 5, RK.m)
 
     # 100 random bounded groups: conjugates of integral generator sets
     rng = random.Random(2024)
@@ -486,6 +491,7 @@ def test_acceptance_8_integral_model():
         p = integral_model(gens)
         for g in gens:
             assert _is_integral(_conjugate(p, g))
+            assert conjugate_is_integral(p, g, 5, RK.m)
 
     # unbounded generator
     with pytest.raises(UnboundedGroup):

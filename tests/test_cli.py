@@ -243,3 +243,27 @@ def test_density_input_error_exits_4(tmp_path, capsys, fields, reason):
     err = json.loads(captured.err)  # one JSON object, no traceback
     assert err["kind"] == "input"
     assert reason in err["error"]
+
+
+_BOUNDED = [[[{"num": 0}, {"num": 5}], [{"num": 1, "den": 5}, {"num": 0}]]]
+
+
+@pytest.mark.parametrize("fields, reason", [
+    ({"generators": [[[{"num": 1}, {"num": 0}], [{"num": 0}]]]},
+     "generator 0 is not 2 x 2 (n is the row count of generator 0)"),
+    ({"generators": []}, "needs at least one generator"),
+    ({"generators": [[[{"num": 1, "den": 3}, {"num": 0}], [{"num": 0}, {"num": 1}]]]},
+     "denominator 3 is not a power of l = 5"),
+    ({"precision": 0}, "precision level m = 0 must be >= 1"),
+    ({"precision": 4}, "precision 4 leaves guard m - 6 = -2: integral_model needs m >= 7"),
+], ids=["ragged", "no_generators", "den_not_power_of_ell", "precision_0", "precision_4"])
+def test_integral_model_input_error_exits_4(tmp_path, capsys, fields, reason):
+    query = {"schema_version": SCHEMA_VERSION, "generators": _BOUNDED}
+    query.update(fields)
+    path = write_json(tmp_path / "m.json", query)
+    assert main(["integral-model", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)  # one JSON object, no traceback
+    assert err["kind"] == "input"
+    assert reason in err["error"]

@@ -419,6 +419,14 @@ def test_frobenius_scan_alpha_out_of_range_is_input_error():
     assert issubclass(AlphaExceedsPrecision, InputError)
 
 
+@pytest.mark.parametrize("exps", [(0, 0, 0, 0, 1), (1, 0)])
+def test_frobenius_scan_checks_monomial_arity(exps):
+    # (0, 0, 0, 0, 1) used to lose its fifth exponent and scan the constant 1
+    rho = deformation_tame(2)
+    with pytest.raises(InvalidQuery, match=f"monomial arity {len(exps)} != n\\^2 = 4"):
+        frobenius_scan(rho, rho.group.places, (Monomial(1, exps),), 0)
+
+
 def test_frobenius_scan_rejects_non_invariant():
     rho = deformation_tame(2)
     with pytest.raises(NotConjugationInvariant):

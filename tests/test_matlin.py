@@ -4,12 +4,16 @@ split diagonals, and the fraction-field lattice algorithms."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wittlift.coeffring as cr
+from helpers_bruteforce import conjugate_is_integral
 from wittlift.errors import (
     DoesNotSpan,
     EigenvaluesNotInField,
     ParamMismatch,
+    PrecisionExhausted,
     RepeatedResidualEigenvalues,
     ResidualImageTooSmall,
     Singular,
@@ -283,11 +287,11 @@ def test_module_basis_change_of_basis_is_integral():
             continue
         # every generator is an integral combination of the basis
         from wittlift.matlin import _ksolve
-        cols = [tuple(b) for b in basis]
+        cols = [tuple(x.pair(RK) for x in b) for b in basis]
         for g in gens:
-            sol = _ksolve(cols, g, RK.m - 6)
+            sol = _ksolve(RK, cols, [x.pair(RK) for x in g], RK.m - 6)
             assert sol is not None
-            assert all(x.is_exact_zero() or x.valuation() >= 0 for x in sol)
+            assert all(KElem.from_pair(RK, x).valuation() >= 0 for x in sol)
 
 
 def test_integral_model_worked_example():
@@ -297,6 +301,18 @@ def test_integral_model_worked_example():
     assert p[0][0].key() == K(1).key()
     assert p[1][1].key() == K(1, 5).key()
     assert p[0][1].is_exact_zero() and p[1][0].is_exact_zero()
+    assert conjugate_is_integral(p, g, 5, RK.m)
+    # the integer oracle refuses the identity, which leaves g non-integral
+    ident = [[K(1), K(0)], [K(0), K(1)]]
+    assert not conjugate_is_integral(ident, g, 5, RK.m)
+
+
+def test_kelem_rings_must_match():
+    other = cr.make_witt_ring(5, 1, 20)
+    with pytest.raises(ParamMismatch):
+        K(1) + kelem_from_rational(other, 1)
+    with pytest.raises(ParamMismatch):
+        integral_model([[[K(1), K(0)], [K(0), kelem_from_rational(other, 1)]]])
 
 
 def test_integral_model_unbounded():
@@ -308,4 +324,129 @@ def test_integral_model_conjugated_finite_order():
     # Q^-1 [[0,-1],[1,0]] Q with Q = diag(1, 5) has entries of valuation +-1
     h = [[K(0), K(-1, 5)], [K(5), K(0)]]
     p = integral_model([h])
-    assert p is not None
+    assert conjugate_is_integral(p, h, 5, RK.m)
+
+
+# The fraction-field arithmetic KElem had on WittElem objects before it ran
+# on (coeffs, den) pairs, kept as the oracle for the pair functions; the
+# valuation loop is copied too, so the oracle does not call the
+# coefficient valuation it checks.
+
+def _old_valuation(num):
+    ell, m = num.ring.ell, num.ring.m
+    best = m
+    for c in num.coeffs:
+        if c:
+            v = 0
+            while c % ell == 0:
+                c //= ell
+                v += 1
+            best = min(best, v)
+    return best
+
+
+class _OldKElem:
+    def __init__(self, ring, num, den):
+        self.ring, self.num, self.den = ring, num, den
+
+    def valuation(self):
+        if self.num is None:
+            return 10 ** 9
+        return _old_valuation(self.num) - self.den
+
+    def __add__(self, other):
+        if self.num is None:
+            return other
+        if other.num is None:
+            return self
+        den = max(self.den, other.den)
+        ell = self.ring.ell
+        a = cr.witt_scale(self.num, ell ** (den - self.den))
+        b = cr.witt_scale(other.num, ell ** (den - other.den))
+        return _OldKElem(self.ring, a + b, den)
+
+    def __neg__(self):
+        if self.num is None:
+            return self
+        return _OldKElem(self.ring, -self.num, self.den)
+
+    def __mul__(self, other):
+        if self.num is None or other.num is None:
+            return _OldKElem(self.ring, None, 0)
+        return _OldKElem(self.ring, self.num * other.num, self.den + other.den)
+
+    def inverse(self):
+        if self.num is None:
+            raise Singular("division by zero")
+        v = _old_valuation(self.num)
+        if v >= self.ring.m:
+            raise PrecisionExhausted("cannot invert an (effectively) zero element")
+        ell = self.ring.ell
+        unit = cr.WittElem(self.ring, tuple((c // ell ** v) % self.ring.q
+                                            for c in self.num.coeffs))
+        inv_unit = unit.inverse()
+        if self.den >= v:
+            return _OldKElem(self.ring, cr.witt_scale(inv_unit, ell ** (self.den - v)), 0)
+        return _OldKElem(self.ring, inv_unit, v - self.den)
+
+    def key(self):
+        if self.num is None:
+            return ("zero",)
+        v = min(_old_valuation(self.num), self.den)
+        ell = self.ring.ell
+        num = cr.WittElem(self.ring, tuple((c // ell ** v) % self.ring.q
+                                           for c in self.num.coeffs)) if v else self.num
+        return (num.coeffs, self.den - v)
+
+
+@st.composite
+def _kelem_pairs(draw):
+    """A ring and two elements given as (coefficients or None, den): the
+    exact zero, a zero numerator (0 mod l^m), numerators l^v * u with v up
+    to m + 1, and raw integers, some negative or past l^m."""
+    ring = cr.make_witt_ring(draw(st.sampled_from([5, 7])), draw(st.sampled_from([1, 2])),
+                             draw(st.sampled_from([7, 30])))
+    q = ring.q
+
+    def coeff():
+        v = draw(st.integers(0, ring.m + 1))
+        u = draw(st.integers(1, q))
+        return draw(st.one_of(st.just(ring.ell ** v * u % q),
+                              st.integers(-q, 2 * q)))
+    elems = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(["exact", "zero", "num", "num", "num"]))
+        coeffs = (None if kind == "exact" else (0,) * ring.d if kind == "zero"
+                  else tuple(coeff() for _ in range(ring.d)))
+        elems.append((coeffs, 0 if kind == "exact" else draw(st.integers(0, 3))))
+    return ring, elems
+
+
+def _both(ring, a):
+    num = None if a[0] is None else cr.WittElem(ring, a[0])
+    return KElem(ring, num, a[1]), _OldKElem(ring, num, a[1])
+
+
+def _same(new, old):
+    assert (None if new.num is None else new.num.coeffs, new.den) == \
+        (None if old.num is None else old.num.coeffs, old.den)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_kelem_pairs())
+def test_kelem_pair_arithmetic_matches_wittelem_oracle(case):
+    ring, (a, b) = case
+    (a, a_old), (b, b_old) = _both(ring, a), _both(ring, b)
+    _same(a + b, a_old + b_old)
+    _same(a - b, a_old + (-b_old))
+    _same(-a, -a_old)
+    _same(a * b, a_old * b_old)
+    assert a.valuation() == a_old.valuation()
+    assert a.key() == a_old.key()
+    try:
+        want = a_old.inverse()
+    except (Singular, PrecisionExhausted) as exc:
+        with pytest.raises(type(exc)):
+            a.inverse()
+    else:
+        _same(a.inverse(), want)
