@@ -16,7 +16,9 @@ import dataclasses
 import functools
 import random
 import re
+import struct
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import (
     EllTooSmall,
@@ -96,49 +98,94 @@ class WittRingParams:
         return f"W(GF({self.ell}^{self.d}))/{self.ell}^{self.m}"
 
 
-@functools.lru_cache(maxsize=None)
-def _kronecker_plan(modulus, q):
-    """Slot width, slot mask and fold terms for products mod (modulus, q).
+_WORD = (1 << 64) - 1
 
-    A slot of 2*bitlen(q) + bitlen(d) + 1 bits holds any coefficient of the
-    product of two reduced operands (at most d (q-1)^2) with no carry.  The
-    fold terms are (j - d, c_j) for the nonzero low coefficients c_j of the
-    monic modulus, since x^d == -(c_0 + ... + c_{d-1} x^{d-1}).
+
+@functools.lru_cache(maxsize=None)
+def _kronecker_plan(modulus, q, terms=1):
+    """Slot layout and fold terms for sums of `terms` products mod (modulus, q).
+
+    Such a sum of products of reduced operands with d coefficients has
+    coefficients of at most terms * d * (q-1)^2, so a slot of k 64-bit words,
+    k the fewest with 2^(64k) above that bound, holds each with no carry.
+    Packing and unpacking are struct calls on whole words, linear in d.
+    Returns (pack, unpack, bytes of a product, word shifts of a slot, fold
+    terms, top slots, d).  The fold terms are (j - d, c_j) for the nonzero
+    low coefficients c_j of the monic modulus, since
+    x^d == -(c_0 + ... + c_{d-1} x^{d-1}).
     """
     d = len(modulus) - 1
-    width = 2 * q.bit_length() + d.bit_length() + 1
+    k = -(-(terms * d * (q - 1) ** 2).bit_length() // 64)
     fold = tuple((j - d, c) for j, c in enumerate(modulus[:-1]) if c)
-    return width, (1 << width) - 1, fold, range(2 * d - 1), range(2 * d - 2, d - 1, -1)
+    return (struct.Struct(f"<{d * k}Q").pack,
+            struct.Struct(f"<{(2 * d - 1) * k}Q").unpack, 8 * k * (2 * d - 1),
+            range(0, 64 * k, 64), fold, range(2 * d - 2, d - 1, -1), d)
 
 
-def _poly_mulmod(a, b, modulus, q):
-    """Product of two coefficient tuples of length d, reduced mod (modulus, q).
+def _kron_pack(x, plan):
+    """The Kronecker integer of a coefficient tuple with entries in [0, q)."""
+    shifts = plan[3]
+    if len(shifts) > 1:
+        x = [c >> s & _WORD for c in x for s in shifts]
+    return int.from_bytes(plan[0](*x), "little")
 
-    Kronecker substitution: each operand, reduced mod q, is packed into one
-    integer, one big-integer product forms every coefficient, and the high
-    coefficients are folded down through the modulus top-down before a
-    single reduction mod q.
+
+def _kron_reduce(p, plan, q):
+    """The d coefficients mod (modulus, q) of the polynomial packed in p.
+
+    p is unpacked in one pass, its high coefficients are folded down through
+    the modulus top-down, and the low d are reduced mod q once.
     """
-    if len(a) == 1:
-        return (a[0] * b[0] % q,)
-    width, mask, fold, slots, top = _kronecker_plan(modulus, q)
-    x = y = 0
-    for c in reversed(a):
-        x = x << width | c % q
-    for c in reversed(b):
-        y = y << width | c % q
-    p = x * y
-    prod = []
-    for _ in slots:
-        prod.append(p & mask)
-        p >>= width
+    _, unpack, nbytes, shifts, fold, top, d = plan
+    prod = list(unpack(p.to_bytes(nbytes, "little")))
+    k = len(shifts)
+    if k > 1:
+        prod = [sum(w << s for w, s in zip(prod[i:i + k], shifts))
+                for i in range(0, len(prod), k)]
     for i in top:
         c = prod[i]
         if c:
             for offset, mj in fold:
                 prod[i + offset] -= c * mj
-    del prod[len(a):]
-    return tuple([c % q for c in prod])
+    return tuple([c % q for c in prod[:d]])
+
+
+def _poly_mulmod(a, b, modulus, q):
+    """Product of two coefficient tuples of length d, reduced mod (modulus, q).
+
+    The one-term case of _matmul's dot products: Kronecker substitution with
+    one pack per operand, one big-integer product and one reduction.
+    Operands with a coefficient outside [0, q) are reduced first.
+    """
+    if len(a) == 1:
+        return (a[0] * b[0] % q,)
+    both = (*a, *b)
+    if min(both) < 0 or max(both) >= q:
+        a, b = [c % q for c in a], [c % q for c in b]
+    plan = _kronecker_plan(modulus, q)
+    return _kron_reduce(_kron_pack(a, plan) * _kron_pack(b, plan), plan, q)
+
+
+def _matmul(a, b, inner, cols, modulus, q):
+    """Row-major product of matrices of canonical values mod (modulus, q).
+
+    a has len(a) // inner rows and inner columns, b has inner rows and cols
+    columns; a value is an int in [0, q) at d = 1 and a d-tuple of them
+    otherwise.  Each output entry is one dot product: at d > 1 every input
+    entry is packed once, the inner big-integer products of a row and a
+    column are summed, and the sum is unpacked and folded once (Kronecker
+    substitution applied to the whole dot product).
+    """
+    if len(modulus) > 2:
+        plan = _kronecker_plan(modulus, q, inner)
+        a = [_kron_pack(x, plan) for x in a]
+        b = [_kron_pack(y, plan) for y in b]
+    rows = [a[i:i + inner] for i in range(0, len(a), inner)]
+    columns = [b[j::cols] for j in range(cols)]
+    if len(modulus) == 2:
+        return tuple([sum(map(mul, r, c)) % q for r in rows for c in columns])
+    return tuple([_kron_reduce(sum(map(mul, r, c)), plan, q)
+                  for r in rows for c in columns])
 
 
 def _poly_inverse(a, modulus, ell):
@@ -187,20 +234,22 @@ def _poly_inverse(a, modulus, ell):
     return tuple(inv) + (0,) * (len(a) - len(inv))
 
 
-def _witt_unit_inverse(x, ring):
-    """Inverse of the unit with coefficients x, as coefficients; the one
-    routine WittElem.inverse and the fraction-field pairs share."""
-    q, modulus = ring.q, ring.lifted_modulus
+def _unit_inverse(x, modulus, ell, q):
+    """Inverse mod (modulus, q), q a power of ell, of the unit with
+    coefficients x: pow at d = 1, else the residual inverse lifted by Newton
+    steps.  Raises ZeroInverse when x is not a unit."""
     if len(x) == 1:
+        if not x[0] % ell:
+            raise ZeroInverse("not a unit")
         return (pow(x[0], -1, q),)
-    y = _poly_inverse(x, modulus, ring.ell)
+    y = _poly_inverse(x, modulus, ell)
     # y <- y(2 - xy) doubles the number of correct l-adic digits
-    k = 1
-    while k < ring.m:
+    k = ell
+    while k < q:
         t = _poly_mulmod(x, y, modulus, q)
         y = _poly_mulmod(y, ((2 - t[0]) % q,) + tuple([-c % q for c in t[1:]]),
                          modulus, q)
-        k *= 2
+        k *= k
     return y
 
 
@@ -441,7 +490,8 @@ class WittElem:
         """Inverse of a unit: pow at d = 1, else residual inverse plus Newton lifting."""
         if not self.is_unit():
             raise ZeroInverse("not a unit")
-        return WittElem(self.ring, _witt_unit_inverse(self.coeffs, self.ring))
+        r = self.ring
+        return WittElem(r, _unit_inverse(self.coeffs, r.lifted_modulus, r.ell, r.q))
 
     def __truediv__(self, other):
         return self * other.inverse()

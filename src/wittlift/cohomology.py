@@ -21,7 +21,7 @@ from .errors import (
     ParamMismatch,
     UnknownGenerator,
 )
-from .matlin import Mat
+from .matlin import Mat, entry_elem, entry_value, matmul_entries
 
 
 @dataclass(frozen=True)
@@ -58,13 +58,11 @@ class GModule:
 
 
 def matvec(mat, vec):
-    out = []
-    for row in mat.rows:
-        acc = row[0] * vec[0]
-        for a, b in zip(row[1:], vec[1:]):
-            acc = acc + a * b
-        out.append(acc)
-    return tuple(out)
+    """mat times the column vector vec of entries over mat's ring."""
+    ring = mat.ring
+    out = matmul_entries(ring, mat.entries, [entry_value(ring, x) for x in vec],
+                         mat.n, 1)
+    return tuple([entry_elem(ring, v) for v in out])
 
 
 def vec_add(a, b):
@@ -89,7 +87,8 @@ def vec_is_zero(v):
 
 def adjoint_coords(mat22):
     """Coordinates of a trace-zero 2x2 [[a,b],[c,-a]] in the basis (e12, h, e21)."""
-    return (mat22.rows[0][1], mat22.rows[0][0], mat22.rows[1][0])
+    (a, b), (c, _) = mat22.rows
+    return (b, a, c)
 
 
 def adjoint_from_coords(ring, coords):
@@ -123,10 +122,7 @@ def build_module(rhobar, d, twist="adjoint"):
         rows = [[cr.ff_embed(cols[j][i], d) for j in range(3)] for i in range(3)]
         a = Mat.from_rows(field, rows)
         if twist == "cartier_dual":
-            e = cr.ff_from_int(field, eps[name])
-            inv_t = a.inverse()
-            a = Mat.from_rows(field, [[inv_t.rows[j][i] * e for j in range(3)]
-                                      for i in range(3)])
+            a = _contragredient(a, eps[name])
         elif twist != "adjoint":
             raise ParamMismatch(f"unknown twist {twist!r}")
         action[name] = a
@@ -139,15 +135,17 @@ def module_from_action(field, action, epsilon=None, twist="custom"):
     return GModule(field, dim, dict(action), twist, dict(epsilon or {}))
 
 
+def _contragredient(a, eps):
+    """eps times the inverse transpose of the action matrix a."""
+    n, inv = a.n, a.inverse().entries
+    return Mat(a.ring, n, tuple([inv[j * n + i] for i in range(n)
+                                 for j in range(n)])).scale(cr.ff_from_int(a.ring, eps))
+
+
 def dual_module(module):
     """Contragredient twisted by epsilon, for any module with epsilon data."""
-    action = {}
-    for name, a in module.action.items():
-        e = cr.ff_from_int(module.field, module.epsilon.get(name, 1))
-        inv = a.inverse()
-        action[name] = Mat.from_rows(module.field,
-                                     [[inv.rows[j][i] * e for j in range(module.dim)]
-                                      for i in range(module.dim)])
+    action = {name: _contragredient(a, module.epsilon.get(name, 1))
+              for name, a in module.action.items()}
     return GModule(module.field, module.dim, action, "cartier_dual", module.epsilon)
 
 
@@ -230,7 +228,8 @@ def fox_jacobian(group, module, word):
             for _ in range(-e):
                 prefix = prefix * ainv
                 blocks[gi] = blocks[gi] - prefix
-    rows = tuple(tuple(x for b in blocks for x in b.rows[i]) for i in range(dim))
+    block_rows = [b.rows for b in blocks]
+    rows = tuple(tuple(x for br in block_rows for x in br[i]) for i in range(dim))
     module._fox[memo_key] = rows
     return rows
 
@@ -314,11 +313,10 @@ def restrict_and_classify(f, place):
     ds = a_sig - ident
     dt = a_tau - ident
     # stacked system: does some m give both components as coboundaries?
-    stacked = [[ds.rows[i][j] for j in range(dim)] for i in range(dim)] + \
-              [[dt.rows[i][j] for j in range(dim)] for i in range(dim)]
+    tau_rows = [list(r) for r in dt.rows]
+    stacked = [list(r) for r in ds.rows] + tau_rows
     if linalg.solve(stacked, list(fs) + list(ft), field) is not None:
         return "zero_class"
-    tau_rows = [[dt.rows[i][j] for j in range(dim)] for i in range(dim)]
     if linalg.solve(tau_rows, list(ft), field) is not None:
         return "unramified_nonzero"
     return "ramified"
@@ -335,12 +333,12 @@ def sha_kernel(group, module, places):
     ident = Mat.identity(field, dim)
     for pi, place in enumerate(places):
         for word in (place.sigma, place.tau):
-            delta = module.word_matrix(word) - ident
+            delta = (module.word_matrix(word) - ident).rows
             # f(word) - (A - I) m_v = 0, with f(word) the Fox Jacobian times f
             for i, fox_row in enumerate(fox_jacobian(group, module, word)):
                 row = list(fox_row) + pad
                 for j in range(dim):
-                    row[ncoc + pi * dim + j] = -delta.rows[i][j]
+                    row[ncoc + pi * dim + j] = -delta[i][j]
                 rows.append(row)
     sols = linalg.nullspace(rows, field)
     proj = [s[:ncoc] for s in sols]
@@ -385,11 +383,11 @@ def _defect_coords(e_mat, m, field):
     ell = ring.ell
     lm = ell ** m
     ident = Mat.identity(ring, 2)
-    diff = e_mat - ident
+    diff = (e_mat - ident).rows
     entries = {}
     for i in range(2):
         for j in range(2):
-            x = diff.rows[i][j]
+            x = diff[i][j]
             if any(c % lm for c in x.coeffs):
                 raise LiftsDoNotReduce("relator image is not I mod l^m")
             entries[(i, j)] = cr.FFElem(field,
@@ -445,18 +443,19 @@ def lift_solve(group, module, defects):
     return LiftSolveResult(True, _vec_to_values(group, module, sol))
 
 
+def adjoint_step(ring, coords, k):
+    """I + l^k [[a, b], [c, -a]] over the Witt ring ring, for adjoint
+    coordinates (b, a, c) over its residue field."""
+    lk, ell = ring.ell ** k, ring.ell
+    add = adjoint_from_coords(ring, tuple(
+        cr.WittElem(ring, tuple(lk * (c % ell) for c in x.coeffs)) for x in coords))
+    return Mat.identity(ring, 2) + add
+
+
 def apply_adjustment(lifts, adjustment, m):
     """Replace each lift g by (I + l^m c(g)) . lift(g)."""
-    out = {}
-    for name, lift in lifts.items():
-        ring = lift.ring
-        c = adjustment[name]
-        add = adjoint_from_coords(ring, tuple(
-            cr.WittElem(ring, tuple(ring.ell ** m * (cc % ring.ell)
-                                    for cc in x.coeffs))
-            for x in c))
-        out[name] = (Mat.identity(ring, 2) + add) * lift
-    return out
+    return {name: adjoint_step(lift.ring, adjustment[name], m) * lift
+            for name, lift in lifts.items()}
 
 
 def check_cocycle(group, module, values):

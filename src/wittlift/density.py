@@ -208,7 +208,7 @@ def tube_measure(query, seed=0, sample_count=200000):
 
 def _eval_poly_witt(monomials, mat):
     ring = mat.ring
-    entries = [mat.rows[i][j] for i in range(mat.n) for j in range(mat.n)]
+    entries = [x for row in mat.rows for x in row]
     acc = cr.witt_zero(ring)
     for mono in monomials:
         term = cr.witt_from_int(ring, mono.coeff)

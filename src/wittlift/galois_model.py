@@ -165,10 +165,11 @@ class Deformation:
 
 def evaluate_word(rho, word):
     """Product of generator images with exponents; empty word is the identity."""
-    acc = Mat.identity(rho.ring, 2)
+    acc = None
     for name, e in word:
-        acc = acc * (rho.image(name) ** e)
-    return acc
+        x = rho.image(name) ** e
+        acc = x if acc is None else acc * x
+    return Mat.identity(rho.ring, 2) if acc is None else acc
 
 
 @dataclass(frozen=True)
@@ -218,7 +219,7 @@ def check_running_hypotheses(rho):
         return False
     if not validate_deformation(rho).ok:
         return False
-    gens = [[[a.coeffs[0] for a in row] for row in rho.image(n).rows]
+    gens = [[list(rho.image(n).entries[i:i + 2]) for i in (0, 2)]
             for n in rho.group.generators]
     return len(group_closure(gens, ell)) == (ell ** 2 - 1) * (ell ** 2 - ell)
 

@@ -17,13 +17,14 @@ from . import coeffring as cr
 from . import linalg
 from .cohomology import (
     Cocycle,
-    adjoint_from_coords,
+    adjoint_step,
     apply_adjustment,
     build_module,
     cocycle_eval,
     fox_jacobian,
     lift_solve,
     normalize_det,
+    pairing,
     relator_defects,
     relator_system,
     restrict_and_classify,
@@ -52,7 +53,7 @@ from .galois_model import (
     validate_deformation,
     check_running_hypotheses,
 )
-from .matlin import Mat, char_poly_eigs
+from .matlin import Mat, char_poly_eigs, entry_elem, entry_value, matmul_entries
 
 
 # ---------------------------------------------------------------------------
@@ -67,14 +68,8 @@ def twist(rho, f):
         raise ParamMismatch("twisting needs level m >= 2")
     if f.module.field.d != ring.d:
         raise ParamMismatch("cocycle degree does not match the deformation")
-    images = {}
-    lm = ring.ell ** (m - 1)
-    for name in rho.group.generators:
-        c = f.values[name]
-        add = adjoint_from_coords(ring, tuple(
-            cr.WittElem(ring, tuple(lm * (cc % ring.ell) for cc in x.coeffs))
-            for x in c))
-        images[name] = (Mat.identity(ring, 2) + add) * rho.image(name)
+    images = {name: adjoint_step(ring, f.values[name], m - 1) * rho.image(name)
+              for name in rho.group.generators}
     out = Deformation(rho.group, ring, images)
     for rel in rho.group.relators:
         if not evaluate_word(out, rel).is_identity():
@@ -86,9 +81,7 @@ def trace_delta_digit(rho, f, word):
     """The residual coefficient of the trace change of twist(rho, f) at a word:
     tr' = tr + l^(m-1) * tr(f~(word) rho(word))."""
     fw = cocycle_eval(f.module, f.values, word)
-    fmat = adjoint_from_coords(f.module.field, fw)
-    rres = evaluate_word(rho, word).residue()
-    return (fmat * rres).trace()
+    return pairing(_trace_weights(evaluate_word(rho, word).residue()), fw)
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +96,23 @@ def _digit_of(x, k):
                      tuple((c // lk) % ell for c in x.coeffs))
 
 
+def _trace_weights(rres):
+    """w with tr([[a, b], [c, -a]] rres) = w . (b, a, c): the residual
+    entries (r10, r00 - r11, r01)."""
+    (r00, r01), (r10, r11) = rres.rows
+    return r10, r00 - r11, r01
+
+
 def _trace_row(group, module, word, rres):
     """Coefficients of the linear map f -> tr(f~(word) rres) on flat cocycle
-    values, where rres is the residual image of the word."""
+    values, where rres is the residual image of the word: the weights times
+    the word's Fox Jacobian, one fused dot product per column."""
     field = module.field
-    return [(adjoint_from_coords(field, col) * rres).trace()
-            for col in zip(*fox_jacobian(group, module, word))]
+    fox = fox_jacobian(group, module, word)
+    jac = [entry_value(field, x) for row in fox for x in row]
+    w = [entry_value(field, x) for x in _trace_weights(rres)]
+    return [entry_elem(field, v)
+            for v in matmul_entries(field, w, jac, len(w), len(fox[0]))]
 
 
 def _locked_rows(group, module, places):
@@ -133,14 +137,15 @@ def solve_trace_targets(rho, module, targets, locked_places=()):
     rows = relator_system(group, module)
     rhs = [cr.ff_zero(field)] * len(rows)
     for place, want in targets:
-        cur = evaluate_word(rho, place.sigma).trace()
+        image = evaluate_word(rho, place.sigma)
+        cur = image.trace()
         diff = want - cur
         if diff.valuation() < m - 1:
             raise Inconsistent(
                 f"target at {place.label} differs from the current trace "
                 f"below the top digit")
         u = _digit_of(diff, m - 1)
-        rres = evaluate_word(rho, place.sigma).residue()
+        rres = image.residue()
         row = _trace_row(group, module, place.sigma, rres)
         if not u.is_zero() and all(x.is_zero() for x in row):
             # tr(f * c I) = c tr f = 0 for every trace-zero f
@@ -290,11 +295,11 @@ def _localization_ranks(group, module, dmodule, s_r_places, q_places):
         # rank of the composed map = rank of restrictions modulo im(delta)
         im_rows = []
         for p_i, p in enumerate(q_places):
-            delta = module.word_matrix(p.sigma) - ident
+            delta = (module.word_matrix(p.sigma) - ident).rows
             for col in range(module.dim):
                 vec = [cr.ff_zero(module.field)] * (module.dim * len(q_places))
                 for i in range(module.dim):
-                    vec[p_i * module.dim + i] = delta.rows[i][col]
+                    vec[p_i * module.dim + i] = delta[i][col]
                 im_rows.append(vec)
         base = linalg.rank(im_rows)
         got = linalg.rank(im_rows + rows) - base

@@ -1,6 +1,10 @@
 """Matrix algebra over the coefficient rings.
 
-Covers characteristic polynomials and eigenvalues, Hensel diagonalization of
+Mat holds its entries as canonical coefficient values (an int at d = 1, a
+d-tuple otherwise) and multiplies through coeffring._matmul, one fused
+Kronecker dot product per output entry; FFElem/WittElem objects appear only
+at the boundary (Mat.from_rows, Mat.rows, det, trace).  The module also
+covers characteristic polynomials and eigenvalues, Hensel diagonalization of
 2x2 matrices over truncated Witt rings, multiplicative Jordan decomposition,
 the tame-relation branch test, the BFS closure of integer matrix groups,
 split-diagonal extraction from subgroups with full residual image, and the
@@ -10,6 +14,7 @@ truncated Witt ring.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,151 +42,252 @@ def _is_field(ring):
     return isinstance(ring, cr.FieldParams)
 
 
-def ring_zero(ring):
-    return cr.ff_zero(ring) if _is_field(ring) else cr.witt_zero(ring)
-
-
-def ring_one(ring):
-    return cr.ff_one(ring) if _is_field(ring) else cr.witt_one(ring)
-
-
-def ring_from_int(ring, k):
-    return cr.ff_from_int(ring, k) if _is_field(ring) else cr.witt_from_int(ring, k)
+def _arith(ring):
+    """(modulus, coefficient modulus q, element type) of a field (q = l) or
+    a Witt ring (q = l^m)."""
+    if isinstance(ring, cr.FieldParams):
+        return ring.modulus, ring.ell, cr.FFElem
+    return ring.lifted_modulus, ring.q, cr.WittElem
 
 
 def _elem_is_unit(x):
     return not x.is_zero() if isinstance(x, cr.FFElem) else x.is_unit()
 
 
+def entry_value(ring, x):
+    """The canonical Mat entry of the FFElem/WittElem x over ring: its
+    coefficients reduced mod q, as an int at d = 1 and a d-tuple otherwise."""
+    own = x.params if isinstance(x, cr.FFElem) else x.ring
+    if own is not ring and own != ring:
+        raise ParamMismatch(f"{own} vs {ring}")
+    q = _arith(ring)[1]
+    if ring.d == 1:
+        return x.coeffs[0] % q
+    return tuple([c % q for c in x.coeffs])
+
+
+def entry_elem(ring, v):
+    """The FFElem/WittElem over ring of the canonical Mat entry v."""
+    return _arith(ring)[2](ring, v if ring.d > 1 else (v,))
+
+
+def _one_zero(ring):
+    d = ring.d
+    return (1, 0) if d == 1 else ((1,) + (0,) * (d - 1), (0,) * d)
+
+
+def _mod_entries(ring, entries, q):
+    """Entries with every coefficient reduced mod q."""
+    if ring.d == 1:
+        return tuple([x % q for x in entries])
+    return tuple([tuple([c % q for c in x]) for x in entries])
+
+
+def _flatten_square(rows):
+    """(n, the entries row-major) of n rows that must have n entries each."""
+    rows = [list(r) for r in rows]
+    if any(len(r) != len(rows) for r in rows):
+        raise ParamMismatch(f"matrix rows must have {len(rows)} entries")
+    return len(rows), [x for r in rows for x in r]
+
+
+def _is_unit(ring, v):
+    ell = ring.ell
+    return v % ell != 0 if ring.d == 1 else any(c % ell for c in v)
+
+
+def _mul(ring, x, y):
+    return matmul_entries(ring, (x,), (y,), 1, 1)[0]
+
+
+def _product(ring, xs):
+    """The product of the entries xs, 1 for none."""
+    return functools.reduce(lambda x, y: _mul(ring, x, y), xs) if xs else _one_zero(ring)[0]
+
+
+def _unit_inverse(ring, v):
+    modulus, q, _ = _arith(ring)
+    if ring.d > 1:
+        return cr._unit_inverse(v, modulus, ring.ell, q)
+    return cr._unit_inverse((v,), modulus, ring.ell, q)[0]
+
+
+def _neg(v, q):
+    return -v % q if isinstance(v, int) else tuple([-c % q for c in v])
+
+
+def matmul_entries(ring, a, b, inner, cols):
+    """Row-major product of a (len(a) // inner rows, inner columns) and b
+    (inner rows, cols columns), both of canonical Mat entries over ring."""
+    modulus, q, _ = _arith(ring)
+    return cr._matmul(a, b, inner, cols, modulus, q)
+
+
+def _det(ring, a, n):
+    """det of the n x n matrix of entries a: a0 a3 - a1 a2 at n = 2, else by
+    Laplace expansion along the first row; each step one fused dot product."""
+    if n == 1:
+        return a[0]
+    q = _arith(ring)[1]
+    if n == 2:
+        cof = (a[3], _neg(a[2], q))
+    else:
+        cof = [_det(ring, [a[r * n + c] for r in range(1, n) for c in range(n) if c != j],
+                    n - 1) for j in range(n)]
+        cof = [m if j % 2 == 0 else _neg(m, q) for j, m in enumerate(cof)]
+    return matmul_entries(ring, a[:n], cof, n, 1)[0]
+
+
 @dataclass(frozen=True)
 class Mat:
-    """Square matrix over FFElem or WittElem entries (row-major tuples)."""
+    """Square n x n matrix over F_{l^d} (FieldParams) or W(F_{l^d})/l^m.
+
+    entries holds the n^2 entries row-major as canonical values: an int in
+    [0, q) at d = 1 and a d-tuple of ints in [0, q) otherwise, with q = l
+    over a field and l^m over a Witt ring.  Every constructor reduces, so
+    equal matrices have equal entries.  Products, determinants and inverses
+    run on the entries through coeffring._matmul; rows is a view of
+    FFElem/WittElem objects, built on each access.
+    """
 
     ring: object
-    rows: tuple
-
-    @property
-    def n(self):
-        return len(self.rows)
+    n: int
+    entries: tuple
 
     @classmethod
     def from_rows(cls, ring, rows):
-        return cls(ring, tuple(tuple(r) for r in rows))
+        """The matrix with rows of FFElem/WittElem entries over ring."""
+        n, xs = _flatten_square(rows)
+        return cls(ring, n, tuple([entry_value(ring, x) for x in xs]))
 
     @classmethod
     def from_ints(cls, ring, rows):
-        return cls.from_rows(ring, [[ring_from_int(ring, v) for v in r] for r in rows])
+        n, xs = _flatten_square(rows)
+        q, zeros = _arith(ring)[1], (0,) * (ring.d - 1)
+        return cls(ring, n, tuple([(v % q,) + zeros if zeros else v % q for v in xs]))
 
     @classmethod
     def identity(cls, ring, n):
-        one, zero = ring_one(ring), ring_zero(ring)
-        return cls.from_rows(ring, [[one if i == j else zero for j in range(n)]
-                                    for i in range(n)])
+        one, zero = _one_zero(ring)
+        return cls(ring, n, tuple([one if i == j else zero
+                                   for i in range(n) for j in range(n)]))
 
     @classmethod
     def zero(cls, ring, n):
-        zero = ring_zero(ring)
-        return cls.from_rows(ring, [[zero] * n for _ in range(n)])
+        return cls(ring, n, (_one_zero(ring)[1],) * (n * n))
+
+    @property
+    def rows(self):
+        """The entries as rows of FFElem/WittElem objects."""
+        ring, n = self.ring, self.n
+        elem = _arith(ring)[2]
+        vals = self.entries if ring.d > 1 else [(x,) for x in self.entries]
+        return tuple(tuple([elem(ring, v) for v in vals[i:i + n]])
+                     for i in range(0, n * n, n))
+
+    def _check(self, other):
+        if (other.ring is not self.ring and other.ring != self.ring) \
+                or other.n != self.n:
+            raise ParamMismatch(f"{self.n} x {self.n} over {self.ring} vs "
+                                f"{other.n} x {other.n} over {other.ring}")
+
+    def _add(self, other, sign):
+        self._check(other)
+        q = _arith(self.ring)[1]
+        if self.ring.d == 1:
+            ents = [(x + sign * y) % q for x, y in zip(self.entries, other.entries)]
+        else:
+            ents = [tuple([(s + sign * t) % q for s, t in zip(x, y)])
+                    for x, y in zip(self.entries, other.entries)]
+        return Mat(self.ring, self.n, tuple(ents))
 
     def __add__(self, other):
-        return Mat.from_rows(self.ring, [[a + b for a, b in zip(r1, r2)]
-                                         for r1, r2 in zip(self.rows, other.rows)])
+        return self._add(other, 1)
 
     def __sub__(self, other):
-        return Mat.from_rows(self.ring, [[a - b for a, b in zip(r1, r2)]
-                                         for r1, r2 in zip(self.rows, other.rows)])
+        return self._add(other, -1)
 
     def __mul__(self, other):
+        self._check(other)
         n = self.n
-        cols = [[other.rows[k][j] for k in range(n)] for j in range(n)]
-        out = []
-        for r in self.rows:
-            row = []
-            for col in cols:
-                acc = r[0] * col[0]
-                for a, b in zip(r[1:], col[1:]):
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return Mat.from_rows(self.ring, out)
+        return Mat(self.ring, n, matmul_entries(self.ring, self.entries,
+                                                other.entries, n, n))
 
     def scale(self, s):
-        return Mat.from_rows(self.ring, [[s * a for a in r] for r in self.rows])
+        """s times the matrix, for an FFElem/WittElem s over its ring."""
+        return Mat(self.ring, self.n, matmul_entries(
+            self.ring, (entry_value(self.ring, s),), self.entries, 1, self.n ** 2))
 
     def trace(self):
-        acc = self.rows[0][0]
-        for i in range(1, self.n):
-            acc = acc + self.rows[i][i]
-        return acc
+        q = _arith(self.ring)[1]
+        diag = self.entries[::self.n + 1]
+        if self.ring.d == 1:
+            return entry_elem(self.ring, sum(diag) % q)
+        return entry_elem(self.ring, tuple([sum(cs) % q for cs in zip(*diag)]))
 
     def det(self):
-        zero = ring_zero(self.ring)
-        acc = zero
-        for perm in itertools.permutations(range(self.n)):
-            sign = _perm_sign(perm)
-            term = self.rows[0][perm[0]]
-            for i in range(1, self.n):
-                term = term * self.rows[i][perm[i]]
-            acc = acc + term if sign > 0 else acc - term
-        return acc
+        return entry_elem(self.ring, _det(self.ring, self.entries, self.n))
 
     def is_identity(self):
-        return self == Mat.identity(self.ring, self.n)
+        return self.entries == Mat.identity(self.ring, self.n).entries
 
     def inverse(self):
-        """Gaussian elimination with unit pivots (valid over the local ring)."""
-        n = self.n
-        a = [list(r) for r in self.rows]
-        inv = [list(r) for r in Mat.identity(self.ring, n).rows]
+        """Gauss-Jordan on [A | I] with unit pivots p and no division: each
+        update row_i <- p row_i - a_ic row_c is one fused dot product per
+        entry.  That leaves [D | R] with D diagonal, and A^-1 = D^-1 R, where
+        1 / D_ii is the product of the other diagonal entries over the
+        product of all of them, so one unit inverse serves every row.
+        Singular unless det is a unit (valid over the local ring)."""
+        ring, n = self.ring, self.n
+        one, zero = _one_zero(ring)
+        q = _arith(ring)[1]
+        rows = [list(self.entries[i * n:(i + 1) * n])
+                + [one if j == i else zero for j in range(n)] for i in range(n)]
         for c in range(n):
-            pr = None
-            for i in range(c, n):
-                if _elem_is_unit(a[i][c]):
-                    pr = i
-                    break
+            pr = next((i for i in range(c, n) if _is_unit(ring, rows[i][c])), None)
             if pr is None:
                 raise Singular("matrix is not invertible")
-            a[c], a[pr] = a[pr], a[c]
-            inv[c], inv[pr] = inv[pr], inv[c]
-            piv = a[c][c].inverse()
-            a[c] = [v * piv for v in a[c]]
-            inv[c] = [v * piv for v in inv[c]]
+            rows[c], rows[pr] = rows[pr], rows[c]
             for i in range(n):
-                if i != c and not a[i][c].is_zero():
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-                    inv[i] = [x - f * y for x, y in zip(inv[i], inv[c])]
-        return Mat.from_rows(self.ring, inv)
+                if i != c and rows[i][c] != zero:
+                    rows[i] = list(matmul_entries(ring, (rows[c][c], _neg(rows[i][c], q)),
+                                                  rows[i] + rows[c], 2, 2 * n))
+        diag = [rows[i][i] for i in range(n)]
+        others = [_product(ring, diag[:i] + diag[i + 1:]) for i in range(n)]
+        dinv = matmul_entries(ring, (_unit_inverse(ring, _mul(ring, others[0], diag[0])),),
+                              others, 1, n)
+        return Mat(ring, n, matmul_entries(
+            ring, [dinv[i] if i == j else zero for i in range(n) for j in range(n)],
+            [x for r in rows for x in r[n:]], n, n))
 
     def __pow__(self, e):
         return Mat.identity(self.ring, self.n) if e == 0 else cr._power(self, e)
 
     def residue(self):
-        return Mat.from_rows(self.ring.residue_field,
-                             [[a.residue() for a in r] for r in self.rows])
+        ring = self.ring
+        return Mat(ring.residue_field, self.n,
+                   _mod_entries(ring, self.entries, ring.ell))
 
     def reduce(self, m2):
-        return Mat.from_rows(cr.make_witt_ring(self.ring.ell, self.ring.d, m2),
-                             [[a.reduce(m2) for a in r] for r in self.rows])
+        if m2 > self.ring.m:
+            raise ParamMismatch("cannot reduce to higher precision")
+        ring2 = cr.make_witt_ring(self.ring.ell, self.ring.d, m2)
+        return Mat(ring2, self.n, _mod_entries(ring2, self.entries, ring2.q))
 
     def embed(self, d_big):
-        ring = (cr.make_field(self.ring.ell, d_big) if _is_field(self.ring)
-                else cr.make_witt_ring(self.ring.ell, d_big, self.ring.m))
-        fn = (lambda a: cr.ff_embed(a, d_big)) if _is_field(self.ring) else \
-            (lambda a: cr.embed(a, d_big))
-        return Mat.from_rows(ring, [[fn(a) for a in r] for r in self.rows])
+        if _is_field(self.ring):
+            ring, fn = cr.make_field(self.ring.ell, d_big), cr.ff_embed
+        else:
+            ring = cr.make_witt_ring(self.ring.ell, d_big, self.ring.m)
+            fn = cr.embed
+        return Mat.from_rows(ring, [[fn(a, d_big) for a in r] for r in self.rows])
 
     def lift_trivial(self, m):
-        if _is_field(self.ring):
-            ring = cr.make_witt_ring(self.ring.ell, self.ring.d, m)
-            return Mat.from_rows(ring, [[cr.lift_trivial(a, m) for a in r]
-                                        for r in self.rows])
         ring = cr.make_witt_ring(self.ring.ell, self.ring.d, m)
-        return Mat.from_rows(ring, [[cr.WittElem(ring, tuple(c % ring.q for c in a.coeffs))
-                                     for a in r] for r in self.rows])
+        return Mat(ring, self.n, _mod_entries(ring, self.entries, ring.q))
 
     def entry_key(self):
-        return tuple(tuple(a.sort_key() for a in r) for r in self.rows)
+        return self.entries
 
     def __repr__(self):
         return f"Mat({[[list(a.coeffs) for a in r] for r in self.rows]})"
@@ -210,7 +316,7 @@ def _perm_sign(perm):
 def char_poly(g):
     """det(xI - g) as an ascending coefficient list over g's ring."""
     ring, n = g.ring, g.n
-    zero, one = ring_zero(ring), ring_one(ring)
+    one, zero = (entry_elem(ring, v) for v in _one_zero(ring))
 
     def padd(a, b):
         ln = max(len(a), len(b))
@@ -225,11 +331,12 @@ def char_poly(g):
         return out
 
     acc = [zero]
+    rows = g.rows
     for perm in itertools.permutations(range(n)):
         sign = _perm_sign(perm)
         term = [one]
         for i in range(n):
-            e = g.rows[i][perm[i]]
+            e = rows[i][perm[i]]
             entry = [-e, one] if perm[i] == i else [-e]
             term = pmul(term, entry)
         if sign < 0:
@@ -518,13 +625,14 @@ def find_split_diagonal(gens):
         g = g * gens[gi]
     p, d = hensel_diagonalize(g)
     power = ell ** (m - 1)
-    lam = [d.rows[0][0] ** power, d.rows[1][1] ** power]
+    (d00, _), (_, d11) = d.rows
+    lam = [d00 ** power, d11 ** power]
     one = cr.witt_one(ring)
     if lam[1] != one:
         lam = [lam[1], lam[0]]
         # swap the eigenbasis columns to match
-        p = Mat.from_rows(ring, [[p.rows[0][1], p.rows[0][0]],
-                                 [p.rows[1][1], p.rows[1][0]]])
+        (p00, p01), (p10, p11) = p.rows
+        p = Mat.from_rows(ring, [[p01, p00], [p11, p10]])
     assert lam[1] == one
     a = lam[0]
     assert cr.in_subring(a, 1)
@@ -598,7 +706,8 @@ def _kinv(ring, a):
     v = cr._witt_valuation(x, ring)
     if v >= ring.m:
         raise PrecisionExhausted("cannot invert an (effectively) zero element")
-    inv = cr._witt_unit_inverse(_unit_part(ring, x, v), ring)
+    inv = cr._unit_inverse(_unit_part(ring, x, v), ring.lifted_modulus,
+                           ring.ell, ring.q)
     # value = l^den / (l^v * unit)
     if dx >= v:
         k, q = ring.ell ** (dx - v), ring.q

@@ -256,7 +256,13 @@ _BOUNDED = [[[{"num": 0}, {"num": 5}], [{"num": 1, "den": 5}, {"num": 0}]]]
      "denominator 3 is not a power of l = 5"),
     ({"precision": 0}, "precision level m = 0 must be >= 1"),
     ({"precision": 4}, "precision 4 leaves guard m - 6 = -2: integral_model needs m >= 7"),
-], ids=["ragged", "no_generators", "den_not_power_of_ell", "precision_0", "precision_4"])
+    ({"generators": [[[{"num": 1}, {"num": 0}], [{"num": 0}, {"num": 0}]]]},
+     "generator 0 is singular: det = 0"),
+    ({"generators": _BOUNDED + [[[{"num": 1}, {"num": 1, "den": 5}],
+                                 [{"num": 5}, {"num": 1}]]]},
+     "generator 1 is singular: det = 0"),
+], ids=["ragged", "no_generators", "den_not_power_of_ell", "precision_0", "precision_4",
+        "singular", "singular_rational"])
 def test_integral_model_input_error_exits_4(tmp_path, capsys, fields, reason):
     query = {"schema_version": SCHEMA_VERSION, "generators": _BOUNDED}
     query.update(fields)

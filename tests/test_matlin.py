@@ -1,6 +1,7 @@
 """Tests for the matrix toolkit: diagonalization, Jordan, tame relations,
 split diagonals, and the fraction-field lattice algorithms."""
 
+import itertools
 import random
 
 import pytest
@@ -79,6 +80,163 @@ def test_singular_matrix_has_no_inverse():
     g = Mat.from_ints(R54, [[5, 0], [0, 1]])
     with pytest.raises(Singular):
         g.inverse()
+
+
+def test_mat_equality_is_canonical():
+    five, six = cr.FFElem(F5, (5,)), cr.FFElem(F5, (6,))
+    assert Mat.from_rows(F5, [[five, five], [five, five]]) == Mat.zero(F5, 2)
+    g = Mat.from_rows(F5, [[six, five], [cr.FFElem(F5, (-5,)), cr.ff_one(F5)]])
+    assert g == Mat.identity(F5, 2)
+    assert g.is_identity() and matrix_order(g) == 1
+    ring = cr.make_witt_ring(5, 2, 3)
+    x = Mat.from_rows(ring, [[cr.WittElem(ring, (126, -125))]])
+    assert x == Mat.identity(ring, 1)
+    assert Mat.from_ints(ring, [[-124]]) == x
+
+
+# ---------------------------------------------------------------------------
+# Mat on coefficient tuples against an element-object oracle
+
+
+def _elem(ring, coeffs):
+    return (cr.FFElem if isinstance(ring, cr.FieldParams) else cr.WittElem)(ring, coeffs)
+
+
+def _canon(ring, x):
+    q = ring.ell if isinstance(ring, cr.FieldParams) else ring.q
+    return tuple(c % q for c in x.coeffs)
+
+
+def _canon_rows(ring, rows):
+    return [[_canon(ring, x) for x in r] for r in rows]
+
+
+def _o_unit(x):
+    return not x.is_zero() if isinstance(x, cr.FFElem) else x.is_unit()
+
+
+def _o_mul(a, b):
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = a[i][0] * b[0][j]
+            for k in range(1, n):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _o_det(a):
+    n = len(a)
+    acc = None
+    for perm in itertools.permutations(range(n)):
+        term = a[0][perm[0]]
+        for i in range(1, n):
+            term = term * a[i][perm[i]]
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        if inversions % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _o_identity(ring, n):
+    one, zero = _elem(ring, (1,) + (0,) * (ring.d - 1)), _elem(ring, (0,) * ring.d)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def _o_inverse(ring, a):
+    """Gaussian elimination with unit pivots on element objects."""
+    n = len(a)
+    a = [list(r) for r in a]
+    inv = _o_identity(ring, n)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if _o_unit(a[i][c])), None)
+        if pr is None:
+            raise Singular("matrix is not invertible")
+        a[c], a[pr] = a[pr], a[c]
+        inv[c], inv[pr] = inv[pr], inv[c]
+        piv = a[c][c].inverse()
+        a[c] = [v * piv for v in a[c]]
+        inv[c] = [v * piv for v in inv[c]]
+        for i in range(n):
+            if i != c:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+                inv[i] = [x - f * y for x, y in zip(inv[i], inv[c])]
+    return inv
+
+
+def _o_pow(ring, a, e):
+    if e < 0:
+        a, e = _o_inverse(ring, a), -e
+    acc = _o_identity(ring, len(a))
+    for _ in range(e):
+        acc = _o_mul(acc, a)
+    return acc
+
+
+@st.composite
+def _mat_cases(draw):
+    ell = draw(st.sampled_from([5, 7, 13]))
+    d = draw(st.sampled_from([1, 2, 3, 4, 16]))
+    m = draw(st.sampled_from([1, 3, 6]))
+    ring = cr.make_field(ell, d) if draw(st.booleans()) else cr.make_witt_ring(ell, d, m)
+    q = ring.ell if isinstance(ring, cr.FieldParams) else ring.q
+    n = draw(st.sampled_from([1, 2, 3]))
+    # unreduced and negative coefficients, as the element constructors accept
+    coeff = st.one_of(st.integers(0, q - 1), st.integers(-3 * q, 3 * q))
+
+    def draw_mat():
+        return [[_elem(ring, tuple(draw(st.lists(coeff, min_size=d, max_size=d))))
+                 for _ in range(n)] for _ in range(n)]
+    a, b = draw_mat(), draw_mat()
+    if draw(st.booleans()):
+        # l times the first row: the determinant is not a unit
+        a[0] = [_elem(ring, tuple(ell * c for c in x.coeffs)) for x in a[0]]
+    return ring, a, b, draw(st.integers(-3, 4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_mat_cases())
+def test_mat_matches_element_oracle(case):
+    ring, a_el, b_el, e = case
+    a, b = Mat.from_rows(ring, a_el), Mat.from_rows(ring, b_el)
+    assert _canon_rows(ring, a.rows) == _canon_rows(ring, a_el)
+    assert _canon_rows(ring, (a * b).rows) == _canon_rows(ring, _o_mul(a_el, b_el))
+    assert _canon_rows(ring, (a + b).rows) == _canon_rows(
+        ring, [[x + y for x, y in zip(r, s)] for r, s in zip(a_el, b_el)])
+    assert _canon_rows(ring, (a - b).rows) == _canon_rows(
+        ring, [[x - y for x, y in zip(r, s)] for r, s in zip(a_el, b_el)])
+    det = _o_det(a_el)
+    assert _canon(ring, a.det()) == _canon(ring, det)
+    if _o_unit(det):
+        assert _canon_rows(ring, a.inverse().rows) == _canon_rows(ring, _o_inverse(ring, a_el))
+    else:
+        with pytest.raises(Singular):
+            a.inverse()
+        with pytest.raises(Singular):
+            _o_inverse(ring, a_el)
+    if e >= 0 or _o_unit(det):
+        assert _canon_rows(ring, (a ** e).rows) == _canon_rows(ring, _o_pow(ring, a_el, e))
+
+
+def test_mat_product_worst_case_slots():
+    # every entry q - 1 at n = 3, d = 16: a product coefficient sums to
+    # 3 * 16 * (q - 1)^2, and at q = 13^8 only that factor 3 takes it past
+    # the 64 bits of 16 * (q - 1)^2
+    ring = cr.make_witt_ring(13, 16, 8)
+    el = [[cr.WittElem(ring, (ring.q - 1,) * 16)] * 3] * 3
+    a = Mat.from_rows(ring, el)
+    assert _canon_rows(ring, (a * a).rows) == _canon_rows(ring, _o_mul(el, el))
+    assert a.det() == _o_det(el) == cr.witt_zero(ring)
+    with pytest.raises(Singular):
+        a.inverse()
+    with pytest.raises(Singular):
+        _o_inverse(ring, el)
 
 
 def test_char_poly_of_triangular():
