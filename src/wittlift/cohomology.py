@@ -21,7 +21,7 @@ from .errors import (
     ParamMismatch,
     UnknownGenerator,
 )
-from .matlin import Mat, entry_elem, entry_value, matmul_entries
+from .matlin import Mat
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,7 @@ class GModule:
 
 def matvec(mat, vec):
     """mat times the column vector vec of entries over mat's ring."""
-    ring = mat.ring
-    out = matmul_entries(ring, mat.entries, [entry_value(ring, x) for x in vec],
-                         mat.n, 1)
-    return tuple([entry_elem(ring, v) for v in out])
+    return mat.apply(vec)
 
 
 def vec_add(a, b):
@@ -137,9 +134,7 @@ def module_from_action(field, action, epsilon=None, twist="custom"):
 
 def _contragredient(a, eps):
     """eps times the inverse transpose of the action matrix a."""
-    n, inv = a.n, a.inverse().entries
-    return Mat(a.ring, n, tuple([inv[j * n + i] for i in range(n)
-                                 for j in range(n)])).scale(cr.ff_from_int(a.ring, eps))
+    return a.inverse().transpose().scale(cr.ff_from_int(a.ring, eps))
 
 
 def dual_module(module):

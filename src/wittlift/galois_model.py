@@ -219,7 +219,7 @@ def check_running_hypotheses(rho):
         return False
     if not validate_deformation(rho).ok:
         return False
-    gens = [[list(rho.image(n).entries[i:i + 2]) for i in (0, 2)]
+    gens = [[[a.coeffs[0] for a in row] for row in rho.image(n).rows]
             for n in rho.group.generators]
     return len(group_closure(gens, ell)) == (ell ** 2 - 1) * (ell ** 2 - ell)
 

@@ -53,7 +53,7 @@ from .galois_model import (
     validate_deformation,
     check_running_hypotheses,
 )
-from .matlin import Mat, char_poly_eigs, entry_elem, entry_value, matmul_entries
+from .matlin import Mat, char_poly_eigs, elem_matmul
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +107,8 @@ def _trace_row(group, module, word, rres):
     """Coefficients of the linear map f -> tr(f~(word) rres) on flat cocycle
     values, where rres is the residual image of the word: the weights times
     the word's Fox Jacobian, one fused dot product per column."""
-    field = module.field
-    fox = fox_jacobian(group, module, word)
-    jac = [entry_value(field, x) for row in fox for x in row]
-    w = [entry_value(field, x) for x in _trace_weights(rres)]
-    return [entry_elem(field, v)
-            for v in matmul_entries(field, w, jac, len(w), len(fox[0]))]
+    return elem_matmul(module.field, [_trace_weights(rres)],
+                       fox_jacobian(group, module, word))[0]
 
 
 def _locked_rows(group, module, places):

@@ -3,7 +3,8 @@
 Mat holds its entries as canonical coefficient values (an int at d = 1, a
 d-tuple otherwise) and multiplies through coeffring._matmul, one fused
 Kronecker dot product per output entry; FFElem/WittElem objects appear only
-at the boundary (Mat.from_rows, Mat.rows, det, trace).  The module also
+at the boundary (Mat.from_rows, Mat.rows, Mat.apply, det, trace and
+elem_matmul), so the entry format stays inside this module.  The module also
 covers characteristic polynomials and eigenvalues, Hensel diagonalization of
 2x2 matrices over truncated Witt rings, multiplicative Jordan decomposition,
 the tame-relation branch test, the BFS closure of integer matrix groups,
@@ -54,7 +55,7 @@ def _elem_is_unit(x):
     return not x.is_zero() if isinstance(x, cr.FFElem) else x.is_unit()
 
 
-def entry_value(ring, x):
+def _entry_value(ring, x):
     """The canonical Mat entry of the FFElem/WittElem x over ring: its
     coefficients reduced mod q, as an int at d = 1 and a d-tuple otherwise."""
     own = x.params if isinstance(x, cr.FFElem) else x.ring
@@ -66,7 +67,7 @@ def entry_value(ring, x):
     return tuple([c % q for c in x.coeffs])
 
 
-def entry_elem(ring, v):
+def _entry_elem(ring, v):
     """The FFElem/WittElem over ring of the canonical Mat entry v."""
     return _arith(ring)[2](ring, v if ring.d > 1 else (v,))
 
@@ -97,7 +98,7 @@ def _is_unit(ring, v):
 
 
 def _mul(ring, x, y):
-    return matmul_entries(ring, (x,), (y,), 1, 1)[0]
+    return _matmul_entries(ring, (x,), (y,), 1, 1)[0]
 
 
 def _product(ring, xs):
@@ -116,11 +117,22 @@ def _neg(v, q):
     return -v % q if isinstance(v, int) else tuple([-c % q for c in v])
 
 
-def matmul_entries(ring, a, b, inner, cols):
+def _matmul_entries(ring, a, b, inner, cols):
     """Row-major product of a (len(a) // inner rows, inner columns) and b
     (inner rows, cols columns), both of canonical Mat entries over ring."""
     modulus, q, _ = _arith(ring)
     return cr._matmul(a, b, inner, cols, modulus, q)
+
+
+def elem_matmul(ring, a, b):
+    """The product of the matrices a and b (any compatible shapes), each
+    given as a list of rows of FFElem/WittElem entries over ring, as a list
+    of rows of elements; one fused dot product per output entry."""
+    inner, cols = len(b), len(b[0])
+    out = _matmul_entries(ring, [_entry_value(ring, x) for r in a for x in r],
+                          [_entry_value(ring, x) for r in b for x in r], inner, cols)
+    out = [_entry_elem(ring, v) for v in out]
+    return [out[i:i + cols] for i in range(0, len(out), cols)]
 
 
 def _det(ring, a, n):
@@ -135,7 +147,7 @@ def _det(ring, a, n):
         cof = [_det(ring, [a[r * n + c] for r in range(1, n) for c in range(n) if c != j],
                     n - 1) for j in range(n)]
         cof = [m if j % 2 == 0 else _neg(m, q) for j, m in enumerate(cof)]
-    return matmul_entries(ring, a[:n], cof, n, 1)[0]
+    return _matmul_entries(ring, a[:n], cof, n, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -158,7 +170,7 @@ class Mat:
     def from_rows(cls, ring, rows):
         """The matrix with rows of FFElem/WittElem entries over ring."""
         n, xs = _flatten_square(rows)
-        return cls(ring, n, tuple([entry_value(ring, x) for x in xs]))
+        return cls(ring, n, tuple([_entry_value(ring, x) for x in xs]))
 
     @classmethod
     def from_ints(cls, ring, rows):
@@ -210,23 +222,35 @@ class Mat:
     def __mul__(self, other):
         self._check(other)
         n = self.n
-        return Mat(self.ring, n, matmul_entries(self.ring, self.entries,
+        return Mat(self.ring, n, _matmul_entries(self.ring, self.entries,
                                                 other.entries, n, n))
+
+    def apply(self, vec):
+        """The matrix times the column vector vec of FFElem/WittElem entries,
+        as a tuple of elements."""
+        ring = self.ring
+        out = _matmul_entries(ring, self.entries, [_entry_value(ring, x) for x in vec],
+                              self.n, 1)
+        return tuple([_entry_elem(ring, v) for v in out])
+
+    def transpose(self):
+        n, a = self.n, self.entries
+        return Mat(self.ring, n, tuple([a[j * n + i] for i in range(n) for j in range(n)]))
 
     def scale(self, s):
         """s times the matrix, for an FFElem/WittElem s over its ring."""
-        return Mat(self.ring, self.n, matmul_entries(
-            self.ring, (entry_value(self.ring, s),), self.entries, 1, self.n ** 2))
+        return Mat(self.ring, self.n, _matmul_entries(
+            self.ring, (_entry_value(self.ring, s),), self.entries, 1, self.n ** 2))
 
     def trace(self):
         q = _arith(self.ring)[1]
         diag = self.entries[::self.n + 1]
         if self.ring.d == 1:
-            return entry_elem(self.ring, sum(diag) % q)
-        return entry_elem(self.ring, tuple([sum(cs) % q for cs in zip(*diag)]))
+            return _entry_elem(self.ring, sum(diag) % q)
+        return _entry_elem(self.ring, tuple([sum(cs) % q for cs in zip(*diag)]))
 
     def det(self):
-        return entry_elem(self.ring, _det(self.ring, self.entries, self.n))
+        return _entry_elem(self.ring, _det(self.ring, self.entries, self.n))
 
     def is_identity(self):
         return self.entries == Mat.identity(self.ring, self.n).entries
@@ -250,13 +274,13 @@ class Mat:
             rows[c], rows[pr] = rows[pr], rows[c]
             for i in range(n):
                 if i != c and rows[i][c] != zero:
-                    rows[i] = list(matmul_entries(ring, (rows[c][c], _neg(rows[i][c], q)),
+                    rows[i] = list(_matmul_entries(ring, (rows[c][c], _neg(rows[i][c], q)),
                                                   rows[i] + rows[c], 2, 2 * n))
         diag = [rows[i][i] for i in range(n)]
         others = [_product(ring, diag[:i] + diag[i + 1:]) for i in range(n)]
-        dinv = matmul_entries(ring, (_unit_inverse(ring, _mul(ring, others[0], diag[0])),),
+        dinv = _matmul_entries(ring, (_unit_inverse(ring, _mul(ring, others[0], diag[0])),),
                               others, 1, n)
-        return Mat(ring, n, matmul_entries(
+        return Mat(ring, n, _matmul_entries(
             ring, [dinv[i] if i == j else zero for i in range(n) for j in range(n)],
             [x for r in rows for x in r[n:]], n, n))
 
@@ -316,7 +340,7 @@ def _perm_sign(perm):
 def char_poly(g):
     """det(xI - g) as an ascending coefficient list over g's ring."""
     ring, n = g.ring, g.n
-    one, zero = (entry_elem(ring, v) for v in _one_zero(ring))
+    one, zero = (_entry_elem(ring, v) for v in _one_zero(ring))
 
     def padd(a, b):
         ln = max(len(a), len(b))

@@ -27,6 +27,7 @@ from wittlift.matlin import (
     char_poly_eigs,
     check_tame_relation,
     closure_word,
+    elem_matmul,
     find_split_diagonal,
     group_closure,
     hensel_diagonalize,
@@ -116,13 +117,12 @@ def _o_unit(x):
 
 
 def _o_mul(a, b):
-    n = len(a)
     out = []
-    for i in range(n):
+    for i in range(len(a)):
         row = []
-        for j in range(n):
+        for j in range(len(b[0])):
             acc = a[i][0] * b[0][j]
-            for k in range(1, n):
+            for k in range(1, len(b)):
                 acc = acc + a[i][k] * b[k][j]
             row.append(acc)
         out.append(row)
@@ -211,6 +211,12 @@ def test_mat_matches_element_oracle(case):
         ring, [[x + y for x, y in zip(r, s)] for r, s in zip(a_el, b_el)])
     assert _canon_rows(ring, (a - b).rows) == _canon_rows(
         ring, [[x - y for x, y in zip(r, s)] for r, s in zip(a_el, b_el)])
+    assert _canon_rows(ring, a.transpose().rows) == _canon_rows(ring, list(zip(*a_el)))
+    col = [[r[0]] for r in b_el]
+    assert _canon_rows(ring, [a.apply([x for (x,) in col])]) == _canon_rows(
+        ring, [[x for (x,) in _o_mul(a_el, col)]])
+    assert _canon_rows(ring, elem_matmul(ring, a_el[:1], b_el)) == _canon_rows(
+        ring, _o_mul(a_el[:1], b_el))
     det = _o_det(a_el)
     assert _canon(ring, a.det()) == _canon(ring, det)
     if _o_unit(det):

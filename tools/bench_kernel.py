@@ -7,14 +7,15 @@ Times, over W(F_{5^d})/5^m with m the tower level of degree d
   d in {1, 2, 16, 128, 512};
 * one element product (WittElem * WittElem) at each of those d.
 
-Every timed call gets seeded random operands with a unit determinant, so the
-numbers of two checkouts compare the same work.  Each case runs its call
-repeatedly for about --budget seconds (at least --min-calls times) and
-reports the median and minimum microseconds per call.  Standard library
-only; the library is imported from the src/ directory next to this script.
+Every timed call gets random operands drawn from SEED, with a unit
+determinant, so the numbers of two checkouts compare the same work.  Each
+case runs its call repeatedly for about BUDGET_S seconds (at least MIN_CALLS
+times) and reports the median and minimum microseconds per call.  Standard
+library only; the library is imported from the src/ directory next to this
+script.
 
     python tools/bench_kernel.py                  # writes BENCH_kernel.json
-    python tools/bench_kernel.py --out other.json --budget 0.2
+    python tools/bench_kernel.py --out other.json
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ from wittlift.matlin import Mat  # noqa: E402
 ELL = 5
 DEGREES = (1, 2, 16, 128, 512)
 SIZES = (2, 3)
+BUDGET_S = 0.3
+MIN_CALLS = 5
+SEED = 1
 
 
 def level(d):
@@ -60,16 +64,21 @@ def random_invertible(ring, n, rng):
             return g
 
 
-def time_calls(fn, budget, min_calls):
+def time_calls(fn):
     """Microseconds per call of fn(), one sample per call."""
     samples = []
     start = time.perf_counter()
-    while len(samples) < min_calls or time.perf_counter() - start < budget:
+    while len(samples) < MIN_CALLS or time.perf_counter() - start < BUDGET_S:
         t0 = time.perf_counter()
         fn()
         samples.append((time.perf_counter() - t0) * 1e6)
     return {"us_median": statistics.median(samples), "us_min": min(samples),
             "calls": len(samples)}
+
+
+def git(*args, check=True):
+    return subprocess.run(["git", *args], cwd=ROOT, text=True,
+                          capture_output=True, check=check)
 
 
 def machine():
@@ -85,43 +94,41 @@ def machine():
     except metadata.PackageNotFoundError:
         numpy_version = None
     try:
-        commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, text=True,
-                                capture_output=True, check=True).stdout.strip()
+        commit = git("rev-parse", "HEAD").stdout.strip()
+        # the code under test: the library and this script
+        dirty = git("diff", "--quiet", "HEAD", "--", "src", "tools",
+                    check=False).returncode != 0
     except (OSError, subprocess.CalledProcessError):
-        commit = None
+        commit = dirty = None
     src = hashlib.sha256()
     for path in sorted((ROOT / "src" / "wittlift").glob("*.py")):
         src.update(path.read_bytes())
     return {"nproc": os.cpu_count(), "cpu_model": cpu,
             "python": platform.python_version(), "numpy": numpy_version,
-            "git_commit": commit, "src_sha256": src.hexdigest()}
+            "git_commit": commit, "git_dirty": dirty, "src_sha256": src.hexdigest()}
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=str(ROOT / "BENCH_kernel.json"))
-    ap.add_argument("--budget", type=float, default=0.5,
-                    help="seconds of calls per case")
-    ap.add_argument("--min-calls", type=int, default=5)
-    ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
-    rng = random.Random(args.seed)
+    rng = random.Random(SEED)
     cases = []
     for d in DEGREES:
         ring = cr.make_witt_ring(ELL, d, level(d))
         x, y = random_elem(ring, rng), random_elem(ring, rng)
         cases.append({"op": "elem_mul", "d": d, "m": ring.m,
-                      **time_calls(lambda: x * y, args.budget, args.min_calls)})
+                      **time_calls(lambda: x * y)})
         for n in SIZES:
             a = random_invertible(ring, n, rng)
             b = random_invertible(ring, n, rng)
             cases.append({"op": "mat_mul", "n": n, "d": d, "m": ring.m,
-                          **time_calls(lambda: a * b, args.budget, args.min_calls)})
+                          **time_calls(lambda: a * b)})
             cases.append({"op": "mat_inverse", "n": n, "d": d, "m": ring.m,
-                          **time_calls(a.inverse, args.budget, args.min_calls)})
+                          **time_calls(a.inverse)})
         print(json.dumps(cases[-5:]), file=sys.stderr)
-    report = {"benchmark": "kernel", "ell": ELL, "seed": args.seed,
-              "budget_s": args.budget, "machine": machine(), "cases": cases}
+    report = {"benchmark": "kernel", "ell": ELL, "seed": SEED,
+              "budget_s": BUDGET_S, "machine": machine(), "cases": cases}
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
