@@ -223,7 +223,7 @@ class Mat:
         self._check(other)
         n = self.n
         return Mat(self.ring, n, _matmul_entries(self.ring, self.entries,
-                                                other.entries, n, n))
+                                                 other.entries, n, n))
 
     def apply(self, vec):
         """The matrix times the column vector vec of FFElem/WittElem entries,
@@ -275,11 +275,11 @@ class Mat:
             for i in range(n):
                 if i != c and rows[i][c] != zero:
                     rows[i] = list(_matmul_entries(ring, (rows[c][c], _neg(rows[i][c], q)),
-                                                  rows[i] + rows[c], 2, 2 * n))
+                                                   rows[i] + rows[c], 2, 2 * n))
         diag = [rows[i][i] for i in range(n)]
         others = [_product(ring, diag[:i] + diag[i + 1:]) for i in range(n)]
         dinv = _matmul_entries(ring, (_unit_inverse(ring, _mul(ring, others[0], diag[0])),),
-                              others, 1, n)
+                               others, 1, n)
         return Mat(ring, n, _matmul_entries(
             ring, [dinv[i] if i == j else zero for i in range(n) for j in range(n)],
             [x for r in rows for x in r[n:]], n, n))
