@@ -11,7 +11,6 @@ import argparse
 import hashlib
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from . import coeffring as cr
@@ -27,7 +26,6 @@ from .density import (
 )
 from .errors import (
     InputError,
-    InvalidQuery,
     OracleNotFound,
     SchemaError,
     UnboundedGroup,
@@ -186,12 +184,6 @@ def _cmd_integral_model(args):
     ring = cr.make_witt_ring(ell, 1, precision)
     gens = [[[kelem_from_rational(ring, int(ent["num"]), int(ent.get("den", 1)))
               for ent in row] for row in gmat] for gmat in data["generators"]]
-    for gi, gmat in enumerate(data["generators"]):
-        exact = [[Fraction(int(ent["num"]), int(ent.get("den", 1))) for ent in row]
-                 for row in gmat]
-        # shapes that are not square are refused by integral_model
-        if exact and all(len(r) == len(exact) for r in exact) and _is_singular(exact):
-            raise InvalidQuery(f"generator {gi} is singular: det = 0")
     try:
         p = integral_model(gens)
     except UnboundedGroup as exc:
@@ -200,20 +192,6 @@ def _cmd_integral_model(args):
     pretty = [[repr(x) for x in row] for row in p]
     _report(args, {"unbounded": False, "conjugator": pretty}, [args.mats])
     return EXIT_OK
-
-
-def _is_singular(rows):
-    """Whether a square matrix of Fractions has determinant 0 (elimination)."""
-    a = [list(r) for r in rows]
-    for c in range(len(a)):
-        p = next((i for i in range(c, len(a)) if a[i][c]), None)
-        if p is None:
-            return True
-        a[c], a[p] = a[p], a[c]
-        for i in range(c + 1, len(a)):
-            f = a[i][c] / a[c][c]
-            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return False
 
 
 def _cmd_tame_check(args):

@@ -253,21 +253,6 @@ def _unit_inverse(x, modulus, ell, q):
     return y
 
 
-def _witt_valuation(x, ring):
-    """min_i v_l(x_i) over the coefficients x, saturated at m for zero."""
-    ell = ring.ell
-    best = ring.m
-    for c in x:
-        if c:
-            v = 0
-            while c % ell == 0:
-                c //= ell
-                v += 1
-            if v < best:
-                best = v
-    return best
-
-
 def _power(x, e):
     """x^e for an element of either type or a Mat, by binary powering.
 
@@ -512,7 +497,15 @@ class WittElem:
 
     def valuation(self):
         """min_i v_l(c_i), saturated at m for the zero element."""
-        return _witt_valuation(self.coeffs, self.ring)
+        ell, best = self.ring.ell, self.ring.m
+        for c in self.coeffs:
+            if c:
+                v = 0
+                while c % ell == 0:
+                    c //= ell
+                    v += 1
+                best = min(best, v)
+        return best
 
     def residue(self):
         fp = self.ring.residue_field

@@ -61,12 +61,12 @@ class DoesNotSpan(WittliftError):
     pass
 
 
-class PrecisionExhausted(WittliftError):
-    pass
-
-
 class UnboundedGroup(WittliftError):
     pass
+
+
+class Undecided(WittliftError):
+    """integral_model found no witness and its saturation did not close."""
 
 
 # -- group model and cohomology --------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import coeffring as cr
 from .errors import ParamMismatch, SchemaError, UnknownGenerator
-from .matlin import Mat, group_closure
+from .matlin import Mat, full_residual_image_size, group_closure
 
 SCHEMA_VERSION = 1
 
@@ -217,11 +217,12 @@ def check_running_hypotheses(rho):
     ell = rho.ring.ell
     if ell < 5:
         return False
+    size = full_residual_image_size(ell)
     if not validate_deformation(rho).ok:
         return False
     gens = [[[a.coeffs[0] for a in row] for row in rho.image(n).rows]
             for n in rho.group.generators]
-    return len(group_closure(gens, ell)) == (ell ** 2 - 1) * (ell ** 2 - ell)
+    return len(group_closure(gens, ell)) == size
 
 
 def check_tame_consistency(group, ell, max_level=3):

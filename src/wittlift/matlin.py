@@ -9,8 +9,8 @@ covers characteristic polynomials and eigenvalues, Hensel diagonalization of
 2x2 matrices over truncated Witt rings, multiplicative Jordan decomposition,
 the tame-relation branch test, the BFS closure of integer matrix groups,
 split-diagonal extraction from subgroups with full residual image, and the
-module-basis / integral-model algorithms over the fraction field of a
-truncated Witt ring.
+integral-model decision (witness checks and lattice saturation) on exact
+rationals.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -28,11 +29,11 @@ from .errors import (
     EigenvaluesNotInField,
     InvalidQuery,
     ParamMismatch,
-    PrecisionExhausted,
     RepeatedResidualEigenvalues,
     ResidualImageTooSmall,
     Singular,
     UnboundedGroup,
+    Undecided,
 )
 
 _INF = 10 ** 9
@@ -535,6 +536,10 @@ def check_tame_relation(x, y, q):
     the image of q (computed over the splitting field of x's characteristic
     polynomial).
     """
+    if x.n != y.n or x.n > 3:
+        raise InvalidQuery(f"tame-check supports n x n matrices with n <= 3, got n = "
+                           f"{x.n} for x and n = {y.n} for y (char_poly and det "
+                           f"cost n! products)")
     if q <= 1:
         raise ParamMismatch("q must be > 1")
     if not _elem_is_unit(x.det()) or not _elem_is_unit(y.det()):
@@ -619,6 +624,16 @@ def closure_word(closure, gens, modulus, x):
 # split-diagonal extraction (the full-residual-image subgroup lemma)
 
 
+def full_residual_image_size(ell):
+    """|GL_2(F_l)|, refused with InvalidQuery before any closure when it
+    exceeds ENUM_LIMIT."""
+    size = (ell ** 2 - 1) * (ell ** 2 - ell)
+    if size > ENUM_LIMIT:
+        raise InvalidQuery(f"|GL_2(F_{ell})| = {size} exceeds ENUM_LIMIT = {ENUM_LIMIT}, "
+                           f"so the residual image cannot be enumerated")
+    return size
+
+
 def find_split_diagonal(gens):
     """Locate a conjugate of diag(a, 1) with a Frobenius-fixed, a != +-1 mod l.
 
@@ -628,6 +643,7 @@ def find_split_diagonal(gens):
     """
     ring = gens[0].ring
     ell, m = ring.ell, ring.m
+    target_size = full_residual_image_size(ell)
     for i, g in enumerate(gens):
         if any(c % ell for row in g.rows for a in row for c in a.coeffs[1:]):
             raise ResidualImageTooSmall(
@@ -635,7 +651,6 @@ def find_split_diagonal(gens):
                 f"residual image is not GL_2(F_{ell})")
     res = [[[a.coeffs[0] for a in row] for row in g.rows] for g in gens]
     closure = group_closure(res, ell)
-    target_size = (ell ** 2 - 1) * (ell ** 2 - ell)
     if len(closure) != target_size:
         raise ResidualImageTooSmall(
             f"residual image has {len(closure)} elements, need GL_2(F_{ell})")
@@ -674,253 +689,190 @@ def root_of_unity_bound(ring):
 
 
 # ---------------------------------------------------------------------------
-# fraction-field elements and the integral-model algorithms
+# integral models, on exact rationals
 #
-# The saturation computes on num / l^den as the pair (coeffs, den): coeffs
-# is num's coefficient tuple mod l^m, None for the exact zero.
+# The generators are exact elements of Q (given in Z[1/l]), so the witness
+# checks and the saturation run on Fractions; a ring only sets l and the
+# precision of the (num, den) view that KElem shows its callers.
 
-_ZERO = (None, 0)
-
-
-def _kadd(ring, a, b):
-    """a + b, both numerators scaled to the larger den."""
-    (x, dx), (y, dy) = a, b
-    if x is None:
-        return b
-    if y is None:
-        return a
-    q, den = ring.q, max(dx, dy)
-    kx, ky = ring.ell ** (den - dx), ring.ell ** (den - dy)
-    return tuple([(s * kx + t * ky) % q for s, t in zip(x, y)]), den
+SATURATION_ROUNDS = 50
 
 
-def _kneg(ring, a):
-    if a[0] is None:
-        return a
-    return tuple([-s % ring.q for s in a[0]]), a[1]
+def _val(x, ell):
+    """v_l of the nonzero Fraction x."""
+    v, num, den = 0, x.numerator, x.denominator
+    while num % ell == 0:
+        num //= ell
+        v += 1
+    while den % ell == 0:
+        den //= ell
+        v -= 1
+    return v
 
 
-def _ksub(ring, a, b):
-    return _kadd(ring, a, _kneg(ring, b))
-
-
-def _kmul(ring, a, b):
-    if a[0] is None or b[0] is None:
-        return _ZERO
-    return cr._poly_mulmod(a[0], b[0], ring.lifted_modulus, ring.q), a[1] + b[1]
-
-
-def _kval(ring, a):
-    """The numerator's valuation (saturated at m) minus den; _INF for 0."""
-    if a[0] is None:
-        return _INF
-    return cr._witt_valuation(a[0], ring) - a[1]
-
-
-def _unit_part(ring, x, v):
-    k, q = ring.ell ** v, ring.q
-    return tuple([c // k % q for c in x])
-
-
-def _kinv(ring, a):
-    """1 / a: l^v splits off the numerator and its unit part is inverted."""
-    x, dx = a
-    if x is None:
-        raise Singular("division by zero")
-    v = cr._witt_valuation(x, ring)
-    if v >= ring.m:
-        raise PrecisionExhausted("cannot invert an (effectively) zero element")
-    inv = cr._unit_inverse(_unit_part(ring, x, v), ring.lifted_modulus,
-                           ring.ell, ring.q)
-    # value = l^den / (l^v * unit)
-    if dx >= v:
-        k, q = ring.ell ** (dx - v), ring.q
-        return tuple([c * k % q for c in inv]), 0
-    return inv, v - dx
+def _value(ring, x):
+    """The Fraction of the KElem x, which must be over ring."""
+    if x.ring is not ring and x.ring != ring:
+        raise ParamMismatch(f"{x.ring} vs {ring}")
+    return x.value
 
 
 @dataclass(frozen=True)
 class KElem:
-    """num / l^den over the fraction field of a working-precision Witt ring.
+    """An exact rational at the boundary of the integral-model code.
 
-    num is a WittElem, None for the exact zero.  KElem is the boundary type:
-    its operators convert to (coeffs, den) pairs and call the same _k*
-    functions that module_basis, _ksolve and integral_model run on.
-    Relative precision is num's precision minus den; the guard in
-    module_basis keeps ambiguity visible.
+    value is a Fraction.  ring, W(F_l)/l^m, sets l and the precision of the
+    (num, den) view: den = max(0, -v_l(value)) and num = value * l^den mod
+    l^m as a WittElem, a denominator prime to l inverted mod l^m; num is
+    None for 0.  The operators are Fraction operators behind a ring check.
     """
 
     ring: object
-    num: object
-    den: int
+    value: Fraction
 
-    @classmethod
-    def from_pair(cls, ring, a):
-        return cls(ring, None if a[0] is None else cr.WittElem(ring, a[0]), a[1])
+    @property
+    def den(self):
+        return max(0, -self.valuation()) if self.value else 0
 
-    def pair(self, ring):
-        """(coeffs, den); self must be over ring."""
-        if self.ring is not ring and self.ring != ring:
-            raise ParamMismatch(f"{self.ring} vs {ring}")
-        return (None if self.num is None else self.num.coeffs), self.den
+    @property
+    def num(self):
+        if not self.value:
+            return None
+        x, q = self.value * self.ring.ell ** self.den, self.ring.q
+        return cr.witt_from_int(self.ring, x.numerator * pow(x.denominator, -1, q))
 
     def is_exact_zero(self):
-        return self.num is None
+        return not self.value
 
     def valuation(self):
-        return _kval(self.ring, self.pair(self.ring))
-
-    def _op(self, fn, *others):
-        ring = self.ring
-        return KElem.from_pair(ring, fn(ring, *[x.pair(ring) for x in (self, *others)]))
+        """v_l of the value, _INF for 0."""
+        return _val(self.value, self.ring.ell) if self.value else _INF
 
     def __add__(self, other):
-        return self._op(_kadd, other)
+        return KElem(self.ring, self.value + _value(self.ring, other))
 
     def __neg__(self):
-        return self._op(_kneg)
+        return KElem(self.ring, -self.value)
 
     def __sub__(self, other):
-        return self._op(_ksub, other)
+        return KElem(self.ring, self.value - _value(self.ring, other))
 
     def __mul__(self, other):
-        return self._op(_kmul, other)
+        return KElem(self.ring, self.value * _value(self.ring, other))
 
     def inverse(self):
-        return self._op(_kinv)
+        if not self.value:
+            raise Singular("division by zero")
+        return KElem(self.ring, 1 / self.value)
 
     def __truediv__(self, other):
         return self * other.inverse()
 
     def key(self):
-        if self.num is None:
-            return ("zero",)
-        x, v = self.num.coeffs, min(self.num.valuation(), self.den)
-        return (_unit_part(self.ring, x, v) if v else x), self.den - v
+        return self.value
 
     def __repr__(self):
-        if self.num is None:
+        if not self.value:
             return "K(0)"
         return f"K({list(self.num.coeffs)}/{self.ring.ell}^{self.den})"
 
 
 def kelem_from_rational(ring, numerator, denominator=1):
-    """Build a KElem from an integer pair; the denominator must be a power of l."""
-    if denominator < 0:
-        numerator, denominator = -numerator, -denominator
-    den, rest = 0, denominator
+    """The KElem numerator / denominator; the denominator must be a power of l."""
+    rest = abs(denominator)
     while rest > 1 and rest % ring.ell == 0:
         rest //= ring.ell
-        den += 1
     if rest != 1:
         raise InvalidQuery(f"denominator {denominator} is not a power of l = {ring.ell}")
-    if numerator == 0:
-        return KElem(ring, None, 0)
-    return KElem(ring, cr.witt_from_int(ring, numerator), den)
+    return KElem(ring, Fraction(numerator, denominator))
 
 
-def module_basis(gens, expect_span=True, guard=None):
-    """A V-basis of the module generated by gens (vectors of KElem).
+def module_basis(gens):
+    """A basis of the Z_(l)-lattice spanned by gens (tuples of KElem over one
+    ring), basis vector i with its pivot at row i.
 
-    Implements the minimal-valuation elimination: the generator whose entry
-    has the smallest valuation becomes a pivot, and every other generator's
-    entry in that row is cleared by subtracting an integral multiple.
+    Minimal-valuation elimination: among the remaining vectors and rows the
+    nonzero entry of least valuation v is the pivot; its vector, scaled by a
+    unit so that the pivot is exactly l^v, joins the basis, and every other
+    vector loses that row by subtracting an integral multiple of it.  Each
+    basis vector is zero at the rows pivoted before it, so the basis
+    determinant is +- the product of the pivots.  Raises DoesNotSpan below
+    full rank.
     """
     if not gens:
         raise DoesNotSpan("no generators")
-    ring = next((x.ring for v in gens for x in v if x.num is not None), None)
-    if ring is None:
-        raise DoesNotSpan("all generators are zero")
-    if guard is None:
-        guard = ring.m - 6
-    n = len(gens[0])
-    cols = [[x.pair(ring) for x in v] for v in gens]
-    remaining = list(range(n))
-    basis = []
-    while cols and remaining:
+    ring = gens[0][0].ring
+    ell, n = ring.ell, len(gens[0])
+    cols = [[_value(ring, x) for x in v] for v in gens]
+    basis = {}
+    while cols and len(basis) < n:
         best = None
         for j, col in enumerate(cols):
-            for i in remaining:
-                v = _kval(ring, col[i])
-                if v < guard and (best is None or v < best[0]):
-                    best = (v, j, i)
+            for i, x in enumerate(col):
+                if x and i not in basis:
+                    v = _val(x, ell)
+                    if best is None or v < best[0]:
+                        best = (v, j, i)
         if best is None:
             break
-        _, j, i = best
-        pivot = cols.pop(j)
-        inv = _kinv(ring, pivot[i])
+        v, j, i = best
+        s = Fraction(ell) ** v / cols[j][i]
+        pivot = [x * s for x in cols.pop(j)]
         for col in cols:
-            if _kval(ring, col[i]) < guard:
-                f = _kmul(ring, col[i], inv)
-                for r in range(n):
-                    col[r] = _ksub(ring, col[r], _kmul(ring, f, pivot[r]))
-            col[i] = _ZERO
-        basis.append((i, pivot))
-        remaining.remove(i)
-    if remaining and expect_span:
+            if col[i]:
+                f = col[i] / pivot[i]
+                col[:] = [x - f * y for x, y in zip(col, pivot)]
+        basis[i] = pivot
+    if len(basis) < n:
         raise DoesNotSpan(f"generators span a module of rank {len(basis)} < {n}")
-    for col in cols:
-        for i in remaining:
-            if _kval(ring, col[i]) < guard:
-                raise PrecisionExhausted("leftover mass below pivot threshold")
-    basis.sort(key=lambda p: p[0])
-    return [tuple(KElem.from_pair(ring, x) for x in v) for _, v in basis]
+    return [tuple(KElem(ring, x) for x in basis[i]) for i in range(n)]
 
 
-def _ksolve(ring, columns, target, guard):
-    """Solve sum x_j * columns[j] = target over pairs by the same pivoting;
-    returns x."""
-    n = len(target)
-    k = len(columns)
-    a = [[columns[j][i] for j in range(k)] for i in range(n)]
-    b = list(target)
-    row_used = []
-    sol = [None] * k
-    rows_left = list(range(n))
-    cols_left = list(range(k))
-    while cols_left and rows_left:
-        best = None
-        for j in cols_left:
-            for i in rows_left:
-                v = _kval(ring, a[i][j])
-                if v < guard and (best is None or v < best[0]):
-                    best = (v, i, j)
-        if best is None:
-            break
-        _, pi, pj = best
-        inv = _kinv(ring, a[pi][pj])
-        for i in rows_left:
-            if i == pi or _kval(ring, a[i][pj]) >= guard:
-                continue
-            f = _kmul(ring, a[i][pj], inv)
-            for j in cols_left:
-                a[i][j] = _ksub(ring, a[i][j], _kmul(ring, f, a[pi][j]))
-            b[i] = _ksub(ring, b[i], _kmul(ring, f, b[pi]))
-        row_used.append((pi, pj))
-        rows_left.remove(pi)
-        cols_left.remove(pj)
-    for i in rows_left:
-        if _kval(ring, b[i]) < guard:
-            return None
-    for j in cols_left:
-        sol[j] = _ZERO
-    for pi, pj in reversed(row_used):
-        acc = b[pi]
-        for j in range(k):
-            if j != pj and sol[j] is not None and _kval(ring, a[pi][j]) < guard:
-                acc = _ksub(ring, acc, _kmul(ring, a[pi][j], sol[j]))
-        sol[pj] = _kmul(ring, acc, _kinv(ring, a[pi][pj]))
-    return sol
+def _rational_matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-def integral_model(gens, max_iter=50, den_budget=None):
-    """Conjugator P with P^{-1} g P integral for all generator matrices g.
+def _rational_char_poly(a):
+    """det(xI - a) as ascending Fractions c_0, ..., c_n, for a square matrix
+    a of Fractions, by Faddeev-LeVerrier: M_1 = I, M_k = a M_{k-1} +
+    c_{n-k+1} I and c_{n-k} = -tr(a M_k) / k.  det a = (-1)^n c_0."""
+    n = len(a)
+    c, am = [Fraction(1)], a
+    for k in range(1, n + 1):
+        c.append(-sum(am[i][i] for i in range(n)) / k)
+        if k < n:
+            am = _rational_matmul(a, [[x + c[k] if i == j else x for j, x in enumerate(row)]
+                                      for i, row in enumerate(am)])
+    return c[::-1]
 
-    Saturates M <- sum_j (V^n + g_j M) from the standard lattice; the basis
-    columns of the stable lattice form P.  Raises UnboundedGroup when the
-    saturation fails to stabilize within the iteration or denominator budget,
-    and InvalidQuery unless the generators are n x n with a nonzero entry
-    and m >= 7 (at m <= 6 the guard m - 6 treats every entry as zero).
+
+def _refute(word, c, ell):
+    """Raise UnboundedGroup naming word unless its characteristic polynomial
+    c has a unit constant term and l-integral coefficients."""
+    n = len(c) - 1
+    if _val(c[0], ell):
+        raise UnboundedGroup(f"{word}: det {(-1) ** n * c[0]} is not a {ell}-adic unit")
+    for k in range(n - 1, 0, -1):
+        if c[k] and _val(c[k], ell) < 0:
+            what = (f"trace {-c[k]}" if k == n - 1 else
+                    f"x^{k} coefficient {c[k]} of the characteristic polynomial")
+            raise UnboundedGroup(f"{word}: {what} is not {ell}-integral")
+
+
+def integral_model(gens):
+    """Conjugator P (rows of KElem) with P^-1 g P integral for every
+    generator g (n x n rows of KElem over one ring).
+
+    Every generator s_i and every product s_i s_j (i < j) must have a unit
+    determinant and an l-integral characteristic polynomial; the first word
+    that fails is named in UnboundedGroup, and a generator with det 0 raises
+    InvalidQuery.  Then L <- L + sum_i s_i L from Z_l^n until v_l(det L)
+    stops changing, and the columns of L's basis form P; once det s_i is a
+    unit, s_i L in L forces s_i L = L.  For n <= 2 the checks decide: a
+    unit-determinant element of GL_2(Q_l) fixes a vertex of the tree iff its
+    trace is integral, and the group fixes one when every s_i and s_i s_j
+    does (Serre, Trees, I.6.5, Cor. 2), so the loop closes.  For n >= 3 it
+    raises Undecided after SATURATION_ROUNDS rounds.
     """
     if not gens:
         raise InvalidQuery("integral_model needs at least one generator")
@@ -930,60 +882,29 @@ def integral_model(gens, max_iter=50, den_budget=None):
             raise InvalidQuery(f"generator {gi} is not {n} x {n} (n is the row "
                                f"count of generator 0)" if n else
                                "generator 0 has no rows")
-    ring = next((x.ring for g in gens for row in g for x in row
-                 if x.num is not None), None)
-    if ring is None:
-        raise InvalidQuery("every generator entry is the exact zero")
-    guard = ring.m - 6
-    if guard < 1:
-        raise InvalidQuery(f"precision {ring.m} leaves guard m - 6 = {guard}: "
-                           f"integral_model needs m >= 7")
-    if den_budget is None:
-        den_budget = ring.m // 3
-    one = ((1,) + (0,) * (ring.d - 1), 0)
-    units = [tuple(one if i == j else _ZERO for i in range(n)) for j in range(n)]
-
-    def mat_inverse(g):
-        inv_cols = [_ksolve(ring, list(zip(*g)), target, guard) for target in units]
-        if None in inv_cols:
-            raise Singular("generator not invertible")
-        return [list(row) for row in zip(*inv_cols)]
-
-    gens = [[[x.pair(ring) for x in row] for row in g] for g in gens]
-    all_gens = gens + [mat_inverse(g) for g in gens]
-    basis = units
-    for _ in range(max_iter):
-        candidates = basis + units
-        for g in all_gens:
-            # the columns of g B are g b for the basis vectors b
-            candidates += zip(*_kmatmul(ring, g, list(zip(*basis))))
-        if any(-_kval(ring, x) > den_budget for v in candidates for x in v):
-            raise UnboundedGroup("denominators keep growing")
-        new_basis = [tuple(x.pair(ring) for x in v) for v in module_basis(
-            [tuple(KElem.from_pair(ring, x) for x in v) for v in candidates],
-            expect_span=True, guard=guard)]
-        sols = (_ksolve(ring, basis, v, guard) for v in new_basis)
-        if all(s is not None and all(_kval(ring, x) >= 0 for x in s) for s in sols):
-            p_rows = [list(row) for row in zip(*new_basis)]
-            p_inv = mat_inverse(p_rows)
-            for g in gens:
-                conj = _kmatmul(ring, _kmatmul(ring, p_inv, g), p_rows)
-                if any(_kval(ring, x) < 0 for row in conj for x in row):
-                    raise UnboundedGroup("conjugated generator not integral")
-            return [[KElem.from_pair(ring, x) for x in row] for row in p_rows]
-        basis = new_basis
-    raise UnboundedGroup(f"saturation did not stabilize in {max_iter} iterations")
-
-
-def _kmatmul(ring, a, b):
-    """The product of pair matrices (lists of rows) a and b."""
-    out = []
-    for row in a:
-        out_row = []
-        for col in zip(*b):
-            acc = _ZERO
-            for x, y in zip(row, col):
-                acc = _kadd(ring, acc, _kmul(ring, x, y))
-            out_row.append(acc)
-        out.append(out_row)
-    return out
+    ring = gens[0][0][0].ring
+    ell = ring.ell
+    mats = [[[_value(ring, x) for x in row] for row in g] for g in gens]
+    polys = [_rational_char_poly(a) for a in mats]
+    for gi, c in enumerate(polys):
+        if not c[0]:
+            raise InvalidQuery(f"generator {gi} is singular: det = 0")
+    for gi, c in enumerate(polys):
+        _refute(f"generator {gi}", c, ell)
+    for i, j in itertools.combinations(range(len(mats)), 2):
+        _refute(f"generators {i} * {j}",
+                _rational_char_poly(_rational_matmul(mats[i], mats[j])), ell)
+    basis = [tuple(KElem(ring, Fraction(int(i == j))) for i in range(n)) for j in range(n)]
+    vdet = 0
+    for rounds in itertools.count(1):
+        if n >= 3 and rounds > SATURATION_ROUNDS:
+            raise Undecided(f"no word of length <= 2 is a witness and the saturation "
+                            f"did not close in {SATURATION_ROUNDS} rounds (n = {n})")
+        cols = [[x.value for x in b] for b in basis]
+        basis = module_basis(basis + [
+            tuple(KElem(ring, sum(x * y for x, y in zip(row, b))) for row in a)
+            for a in mats for b in cols])
+        new = sum(basis[i][i].valuation() for i in range(n))
+        if new == vdet:
+            return [[basis[j][i] for j in range(n)] for i in range(n)]
+        vdet = new

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import time
 
 import pytest
 
@@ -124,6 +125,7 @@ def test_integral_model_unbounded(tmp_path, capsys):
     assert main(["integral-model", mats]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["unbounded"] is True
+    assert report["reason"] == "generator 0: trace 26/5 is not 5-integral"
 
 
 def test_tame_check(capsys):
@@ -255,14 +257,13 @@ _BOUNDED = [[[{"num": 0}, {"num": 5}], [{"num": 1, "den": 5}, {"num": 0}]]]
     ({"generators": [[[{"num": 1, "den": 3}, {"num": 0}], [{"num": 0}, {"num": 1}]]]},
      "denominator 3 is not a power of l = 5"),
     ({"precision": 0}, "precision level m = 0 must be >= 1"),
-    ({"precision": 4}, "precision 4 leaves guard m - 6 = -2: integral_model needs m >= 7"),
     ({"generators": [[[{"num": 1}, {"num": 0}], [{"num": 0}, {"num": 0}]]]},
      "generator 0 is singular: det = 0"),
     ({"generators": _BOUNDED + [[[{"num": 1}, {"num": 1, "den": 5}],
                                  [{"num": 5}, {"num": 1}]]]},
      "generator 1 is singular: det = 0"),
-], ids=["ragged", "no_generators", "den_not_power_of_ell", "precision_0", "precision_4",
-        "singular", "singular_rational"])
+], ids=["ragged", "no_generators", "den_not_power_of_ell", "precision_0", "singular",
+        "singular_rational"])
 def test_integral_model_input_error_exits_4(tmp_path, capsys, fields, reason):
     query = {"schema_version": SCHEMA_VERSION, "generators": _BOUNDED}
     query.update(fields)
@@ -273,3 +274,41 @@ def test_integral_model_input_error_exits_4(tmp_path, capsys, fields, reason):
     err = json.loads(captured.err)  # one JSON object, no traceback
     assert err["kind"] == "input"
     assert reason in err["error"]
+
+
+# The verdict is exact at any precision; "precision" sets only the truncation
+# of the printed conjugator.
+@pytest.mark.parametrize("precision, generators, conjugator", [
+    (4, _BOUNDED, [["K([1]/5^0)", "K(0)"], ["K(0)", "K([1]/5^1)"]]),
+    (12, [[[{"num": 0}, {"num": 5 ** 5}], [{"num": 1, "den": 5 ** 5}, {"num": 0}]]],
+     [["K([1]/5^0)", "K(0)"], ["K(0)", "K([1]/5^5)"]]),
+    (12, [[[{"num": 1}, {"num": 1, "den": 5 ** 5}], [{"num": 0}, {"num": 1}]]],
+     [["K([1]/5^5)", "K(0)"], ["K([1]/5^0)", "K([1]/5^0)"]]),
+], ids=["precision_4", "precision_12_order_2", "precision_12_unipotent"])
+def test_integral_model_bounded_at_low_precision(tmp_path, capsys, precision,
+                                                 generators, conjugator):
+    path = write_json(tmp_path / "m.json", {"schema_version": SCHEMA_VERSION,
+                                            "precision": precision,
+                                            "generators": generators})
+    assert main(["integral-model", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["unbounded"] is False
+    assert report["conjugator"] == conjugator
+
+
+def test_tame_check_refuses_n_4(capsys):
+    # char_poly and det cost n! products, so n > 3 is refused up front
+    ring = cr.make_witt_ring(5, 1, 1)
+
+    def mat(rows):
+        return ";".join(cr.witt_to_str(cr.witt_from_int(ring, v)) for r in rows for v in r)
+    x = [[2 if i == j == 0 else int(i == j) for j in range(4)] for i in range(4)]
+    y = [[int(i == j or (i, j) == (0, 1)) for j in range(4)] for i in range(4)]
+    start = time.monotonic()
+    assert main(["tame-check", mat(x), mat(y), "2"]) == 4
+    assert time.monotonic() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)  # one JSON object, no traceback
+    assert err["kind"] == "input"
+    assert "n = 4" in err["error"]

@@ -3,7 +3,7 @@
 import pytest
 
 import wittlift.coeffring as cr
-from wittlift.errors import ParamMismatch, SchemaError, UnknownGenerator
+from wittlift.errors import InvalidQuery, ParamMismatch, SchemaError, UnknownGenerator
 from wittlift.galois_model import (
     Deformation,
     ModelGroup,
@@ -104,6 +104,18 @@ def test_running_hypotheses():
     assert not check_running_hypotheses(trivial)
     with pytest.raises(ParamMismatch):
         check_running_hypotheses(deformation_tame(2))
+
+
+def test_running_hypotheses_refuse_large_ell_before_closing(monkeypatch):
+    # |GL_2(F_59)| = 11 908 560 > ENUM_LIMIT: refused before any BFS
+    def no_closure(*args):
+        raise AssertionError("closure enumerated")
+    monkeypatch.setattr("wittlift.galois_model.group_closure", no_closure)
+    group = surrogate_free()
+    ring = cr.make_witt_ring(59, 1, 1)
+    rho = Deformation(group, ring, {g: Mat.identity(ring, 2) for g in group.generators})
+    with pytest.raises(InvalidQuery, match="11908560 exceeds ENUM_LIMIT = 10000000"):
+        check_running_hypotheses(rho)
 
 
 def test_epsilon_consistency_of_shipped_groups():

@@ -3,6 +3,8 @@ split diagonals, and the fraction-field lattice algorithms."""
 
 import itertools
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +15,13 @@ from helpers_bruteforce import conjugate_is_integral
 from wittlift.errors import (
     DoesNotSpan,
     EigenvaluesNotInField,
+    InvalidQuery,
     ParamMismatch,
-    PrecisionExhausted,
     RepeatedResidualEigenvalues,
     ResidualImageTooSmall,
     Singular,
     UnboundedGroup,
+    Undecided,
 )
 from wittlift.matlin import (
     KElem,
@@ -351,6 +354,17 @@ def test_find_split_diagonal_residue_outside_prime_field(monkeypatch):
         find_split_diagonal(gens)
 
 
+def test_find_split_diagonal_refuses_large_ell_before_closing(monkeypatch):
+    # |GL_2(F_59)| = 11 908 560 > ENUM_LIMIT: refused before any BFS
+    def no_closure(*args):
+        raise AssertionError("closure enumerated")
+    monkeypatch.setattr("wittlift.matlin.group_closure", no_closure)
+    ring = cr.make_witt_ring(59, 1, 2)
+    gens = [Mat.from_ints(ring, [[2, 0], [0, 1]]), Mat.from_ints(ring, [[1, 1], [0, 1]])]
+    with pytest.raises(InvalidQuery, match="11908560 exceeds ENUM_LIMIT = 10000000"):
+        find_split_diagonal(gens)
+
+
 # ---------------------------------------------------------------------------
 # group closure
 
@@ -419,6 +433,54 @@ def K(num, den=1):
     return kelem_from_rational(RK, num, den)
 
 
+def _at(ring, rows):
+    """A matrix of rationals as rows of KElem over ring."""
+    return [[KElem(ring, Fraction(x)) for x in row] for row in rows]
+
+
+def _values(rows):
+    return [[x.value for x in row] for row in rows]
+
+
+def _v(x, ell):
+    """v_l of the nonzero Fraction x."""
+    v = 0
+    while x.numerator % ell == 0:
+        x, v = x / ell, v + 1
+    while x.denominator % ell == 0:
+        x, v = x * ell, v - 1
+    return v
+
+
+def _integral(rows, ell):
+    return all(x == 0 or _v(x, ell) >= 0 for row in rows for x in row)
+
+
+def _qmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _qinv(a):
+    """The inverse of a square matrix of Fractions, by Gauss-Jordan."""
+    n = len(a)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(a)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if rows[i][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(n):
+            if i != c:
+                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[c])]
+    return [row[n:] for row in rows]
+
+
+def _conjugates_integral(p, gens, ell):
+    """Whether P^-1 g P is integral for every g, in exact rationals."""
+    pinv = _qinv(p)
+    return all(_integral(_qmul(_qmul(pinv, g), p), ell) for g in gens)
+
+
 def test_kelem_arithmetic():
     a = K(7, 5)
     b = K(3)
@@ -426,6 +488,44 @@ def test_kelem_arithmetic():
     assert (a * a.inverse()).key() == K(1).key()
     assert K(25).valuation() == 2
     assert K(1, 25).valuation() == -2
+
+
+@st.composite
+def _kelem_cases(draw):
+    """A ring W(F_l)/l^m and two rationals: 0, or l^v * u / w with |v| <= 12
+    and u, w that may share factors with l or pass l^m."""
+    ell = draw(st.sampled_from([5, 7]))
+    ring = cr.make_witt_ring(ell, 1, draw(st.sampled_from([1, 7, 30])))
+    nonzero = st.builds(lambda v, u, w: Fraction(ell) ** v * u / w, st.integers(-12, 12),
+                        st.integers(-10 ** 25, 10 ** 25).filter(bool), st.integers(1, 10 ** 6))
+    rational = st.one_of(st.just(Fraction(0)), nonzero)
+    return ring, draw(rational), draw(rational)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_kelem_cases())
+def test_kelem_matches_fraction_arithmetic(case):
+    ring, fa, fb = case
+    a, b = KElem(ring, fa), KElem(ring, fb)
+    assert (a + b).value == fa + fb
+    assert (a - b).value == fa - fb
+    assert (-a).value == -fa
+    assert (a * b).value == fa * fb
+    assert (a.key() == b.key()) == (fa == fb)
+    if not fa:
+        assert a.is_exact_zero() and a.num is None and a.den == 0
+        with pytest.raises(Singular):
+            a.inverse()
+        return
+    assert a.inverse().value == 1 / fa
+    ell, q, v = ring.ell, ring.q, a.valuation()
+    unit = fa / Fraction(ell) ** v
+    assert unit.numerator % ell and unit.denominator % ell
+    # the (num, den) view: den = max(0, -v), num = value * l^den mod l^m
+    assert a.den == max(0, -v)
+    x = fa * ell ** a.den
+    assert 0 <= a.num.coeffs[0] < q
+    assert (x.numerator - a.num.coeffs[0] * x.denominator) % q == 0
 
 
 def test_module_basis_worked_example():
@@ -449,13 +549,12 @@ def test_module_basis_change_of_basis_is_integral():
             basis = module_basis(gens)
         except DoesNotSpan:
             continue
-        # every generator is an integral combination of the basis
-        from wittlift.matlin import _ksolve
-        cols = [tuple(x.pair(RK) for x in b) for b in basis]
+        # every generator is an integral combination of the basis vectors
+        (a, c), (b, d) = ([x.value for x in v] for v in basis)
+        det = a * d - b * c
         for g in gens:
-            sol = _ksolve(RK, cols, [x.pair(RK) for x in g], RK.m - 6)
-            assert sol is not None
-            assert all(KElem.from_pair(RK, x).valuation() >= 0 for x in sol)
+            s, t = (x.value for x in g)
+            assert _integral([[(s * d - b * t) / det, (a * t - s * c) / det]], 5)
 
 
 def test_integral_model_worked_example():
@@ -480,7 +579,7 @@ def test_kelem_rings_must_match():
 
 
 def test_integral_model_unbounded():
-    with pytest.raises(UnboundedGroup):
+    with pytest.raises(UnboundedGroup, match="^generator 0: trace 26/5 is not 5-integral$"):
         integral_model([[[K(5), K(0)], [K(0), K(1, 5)]]])
 
 
@@ -491,126 +590,113 @@ def test_integral_model_conjugated_finite_order():
     assert conjugate_is_integral(p, h, 5, RK.m)
 
 
-# The fraction-field arithmetic KElem had on WittElem objects before it ran
-# on (coeffs, den) pairs, kept as the oracle for the pair functions; the
-# valuation loop is copied too, so the oracle does not call the
-# coefficient valuation it checks.
-
-def _old_valuation(num):
-    ell, m = num.ring.ell, num.ring.m
-    best = m
-    for c in num.coeffs:
-        if c:
-            v = 0
-            while c % ell == 0:
-                c //= ell
-                v += 1
-            best = min(best, v)
-    return best
+F = Fraction
 
 
-class _OldKElem:
-    def __init__(self, ring, num, den):
-        self.ring, self.num, self.den = ring, num, den
-
-    def valuation(self):
-        if self.num is None:
-            return 10 ** 9
-        return _old_valuation(self.num) - self.den
-
-    def __add__(self, other):
-        if self.num is None:
-            return other
-        if other.num is None:
-            return self
-        den = max(self.den, other.den)
-        ell = self.ring.ell
-        a = cr.witt_scale(self.num, ell ** (den - self.den))
-        b = cr.witt_scale(other.num, ell ** (den - other.den))
-        return _OldKElem(self.ring, a + b, den)
-
-    def __neg__(self):
-        if self.num is None:
-            return self
-        return _OldKElem(self.ring, -self.num, self.den)
-
-    def __mul__(self, other):
-        if self.num is None or other.num is None:
-            return _OldKElem(self.ring, None, 0)
-        return _OldKElem(self.ring, self.num * other.num, self.den + other.den)
-
-    def inverse(self):
-        if self.num is None:
-            raise Singular("division by zero")
-        v = _old_valuation(self.num)
-        if v >= self.ring.m:
-            raise PrecisionExhausted("cannot invert an (effectively) zero element")
-        ell = self.ring.ell
-        unit = cr.WittElem(self.ring, tuple((c // ell ** v) % self.ring.q
-                                            for c in self.num.coeffs))
-        inv_unit = unit.inverse()
-        if self.den >= v:
-            return _OldKElem(self.ring, cr.witt_scale(inv_unit, ell ** (self.den - v)), 0)
-        return _OldKElem(self.ring, inv_unit, v - self.den)
-
-    def key(self):
-        if self.num is None:
-            return ("zero",)
-        v = min(_old_valuation(self.num), self.den)
-        ell = self.ring.ell
-        num = cr.WittElem(self.ring, tuple((c // ell ** v) % self.ring.q
-                                           for c in self.num.coeffs)) if v else self.num
-        return (num.coeffs, self.den - v)
+# Bounded one-generator groups that the truncated saturation misjudged:
+# UnboundedGroup at precision 12, Singular at precision 7.
+@pytest.mark.parametrize("m, g", [
+    (12, [[0, 5 ** 5], [F(1, 5 ** 5), 0]]),
+    (12, [[1, F(1, 5 ** 5)], [0, 1]]),
+    (7, [[0, 5], [F(1, 5), 0]]),
+    (7, [[1, F(1, 5)], [0, 1]]),
+    (7, [[0, F(-1, 5)], [5, 0]]),
+], ids=["m12_order_2", "m12_unipotent", "m7_order_2", "m7_unipotent", "m7_order_4"])
+def test_integral_model_precision_regressions(m, g):
+    p = integral_model([_at(cr.make_witt_ring(5, 1, m), g)])
+    # P is exact; its view at precision 30 holds the digits the integer check reads
+    assert conjugate_is_integral(_at(RK, _values(p)), _at(RK, g), 5, RK.m)
 
 
-@st.composite
-def _kelem_pairs(draw):
-    """A ring and two elements given as (coefficients or None, den): the
-    exact zero, a zero numerator (0 mod l^m), numerators l^v * u with v up
-    to m + 1, and raw integers, some negative or past l^m."""
-    ring = cr.make_witt_ring(draw(st.sampled_from([5, 7])), draw(st.sampled_from([1, 2])),
-                             draw(st.sampled_from([7, 30])))
-    q = ring.q
-
-    def coeff():
-        v = draw(st.integers(0, ring.m + 1))
-        u = draw(st.integers(1, q))
-        return draw(st.one_of(st.just(ring.ell ** v * u % q),
-                              st.integers(-q, 2 * q)))
-    elems = []
-    for _ in range(2):
-        kind = draw(st.sampled_from(["exact", "zero", "num", "num", "num"]))
-        coeffs = (None if kind == "exact" else (0,) * ring.d if kind == "zero"
-                  else tuple(coeff() for _ in range(ring.d)))
-        elems.append((coeffs, 0 if kind == "exact" else draw(st.integers(0, 3))))
-    return ring, elems
+def _fixes_vertex(a, ell):
+    """A 2 x 2 rational matrix with unit det fixes a vertex of the tree of
+    PGL_2(Q_l) iff its trace is l-integral."""
+    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    trace = a[0][0] + a[1][1]
+    return det != 0 and _v(det, ell) == 0 and (trace == 0 or _v(trace, ell) >= 0)
 
 
-def _both(ring, a):
-    num = None if a[0] is None else cr.WittElem(ring, a[0])
-    return KElem(ring, num, a[1]), _OldKElem(ring, num, a[1])
+def _tree_bounded(gens, ell):
+    """Serre, Trees, I.6.5, Cor. 2: the group fixes a vertex iff every s_i
+    and every s_i s_j does."""
+    return all(_fixes_vertex(g, ell) for g in gens) and all(
+        _fixes_vertex(_qmul(g, h), ell) for g, h in itertools.combinations(gens, 2))
 
 
-def _same(new, old):
-    assert (None if new.num is None else new.num.coeffs, new.den) == \
-        (None if old.num is None else old.num.coeffs, old.den)
+def _random_gens(rng, ell):
+    """1 to 3 nonsingular matrices with entries a / l^k, |a| <= l^2, k <= 2."""
+    gens = []
+    while len(gens) < rng.randrange(1, 4):
+        g = [[F(rng.randrange(-ell ** 2, ell ** 2 + 1), ell ** rng.randrange(3))
+              for _ in range(2)] for _ in range(2)]
+        if g[0][0] * g[1][1] != g[0][1] * g[1][0]:
+            gens.append(g)
+    return gens
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(_kelem_pairs())
-def test_kelem_pair_arithmetic_matches_wittelem_oracle(case):
-    ring, (a, b) = case
-    (a, a_old), (b, b_old) = _both(ring, a), _both(ring, b)
-    _same(a + b, a_old + b_old)
-    _same(a - b, a_old + (-b_old))
-    _same(-a, -a_old)
-    _same(a * b, a_old * b_old)
-    assert a.valuation() == a_old.valuation()
-    assert a.key() == a_old.key()
-    try:
-        want = a_old.inverse()
-    except (Singular, PrecisionExhausted) as exc:
-        with pytest.raises(type(exc)):
-            a.inverse()
-    else:
-        _same(a.inverse(), want)
+def _bounded_conjugates(rng, ell, k):
+    """1 to 3 conjugates F^-1 h F of integral h with unit det, where
+    F = U diag(1, l^k) with U in SL_2(Z): denominators up to l^k."""
+    u = [[1, 0], [0, 1]]
+    for _ in range(4):
+        t = rng.randrange(-3, 4)
+        u = _qmul(u, [[1, t], [0, 1]] if rng.randrange(2) else [[1, 0], [t, 1]])
+    frame = _qmul(u, [[1, 0], [0, ell ** k]])
+    gens = []
+    while len(gens) < rng.randrange(1, 4):
+        h = [[rng.randrange(-10, 11) for _ in range(2)] for _ in range(2)]
+        if (h[0][0] * h[1][1] - h[0][1] * h[1][0]) % ell:
+            gens.append(_qmul(_qmul(_qinv(frame), h), frame))
+    return gens
+
+
+def test_integral_model_agrees_with_tree_oracle():
+    # 100 bounded conjugates, 100 groups whose generators are bounded one by
+    # one (each conjugated by its own frame), 100 random groups
+    rng = random.Random(12)
+    verdicts = []
+    for trial in range(300):
+        ell = (5, 7)[trial % 2]
+        if trial < 100:
+            gens = _bounded_conjugates(rng, ell, trial % 11)
+        elif trial < 200:
+            gens = [_bounded_conjugates(rng, ell, rng.randrange(11))[0]
+                    for _ in range(rng.randrange(2, 4))]
+        else:
+            gens = _random_gens(rng, ell)
+        bounded = _tree_bounded(gens, ell)
+        assert bounded or trial >= 100
+        try:
+            p = integral_model([_at(cr.make_witt_ring(ell, 1, 30), g) for g in gens])
+        except UnboundedGroup as exc:
+            assert not bounded
+            # the named word fails the oracle too
+            word = [gens[int(i)] for i in re.findall(r"\d+", str(exc).split(":")[0])]
+            assert not _fixes_vertex(word[0] if len(word) == 1 else _qmul(*word), ell)
+        else:
+            assert bounded
+            assert _conjugates_integral(_values(p), gens, ell)
+        verdicts.append(bounded)
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+
+
+_D = (1, 5, 25)
+# diag(1, 5, 25)^-1 (a 3-cycle) diag(1, 5, 25)
+_CYCLE = [[F(int((i + 1) % 3 == j) * _D[j], _D[i]) for j in range(3)] for i in range(3)]
+
+
+def test_integral_model_3x3():
+    p = integral_model([_at(RK, _CYCLE)])
+    assert _conjugates_integral(_values(p), [_CYCLE], 5)
+    assert not _integral(_CYCLE, 5)
+    # each unipotent generator is bounded, their product is not
+    g0 = [[1, F(1, 5), 0], [0, 1, 0], [0, 0, 1]]
+    g1 = [[1, 0, 0], [F(1, 5), 1, 0], [0, 0, 1]]
+    with pytest.raises(UnboundedGroup, match=r"^generators 0 \* 1: trace 76/25 is not 5-integral$"):
+        integral_model([_at(RK, g0), _at(RK, g1)])
+
+
+def test_integral_model_3x3_round_cap(monkeypatch):
+    monkeypatch.setattr("wittlift.matlin.SATURATION_ROUNDS", 1)
+    with pytest.raises(Undecided, match="did not close in 1 rounds"):
+        integral_model([_at(RK, _CYCLE)])
