@@ -195,11 +195,8 @@ def _cmd_integral_model(args):
 
 
 def _cmd_tame_check(args):
-    x = _parse_matrix(args.x)
-    y = _parse_matrix(args.y)
-    if x.ring.m == 1:
-        x = x.residue()
-        y = y.residue()
+    x, y = (a.residue() if a.ring.m == 1 else a
+            for a in (_parse_matrix(args.x), _parse_matrix(args.y)))
     branch = check_tame_relation(x, y, int(args.q))
     payload = {"branch": branch.kind}
     if branch.pair is not None:

@@ -336,7 +336,7 @@ def make_field(ell, d):
     """
     check_ell(ell)
     if d < 1:
-        raise ParamMismatch("extension degree must be >= 1")
+        raise InvalidQuery(f"extension degree d = {d} must be >= 1")
     for k in range(ell ** d):
         coeffs = []
         kk = k
@@ -581,12 +581,12 @@ def witt_to_str(x):
 def witt_from_str(s):
     mo = _WITT_RE.match(s.strip())
     if not mo:
-        raise ParamMismatch(f"bad witt element literal: {s!r}")
+        raise InvalidQuery(f"bad witt element literal: {s!r}")
     ell, m, d = int(mo.group(1)), int(mo.group(2)), int(mo.group(3))
     body = mo.group(4).strip()
     coeffs = tuple(int(t) for t in body.split(",")) if body else ()
     if len(coeffs) != d:
-        raise ParamMismatch(f"expected {d} coefficients in {s!r}")
+        raise InvalidQuery(f"expected {d} coefficients in {s!r}")
     ring = make_witt_ring(ell, d, m)
     return WittElem(ring, tuple(c % ring.q for c in coeffs))
 

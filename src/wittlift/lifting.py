@@ -33,11 +33,13 @@ from .cohomology import (
     dual_module,
 )
 from .errors import (
+    EigenvaluesNotInField,
     Inconsistent,
     NotACocycle,
     OracleNotFound,
     ParamMismatch,
     PoolExhausted,
+    RepeatedResidualEigenvalues,
     SchemaError,
     ShaNotTrivial,
     SupportConditionUnavailable,
@@ -53,7 +55,7 @@ from .galois_model import (
     validate_deformation,
     check_running_hypotheses,
 )
-from .matlin import Mat, char_poly_eigs, elem_matmul
+from .matlin import Mat, char_poly, elem_matmul, lifted_eigenvalues, ratio_pair, splitting_roots
 
 
 # ---------------------------------------------------------------------------
@@ -173,25 +175,9 @@ def is_nice(place, rhobar):
     if not is_unramified_at(rhobar, place)[0]:
         return False
     g = evaluate_word(rhobar, place.sigma).residue()
-    _, eigs = char_poly_eigs_field(g)
-    for e1 in eigs:
-        for e2 in eigs:
-            if e1 is e2:
-                continue
-            fld = e1.params
-            if e1 == e2 * cr.ff_from_int(fld, place.q):
-                return True
-    # a repeated eigenvalue with ratio q would need q = 1 mod l: excluded
-    return False
-
-
-def char_poly_eigs_field(g):
-    """Eigenvalues of a matrix over a finite field, in the splitting field."""
-    from .matlin import char_poly, splitting_roots
-    cp = char_poly(g)
-    fld, roots = splitting_roots(cp)
-    flat = [r for r, mult in roots for _ in range(mult)]
-    return cp, flat
+    field, roots = splitting_roots(char_poly(g))
+    return ratio_pair([r for r, mult in roots for _ in range(mult)],
+                      cr.ff_from_int(field, place.q)) is not None
 
 
 def is_rho_m_nice(place, rho_m):
@@ -202,13 +188,11 @@ def is_rho_m_nice(place, rho_m):
         return False
     if not is_unramified_at(rho_m, place)[0]:
         return False
-    g = evaluate_word(rho_m, place.sigma)
-    _, eigs = char_poly_eigs(g)
-    lifted = [e.value for e in eigs if e.ext_degree == 1 and e.value is not None]
-    if len(lifted) != 2:
+    try:
+        lams = lifted_eigenvalues(evaluate_word(rho_m, place.sigma))
+    except (EigenvaluesNotInField, RepeatedResidualEigenvalues):
         return False
-    q = cr.witt_from_int(rho_m.ring, place.q)
-    return lifted[0] == lifted[1] * q or lifted[1] == lifted[0] * q
+    return len(lams) == 2 and ratio_pair(lams, cr.witt_from_int(rho_m.ring, place.q)) is not None
 
 
 @dataclass(frozen=True)

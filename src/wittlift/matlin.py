@@ -114,8 +114,17 @@ def _unit_inverse(ring, v):
     return cr._unit_inverse((v,), modulus, ring.ell, q)[0]
 
 
-def _neg(v, q):
-    return -v % q if isinstance(v, int) else tuple([-c % q for c in v])
+def _imul(v, s, q):
+    """The entry v times the integer s."""
+    return v * s % q if isinstance(v, int) else tuple([c * s % q for c in v])
+
+
+def _sum(ring, xs):
+    """The sum of the entries xs."""
+    q = _arith(ring)[1]
+    if ring.d == 1:
+        return sum(xs) % q
+    return tuple([sum(cs) % q for cs in zip(*xs)])
 
 
 def _matmul_entries(ring, a, b, inner, cols):
@@ -143,11 +152,11 @@ def _det(ring, a, n):
         return a[0]
     q = _arith(ring)[1]
     if n == 2:
-        cof = (a[3], _neg(a[2], q))
+        cof = (a[3], _imul(a[2], -1, q))
     else:
         cof = [_det(ring, [a[r * n + c] for r in range(1, n) for c in range(n) if c != j],
                     n - 1) for j in range(n)]
-        cof = [m if j % 2 == 0 else _neg(m, q) for j, m in enumerate(cof)]
+        cof = [m if j % 2 == 0 else _imul(m, -1, q) for j, m in enumerate(cof)]
     return _matmul_entries(ring, a[:n], cof, n, 1)[0]
 
 
@@ -244,11 +253,7 @@ class Mat:
             self.ring, (_entry_value(self.ring, s),), self.entries, 1, self.n ** 2))
 
     def trace(self):
-        q = _arith(self.ring)[1]
-        diag = self.entries[::self.n + 1]
-        if self.ring.d == 1:
-            return _entry_elem(self.ring, sum(diag) % q)
-        return _entry_elem(self.ring, tuple([sum(cs) % q for cs in zip(*diag)]))
+        return _entry_elem(self.ring, _sum(self.ring, self.entries[::self.n + 1]))
 
     def det(self):
         return _entry_elem(self.ring, _det(self.ring, self.entries, self.n))
@@ -275,7 +280,7 @@ class Mat:
             rows[c], rows[pr] = rows[pr], rows[c]
             for i in range(n):
                 if i != c and rows[i][c] != zero:
-                    rows[i] = list(_matmul_entries(ring, (rows[c][c], _neg(rows[i][c], q)),
+                    rows[i] = list(_matmul_entries(ring, (rows[c][c], _imul(rows[i][c], -1, q)),
                                                    rows[i] + rows[c], 2, 2 * n))
         diag = [rows[i][i] for i in range(n)]
         others = [_product(ring, diag[:i] + diag[i + 1:]) for i in range(n)]
@@ -318,122 +323,67 @@ class Mat:
         return f"Mat({[[list(a.coeffs) for a in r] for r in self.rows]})"
 
 
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 # ---------------------------------------------------------------------------
 # characteristic polynomial and eigenvalues
 
 
 def char_poly(g):
-    """det(xI - g) as an ascending coefficient list over g's ring."""
+    """det(xI - g) as an ascending list of elements of g's ring, by the
+    Faddeev-LeVerrier recurrence of _rational_char_poly: one Mat product and
+    one division by k per step, and k is a unit because k <= n < l."""
     ring, n = g.ring, g.n
-    one, zero = (_entry_elem(ring, v) for v in _one_zero(ring))
-
-    def padd(a, b):
-        ln = max(len(a), len(b))
-        return [(a[i] if i < len(a) else zero) + (b[i] if i < len(b) else zero)
-                for i in range(ln)]
-
-    def pmul(a, b):
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-        return out
-
-    acc = [zero]
-    rows = g.rows
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        term = [one]
-        for i in range(n):
-            e = rows[i][perm[i]]
-            entry = [-e, one] if perm[i] == i else [-e]
-            term = pmul(term, entry)
-        if sign < 0:
-            term = [-c for c in term]
-        acc = padd(acc, term)
-    while len(acc) < n + 1:
-        acc.append(zero)
-    return acc
-
-
-@dataclass(frozen=True)
-class Eig:
-    """One eigenvalue record: residual root, extension degree over the base
-    coefficient field, multiplicity, and (when available) the exact value —
-    an FFElem for field input or a Hensel-lifted WittElem for Witt input."""
-
-    residual: object
-    ext_degree: int
-    multiplicity: int
-    value: object = None
-
-
-def char_poly_eigs(g):
-    """(characteristic polynomial, eigenvalue records in canonical order)."""
-    cp = char_poly(g)
-    field_input = _is_field(g.ring)
-    if field_input:
-        res_poly = list(cp)
-        base_field = g.ring
-    else:
-        base_field = g.ring.residue_field
-        res_poly = [c.residue() for c in cp]
-    eigs = []
-    for f, mult in cr.ff_factorize(res_poly):
-        k = cr.poly_deg(f)
-        if k == 1:
-            rbar = -f[0]
-            value = rbar if field_input else None
-            if not field_input and mult == 1:
-                try:
-                    value = cr.hensel_root(list(cp), rbar)
-                except Exception:
-                    value = None
-            eigs.append(Eig(rbar, 1, mult, value))
-        else:
-            # the factor's roots live in the degree-k extension of the base
-            ext = base_field.d * k
-            f_big = [cr.ff_embed(c, ext) for c in f]
-            for root, _ in cr.ff_roots(f_big):
-                eigs.append(Eig(root, k, mult, root if field_input else None))
-    eigs.sort(key=lambda e: (e.ext_degree, e.residual.sort_key()))
-    return cp, eigs
+    if n >= ring.ell:
+        raise InvalidQuery(f"char_poly divides by 1, ..., n, so it needs n < l, "
+                           f"got n = {n} over {ring}")
+    q = _arith(ring)[1]
+    c, am = [_one_zero(ring)[0]], g
+    for k in range(1, n + 1):
+        c.append(_imul(_sum(ring, am.entries[::n + 1]), -pow(k, -1, q), q))
+        if k < n:
+            ents = list(am.entries)
+            ents[::n + 1] = [_sum(ring, (x, c[k])) for x in ents[::n + 1]]
+            am = g * Mat(ring, n, tuple(ents))
+    return [_entry_elem(ring, v) for v in reversed(c)]
 
 
 def splitting_roots(poly_ff):
-    """All roots of a polynomial over F_{l^d} in its splitting field.
+    """(the splitting field, the roots with multiplicity as (root, mult) in
+    canonical order) of a polynomial over F_{l^d}.
 
-    Returns (field params of the splitting field, list of (root, mult))."""
-    factors = cr.ff_factorize(poly_ff)
+    One ff_factorize in the base field; when every factor is linear the roots
+    are read off, otherwise the whole polynomial is embedded into F_{l^(de)},
+    e the lcm of the factor degrees, for one ff_roots there."""
     base = poly_ff[0].params
-    e = 1
-    for f, _ in factors:
-        k = cr.poly_deg(f)
-        e = math.lcm(e, k)
-    ext = base.d * e
-    roots = []
-    for f, mult in factors:
-        f_big = [cr.ff_embed(c, ext) for c in f] if e > 1 else list(f)
-        for root, rmult in cr.ff_roots(f_big):
-            roots.append((root, rmult * mult))
-    roots.sort(key=lambda rm: rm[0].sort_key())
-    return cr.make_field(base.ell, ext), roots
+    factors = cr.ff_factorize(poly_ff)
+    e = math.lcm(*[cr.poly_deg(f) for f, _ in factors])
+    if e == 1:
+        roots = sorted([(-f[0], mult) for f, mult in factors],
+                       key=lambda rm: rm[0].sort_key())
+    else:
+        roots = cr.ff_roots([cr.ff_embed(c, base.d * e) for c in poly_ff])
+    return cr.make_field(base.ell, base.d * e), roots
+
+
+def ratio_pair(lams, q):
+    """The first (lams[i], lams[j]) with i != j and lams[i] = lams[j] * q, or
+    None.  Eigenvalues come with multiplicity, so a repeated one pairs with
+    itself when q = 1."""
+    return next(((a, b) for i, a in enumerate(lams) for j, b in enumerate(lams)
+                 if i != j and a == b * q), None)
+
+
+def lifted_eigenvalues(g):
+    """The eigenvalues of g over W(F_{l^d})/l^m: the Hensel lifts of its
+    residual eigenvalues, in their canonical order.  Each must be simple and
+    in F_{l^d}, else EigenvaluesNotInField or RepeatedResidualEigenvalues; a
+    simple residual root always lifts."""
+    cp = char_poly(g)
+    field, roots = splitting_roots([c.residue() for c in cp])
+    if field.d != g.ring.d:
+        raise EigenvaluesNotInField("residual eigenvalues not in the residue field")
+    if any(mult > 1 for _, mult in roots):
+        raise RepeatedResidualEigenvalues("residual eigenvalues coincide")
+    return [cr.hensel_root(cp, r) for r, _ in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -448,18 +398,7 @@ def hensel_diagonalize(g):
     """
     if g.n != 2:
         raise ParamMismatch("hensel_diagonalize is 2x2 only")
-    cp = char_poly(g)
-    res_poly = [c.residue() for c in cp]
-    factors = cr.ff_factorize(res_poly)
-    roots = []
-    for f, mult in factors:
-        if cr.poly_deg(f) > 1:
-            raise EigenvaluesNotInField("residual eigenvalues not in the residue field")
-        if mult > 1:
-            raise RepeatedResidualEigenvalues("residual eigenvalues coincide")
-        roots.append(-f[0])
-    roots.sort(key=lambda r: r.sort_key())
-    lams = [cr.hensel_root(list(cp), r) for r in roots]
+    lams = lifted_eigenvalues(g)
     ring = g.ring
     cols = []
     for lam in lams:
@@ -502,25 +441,19 @@ def matrix_order(y, cap=10 ** 7):
 def jordan_decompose(y):
     """Multiplicative Jordan decomposition y = y_s * y_u over F_{l^d}.
 
-    Computed from the order e = l^a * e' of y: y_s = y^(l^a * u) with
-    l^a * u = 1 mod e'.
+    y_s = y^t with t = 0 mod l^a, l^a >= n, and t = 1 mod L = lcm over
+    k <= n of q^k - 1, q = l^d: (y_u - 1)^n = 0 gives y_u^(l^a) = 1, and each
+    eigenvalue of y_s lies in some F_{q^k}, so y_s^L = 1.
     """
+    if not (_is_field(y.ring) or y.ring.m == 1):
+        raise ParamMismatch("jordan_decompose needs a matrix over a field")
     if not _elem_is_unit(y.det()):
         raise Singular("matrix is singular")
-    ell = y.ring.ell
-    e = matrix_order(y)
-    a = 0
-    e_prime = e
-    while e_prime % ell == 0:
-        e_prime //= ell
-        a += 1
-    if e_prime == 1:
-        y_s = Mat.identity(y.ring, y.n)
-    else:
-        u = pow(ell ** a, -1, e_prime)
-        y_s = y ** (ell ** a * u)
-    y_u = y_s.inverse() * y
-    return y_s, y_u
+    ell, n = y.ring.ell, y.n
+    la = ell ** next(a for a in itertools.count() if ell ** a >= n)
+    big_l = math.lcm(*[ell ** (y.ring.d * k) - 1 for k in range(1, n + 1)])
+    y_s = y ** (la * pow(la, -1, big_l))
+    return y_s, y_s.inverse() * y
 
 
 @dataclass(frozen=True)
@@ -538,29 +471,25 @@ def check_tame_relation(x, y, q):
     """
     if x.n != y.n or x.n > 3:
         raise InvalidQuery(f"tame-check supports n x n matrices with n <= 3, got n = "
-                           f"{x.n} for x and n = {y.n} for y (char_poly and det "
-                           f"cost n! products)")
+                           f"{x.n} for x and n = {y.n} for y (det costs n! products)")
+    if x.ring != y.ring:
+        raise InvalidQuery(f"x is over {x.ring} but y is over {y.ring}")
     if q <= 1:
-        raise ParamMismatch("q must be > 1")
-    if not _elem_is_unit(x.det()) or not _elem_is_unit(y.det()):
-        raise Singular("inputs must be invertible")
+        raise InvalidQuery(f"q must be > 1, got {q}")
+    for name, a in (("x", x), ("y", y)):
+        if not _elem_is_unit(a.det()):
+            raise InvalidQuery(f"{name} is not invertible: det {name} = {a.det()}")
     if x * y * x.inverse() != y ** q:
         return TameBranch("not_conjugate_relation")
-    field_input = _is_field(x.ring)
-    y_res = y if field_input else y.residue()
-    _, y_u = jordan_decompose(y_res)
-    if y_u.is_identity():
+    if not _is_field(x.ring):
+        x, y = x.residue(), y.residue()
+    if jordan_decompose(y)[1].is_identity():
         return TameBranch("semisimple_finite_order")
-    cp = char_poly(x)
-    res_poly = list(cp) if field_input else [c.residue() for c in cp]
-    split_field, roots = splitting_roots(res_poly)
-    qf = cr.ff_from_int(split_field, q)
-    flat = [r for r, mult in roots for _ in range(mult)]
-    for i, lam1 in enumerate(flat):
-        for j, lam2 in enumerate(flat):
-            if i != j and lam1 == lam2 * qf:
-                return TameBranch("eigenvalue_ratio", (lam1, lam2))
-    raise RuntimeError("tame dichotomy violated (unexpected)")
+    field, roots = splitting_roots(char_poly(x))
+    pair = ratio_pair([r for r, mult in roots for _ in range(mult)], cr.ff_from_int(field, q))
+    if pair is None:
+        raise RuntimeError("tame dichotomy violated (unexpected)")
+    return TameBranch("eigenvalue_ratio", pair)
 
 
 # ---------------------------------------------------------------------------

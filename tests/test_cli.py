@@ -296,8 +296,39 @@ def test_integral_model_bounded_at_low_precision(tmp_path, capsys, precision,
     assert report["conjugator"] == conjugator
 
 
+def test_tame_check_semisimple_over_a_large_field(capsys):
+    # y = diag(xbar, 1) over F_{5^11}: xbar has order at least 12 207 031, so
+    # the Jordan decomposition must not step through y's order
+    ring = cr.make_witt_ring(5, 11, 1)
+    zero, one, gen = (cr.witt_to_str(x) for x in
+                      (cr.witt_zero(ring), cr.witt_one(ring), cr.witt_gen(ring)))
+    start = time.monotonic()
+    assert main(["tame-check", f"{one};{zero};{zero};{one}", f"{gen};{zero};{zero};{one}",
+                 str(5 ** 11)]) == 0
+    assert time.monotonic() - start < 2.0
+    assert json.loads(capsys.readouterr().out)["branch"] == "semisimple_finite_order"
+
+
+@pytest.mark.parametrize("x, y, reason", [
+    ("garbage", "5^1:1:[1]", "bad witt element literal: 'garbage'"),
+    ("5^1:1:[1];5^1:1:[0];5^1:1:[0];5^1:1:[1]",
+     "5^1:2:[1,0];5^1:2:[0,0];5^1:2:[0,0];5^1:2:[1,0]",
+     "x is over GF(5^1) but y is over GF(5^2)"),
+    ("5^1:0:[]", "5^1:0:[]", "extension degree d = 0 must be >= 1"),
+    ("5^1:1:[1];5^1:1:[2];5^1:1:[2];5^1:1:[4]", "5^1:1:[1];5^1:1:[0];5^1:1:[0];5^1:1:[1]",
+     "x is not invertible: det x = ff([0])"),
+], ids=["malformed_literal", "mismatched_rings", "degree_0", "singular_x"])
+def test_tame_check_input_error_exits_4(capsys, x, y, reason):
+    assert main(["tame-check", x, y, "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)  # one JSON object, no traceback
+    assert err["kind"] == "input"
+    assert reason in err["error"]
+
+
 def test_tame_check_refuses_n_4(capsys):
-    # char_poly and det cost n! products, so n > 3 is refused up front
+    # det costs n! products, so n > 3 is refused up front
     ring = cr.make_witt_ring(5, 1, 1)
 
     def mat(rows):

@@ -2,9 +2,11 @@
 and certificates."""
 
 import hashlib
+import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 import wittlift.coeffring as cr
@@ -26,6 +28,7 @@ from wittlift.errors import (
     Unreachable,
 )
 from wittlift.galois_model import evaluate_word
+from wittlift.matlin import Mat, check_tame_relation, hensel_diagonalize
 from wittlift.lifting import (
     OracleConstraints,
     TowerPlan,
@@ -200,6 +203,56 @@ def test_is_rho_m_nice_exact_ratio():
     group = rho.group
     assert is_rho_m_nice(group.place("q03"), rho)   # eigenvalues 2, 1; q=2
     assert not is_rho_m_nice(group.place("q07"), rho)
+
+
+def test_eigenvalue_decisions_factor_once(monkeypatch):
+    calls = []
+    factorize = cr.ff_factorize
+    monkeypatch.setattr(cr, "ff_factorize", lambda poly: calls.append(1) or factorize(poly))
+
+    def count(fn):
+        calls.clear()
+        fn()
+        return len(calls)
+    rhobar, rho = residual_tame(), deformation_tame(3)
+    q03 = rho.group.place("q03")
+    g = Mat.from_ints(cr.make_witt_ring(5, 1, 4), [[2, 1], [0, 3]])
+    assert count(lambda: hensel_diagonalize(g)) == 1
+    assert count(lambda: is_nice(q03, rhobar)) == 1
+    assert count(lambda: is_rho_m_nice(q03, rho)) == 2
+
+
+# sha256 over is_nice / is_rho_m_nice at every place of the tame deformations
+# at levels 1..4 and over check_tame_relation's branch and pair for every
+# (x, y) in GL_2(F_5)^2 with x y x^-1 = y^q, q = 2 and 6
+EIGENVALUE_PARITY_SHA256 = "d22cf65b94c0eac6c22190c7dcde70078125fba6f287e611b30436fe4e8864a4"
+
+
+def test_eigenvalue_decisions_are_pinned():
+    lines = []
+    for rho in [residual_tame()] + [deformation_tame(m) for m in (2, 3, 4)]:
+        rhobar = rho.reduce(1)
+        for place in rho.group.places:
+            lines.append(f"{rho.ring.m} {place.label} {is_nice(place, rhobar)} "
+                         f"{is_rho_m_nice(place, rho)}")
+    f5 = cr.make_field(5, 1)
+    ents = [e for e in itertools.product(range(5), repeat=4) if (e[0] * e[3] - e[1] * e[2]) % 5]
+    a = np.array(ents).reshape(-1, 2, 2)
+    det = (a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]) % 5
+    adj = np.stack([a[:, 1, 1], -a[:, 0, 1], -a[:, 1, 0], a[:, 0, 0]], -1).reshape(-1, 2, 2)
+    inv = adj * np.array([pow(int(x), -1, 5) for x in det])[:, None, None] % 5
+    conj = a[:, None] @ a[None] @ inv[:, None] % 5
+    for q in (2, 6):
+        yq = a.copy()
+        for _ in range(q - 1):
+            yq = yq @ a % 5
+        for i, j in np.argwhere((conj == yq[None]).all(axis=(2, 3))):
+            br = check_tame_relation(Mat.from_ints(f5, a[i].tolist()),
+                                     Mat.from_ints(f5, a[j].tolist()), q)
+            pair = None if br.pair is None else [(p.params.d, p.coeffs) for p in br.pair]
+            lines.append(f"{q} {ents[i]} {ents[j]} {br.kind} {pair}")
+    assert len(lines) == 2432
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == EIGENVALUE_PARITY_SHA256
 
 
 def test_oracle_find_places_label_order():

@@ -27,7 +27,6 @@ from wittlift.matlin import (
     KElem,
     Mat,
     char_poly,
-    char_poly_eigs,
     check_tame_relation,
     closure_word,
     elem_matmul,
@@ -39,6 +38,7 @@ from wittlift.matlin import (
     kelem_from_rational,
     matrix_order,
     module_basis,
+    ratio_pair,
     root_of_unity_bound,
     splitting_roots,
 )
@@ -257,12 +257,70 @@ def test_char_poly_of_triangular():
     assert cp[2] == cr.witt_one(R54)
 
 
-def test_char_poly_eigs_extension_tagging():
-    # companion of x^2 + 2, irreducible over F_5
-    g = Mat.from_ints(F5, [[0, -2], [1, 0]])
-    _, eigs = char_poly_eigs(g)
-    assert len(eigs) == 2
-    assert all(e.ext_degree == 2 for e in eigs)
+def _random_mat(ring, rng, n):
+    mod = ring.ell if isinstance(ring, cr.FieldParams) else ring.q
+    return Mat.from_rows(ring, [[_elem(ring, tuple(rng.randrange(mod) for _ in range(ring.d)))
+                                 for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("ring", [F5, cr.make_field(5, 2), cr.make_witt_ring(5, 2, 4),
+                                  cr.make_witt_ring(7, 3, 3)],
+                         ids=["F5", "F25", "W(F25)/5^4", "W(F343)/7^3"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_char_poly_matches_laplace_det(ring, n):
+    # sum_k c_k t^k = det(t I - g) at t = 0..n, det by Laplace expansion
+    rng = random.Random(n)
+    for _ in range(4):
+        g = _random_mat(ring, rng, n)
+        cp = char_poly(g)
+        assert len(cp) == n + 1 and cp[n] == Mat.identity(ring, 1).rows[0][0]
+        for t in range(n + 1):
+            tt = Mat.from_ints(ring, [[t]]).rows[0][0]
+            value = cp[n]
+            for c in reversed(cp[:n]):
+                value = value * tt + c
+            assert value == (Mat.identity(ring, n).scale(tt) - g).det()
+
+
+def test_char_poly_needs_n_below_ell():
+    assert len(char_poly(Mat.identity(F5, 4))) == 5
+    with pytest.raises(InvalidQuery, match="needs n < l, got n = 5"):
+        char_poly(Mat.identity(F5, 5))
+
+
+def _random_gl(field, rng, n, count):
+    out = []
+    while len(out) < count:
+        g = _random_mat(field, rng, n)
+        if not g.det().is_zero():
+            out.append(g)
+    return out
+
+
+def test_splitting_roots_vieta():
+    # the roots multiply to det and add up to the trace, in the splitting field
+    gl2 = [Mat.from_ints(F5, [[a, b], [c, d]])
+           for a, b, c, d in itertools.product(range(5), repeat=4) if (a * d - b * c) % 5]
+    degrees = set()
+    for g in gl2 + _random_gl(F5, random.Random(3), 3, 60):
+        field, roots = splitting_roots(char_poly(g))
+        degrees.add(field.d)
+        lams = [r for r, mult in roots for _ in range(mult)]
+        assert len(lams) == g.n
+        assert [r for r, _ in roots] == sorted((r for r, _ in roots), key=cr.FFElem.sort_key)
+        prod, total = cr.ff_one(field), cr.ff_zero(field)
+        for lam in lams:
+            prod, total = prod * lam, total + lam
+        assert prod == cr.ff_embed(g.det(), field.d)
+        assert total == cr.ff_embed(g.trace(), field.d)
+    assert degrees == {1, 2, 3}
+
+
+def test_ratio_pair_is_index_based():
+    two, four = cr.ff_from_int(F5, 2), cr.ff_from_int(F5, 4)
+    assert ratio_pair([two, four], two) == (four, two)
+    assert ratio_pair([two, two], cr.ff_one(F5)) == (two, two)
+    assert ratio_pair([two], cr.ff_one(F5)) is None
 
 
 def test_hensel_diagonalize_reconstructs():
@@ -292,6 +350,32 @@ def test_jordan_of_semisimple_is_itself():
     y = Mat.from_ints(F5, [[2, 0], [0, 3]])
     y_s, y_u = jordan_decompose(y)
     assert y_s == y and y_u.is_identity()
+
+
+def _jordan_by_order(y):
+    # y_s = y^(l^a u), l^a u = 1 mod e', from the order e = l^a e' of y
+    e, la = matrix_order(y), 1
+    while e % (la * y.ring.ell) == 0:
+        la *= y.ring.ell
+    return y ** (la * pow(la, -1, e // la)) if e > la else Mat.identity(y.ring, y.n)
+
+
+def test_jordan_decompose_matches_the_order_formula():
+    rng, f25 = random.Random(11), cr.make_field(5, 2)
+    mats = [Mat.from_ints(f25, [[1, 1], [0, 1]]),
+            Mat.from_ints(F5, [[3, 1, 0], [0, 3, 1], [0, 0, 3]])]
+    for y in mats + _random_gl(f25, rng, 2, 40) + _random_gl(F5, rng, 3, 40):
+        y_s, y_u = jordan_decompose(y)
+        assert y_s == _jordan_by_order(y)
+        assert y_s * y_u == y and y_u * y_s == y
+
+
+def test_jordan_decompose_needs_a_field():
+    w51 = cr.make_witt_ring(5, 1, 1)
+    assert jordan_decompose(Mat.from_ints(w51, [[2, 1], [0, 2]]))[0] == \
+        Mat.from_ints(w51, [[2, 0], [0, 2]])
+    with pytest.raises(ParamMismatch, match="over a field"):
+        jordan_decompose(Mat.from_ints(R54, [[2, 1], [0, 2]]))
 
 
 def test_tame_relation_branches():
