@@ -4,8 +4,9 @@ The Witt ring W(F_{l^d})/l^m is realized as (Z/l^m)[x]/(f~) where f~ is the
 coefficient-wise trivial lift of the monic irreducible modulus f of F_{l^d}.
 Elements of both rings are stored as length-d coefficient tuples (ascending
 powers of the class of x).  All values are immutable; the module-level caches
-(Frobenius generator images, residual roots, embedding powers) are write-once
-and idempotent.
+are write-once and idempotent: on a binomial modulus X^D + a (l not dividing
+D) the per-ring Frobenius^k tables and the embedding shifts, on other moduli
+the Frobenius generator images, residual roots and embedding powers.
 
 Canonical text form of a Witt element: ``l^m:d:[c0,...,c_{d-1}]``.
 """
@@ -318,6 +319,25 @@ def _int_poly_is_irreducible(coeffs, ell):
     return True
 
 
+def _binomial_is_irreducible(ell, d, c):
+    """Irreducibility of x^d + c over F_ell, 0 < c < ell, d >= 2.
+
+    Lidl-Niederreiter, Finite Fields, Thm 3.75: with a = -c of order e in
+    F_ell^*, x^d - a is irreducible iff every prime factor of d divides e but
+    not (ell - 1)/e, and ell = 1 mod 4 when 4 divides d.
+    """
+    a = -c % ell
+    e = next(k for k in range(1, ell) if pow(a, k, ell) == 1)
+    n = d
+    for p in range(2, ell):
+        if n % p == 0:
+            if e % p or (ell - 1) // e % p == 0:
+                return False
+            while n % p == 0:
+                n //= p
+    return n == 1 and (d % 4 != 0 or ell % 4 == 1)
+
+
 def check_ell(ell):
     """Raise unless ell is a prime >= 5, the residue characteristics supported."""
     if not _is_prime(ell):
@@ -332,7 +352,8 @@ def make_field(ell, d):
 
     The search enumerates the non-leading coefficient tuple as base-l digits of
     0, 1, 2, ... (least significant digit = constant term), so the choice is
-    deterministic.
+    deterministic.  Its first candidates, the binomials x^d + k (k < l), are
+    decided by the binomial criterion, the rest by _int_poly_is_irreducible.
     """
     check_ell(ell)
     if d < 1:
@@ -344,7 +365,9 @@ def make_field(ell, d):
             coeffs.append(kk % ell)
             kk //= ell
         coeffs.append(1)
-        if d == 1 or (coeffs[0] != 0 and _int_poly_is_irreducible(tuple(coeffs), ell)):
+        if d == 1 or (coeffs[0] != 0 and (
+                _binomial_is_irreducible(ell, d, k) if k < ell
+                else _int_poly_is_irreducible(tuple(coeffs), ell))):
             return FieldParams(ell, d, tuple(coeffs))
     raise RuntimeError("no irreducible modulus found")  # unreachable
 
@@ -609,6 +632,40 @@ def teichmuller(a, m):
     return y
 
 
+@functools.lru_cache(maxsize=None)
+def _monomial_table(ell, d, m, k):
+    """Frobenius^k on W(F_{l^d})/l^m as a scaled permutation, or None.
+
+    When the modulus is X^d + a with l not dividing d, the canonical Frobenius
+    sends X to c*X^l, where c = 1 mod l and c^d = (-a)^(1-l) (Hensel's lemma).
+    So Frobenius^k sends X^i to mult[i]*X^perm[i], with perm[i] = i*l^k mod d
+    and mult[i] = c_k^i * (-a)^floor(i*l^k/d), c_k = c * c_{k-1}^l.  Returns
+    (perm, mult), or None for d = 1 and for other moduli.
+    """
+    f = make_field(ell, d).modulus
+    if d == 1 or any(f[1:-1]) or d % ell == 0:
+        return None
+    q = ell ** m
+    na, phi = -f[0] % q, q // ell * (ell - 1)
+    c = pow(pow(na, 1 - ell, q), pow(d, -1, q // ell), q)
+    ck = 1
+    for _ in range(k):
+        ck = pow(ck, ell, q) * c % q
+    # floor(i*l^k/d) mod phi(q) is floor(i*L/d) for L = l^k mod d*phi(q)
+    L = pow(ell, k, d * phi)
+    return ([i * L % d for i in range(d)],
+            [pow(ck, i, q) * pow(na, i * L // d, q) % q for i in range(d)])
+
+
+def _scatter(coeffs, perm, mult, ring):
+    """The element sum c_i * mult[i] * X^perm[i] of ring."""
+    out = [0] * ring.d
+    q = ring.q
+    for c, p, s in zip(coeffs, perm, mult):
+        out[p] = c * s % q
+    return WittElem(ring, tuple(out))
+
+
 _FROB_CACHE = {}
 
 
@@ -633,8 +690,9 @@ def _frobenius_gen_powers(ring):
     return powers
 
 
-def witt_frobenius(x):
-    """The canonical Frobenius lift; reduces to a -> a^l, has order dividing d."""
+def hensel_frobenius(x):
+    """The canonical Frobenius lift through the Hensel-lifted generator image,
+    on any modulus; witt_frobenius takes it where no monomial table exists."""
     powers = _frobenius_gen_powers(x.ring)
     if powers is None:
         return x
@@ -644,11 +702,24 @@ def witt_frobenius(x):
     return acc
 
 
+def witt_frobenius(x):
+    """The canonical Frobenius lift; reduces to a -> a^l, has order dividing d."""
+    return witt_frobenius_power(x, 1)
+
+
 def witt_frobenius_power(x, k):
-    k %= x.ring.d
-    for _ in range(k):
-        x = witt_frobenius(x)
-    return x
+    """Frobenius^k: one scaled permutation on a binomial modulus, else k
+    Hensel Frobenius steps."""
+    r = x.ring
+    k %= r.d
+    if not k:
+        return x
+    table = _monomial_table(r.ell, r.d, r.m, k)
+    if table is None:
+        for _ in range(k):
+            x = hensel_frobenius(x)
+        return x
+    return _scatter(x.coeffs, *table, r)
 
 
 # ---------------------------------------------------------------------------
@@ -924,26 +995,56 @@ def _embedding_powers(small, big):
     cached = _EMBED_CACHE.get(key)
     if cached is not None:
         return cached
-    if big.d % small.d != 0 or small.m != big.m:
-        raise NonDivisibleDegrees(f"no embedding {small} -> {big}")
-    if small.d == big.d:
-        powers = None
-    elif small.d == 1:
-        powers = [witt_one(big)]  # the generator's image is never used
+    intermediates = [e for e in range(small.d + 1, big.d)
+                     if e % small.d == 0 and big.d % e == 0]
+    if intermediates:
+        mid = make_witt_ring(small.ell, max(intermediates), small.m)
+        g = _hensel_embed(_embed_gen(small, mid), big)
     else:
-        intermediates = [e for e in range(small.d + 1, big.d)
-                         if e % small.d == 0 and big.d % e == 0]
-        if intermediates:
-            mid = make_witt_ring(small.ell, max(intermediates), small.m)
-            g_mid = _embed_gen(small, mid)
-            g = embed(g_mid, big.d)
-        else:
-            g = _embed_gen(small, big)
-        powers = [witt_one(big)]
-        for _ in range(small.d - 1):
-            powers.append(powers[-1] * g)
+        g = _embed_gen(small, big)
+    powers = [witt_one(big)]
+    for _ in range(small.d - 1):
+        powers.append(powers[-1] * g)
     _EMBED_CACHE[key] = powers
     return powers
+
+
+def _hensel_embed(x, big):
+    """embed through the Hensel-lifted generator image, on any moduli."""
+    acc = witt_zero(big)
+    for c, p in zip(x.coeffs, _embedding_powers(x.ring, big)):
+        acc = acc + witt_scale(p, c)
+    return acc
+
+
+@functools.lru_cache(maxsize=None)
+def _embed_shift(ell, d, d_big, direct=False):
+    """j with embed's image of the degree-d generator sigma^j(X^(d_big/d)).
+
+    Defined, as an int, when the degree-d_big modulus is X^d_big + a with a
+    monomial table and the degree-d modulus is y^d + a; None otherwise.  The
+    rule is _embedding_powers': a direct pair takes the smallest residual
+    root, and the roots of y^d + a are the orbit sigma^j(X^(d_big/d)), one
+    monomial each; a composite jump composes the shifts through the largest
+    intermediate degree e, as Frobenius commutes with embed.
+    """
+    table = _monomial_table(ell, d_big, 1, 1)
+    small, big = make_field(ell, d).modulus, make_field(ell, d_big).modulus
+    if table is None or small[0] != big[0] or any(small[1:-1]):
+        return None
+    mids = [e for e in range(d + 1, d_big) if e % d == 0 and d_big % e == 0]
+    if mids and not direct:
+        e = max(mids)
+        j1, j2 = _embed_shift(ell, d, e, True), _embed_shift(ell, e, d_big)
+        return None if None in (j1, j2) else (j1 + j2) % d
+    perm, mult = table
+    p, s, best = d_big // d, 1, None
+    for j in range(d):
+        # the residual root s*X^p; larger p, then smaller s, sorts first
+        if best is None or (-p, s) < best[0]:
+            best = ((-p, s), j)
+        p, s = perm[p], s * mult[p] % ell
+    return best[1]
 
 
 def _embed_gen(small, big):
@@ -980,17 +1081,25 @@ def _residual_root(ell, d, d_big):
 
 
 def embed(x, d_big):
-    """Injective ring map W(F_{l^d})/l^m -> W(F_{l^d'})/l^m for d | d'."""
-    if d_big % x.ring.d != 0:
-        raise NonDivisibleDegrees(f"{x.ring.d} does not divide {d_big}")
-    big = make_witt_ring(x.ring.ell, d_big, x.ring.m)
-    powers = _embedding_powers(x.ring, big)
-    if powers is None:
+    """Injective ring map W(F_{l^d})/l^m -> W(F_{l^d'})/l^m for d | d'.
+
+    A scaled scatter through the Frobenius^j table of the big ring when
+    _embed_shift gives j, else a sum over the Hensel-lifted generator powers.
+    """
+    small = x.ring
+    if d_big % small.d != 0:
+        raise NonDivisibleDegrees(f"{small.d} does not divide {d_big}")
+    if small.d == d_big:
         return x
-    acc = witt_zero(big)
-    for c, p in zip(x.coeffs, powers):
-        acc = acc + witt_scale(p, c)
-    return acc
+    big = make_witt_ring(small.ell, d_big, small.m)
+    if small.d == 1:
+        return WittElem(big, (x.coeffs[0] % big.q,) + (0,) * (d_big - 1))
+    j = _embed_shift(small.ell, small.d, d_big)
+    if j is None:
+        return _hensel_embed(x, big)
+    perm, mult = _monomial_table(big.ell, d_big, big.m, j)
+    step = d_big // small.d
+    return _scatter(x.coeffs, perm[::step], mult[::step], big)
 
 
 def ff_embed(a, d_big):
@@ -1000,7 +1109,18 @@ def ff_embed(a, d_big):
 
 
 def in_subring(x, d0):
-    """True iff x lies in the image of W(F_{l^{d0}})/l^m, for d0 | d."""
-    if x.ring.d % d0 != 0:
-        raise NonDivisibleDegrees(f"{d0} does not divide {x.ring.d}")
-    return witt_frobenius_power(x, d0) == x
+    """True iff x lies in the image of W(F_{l^{d0}})/l^m, for d0 | d.
+
+    On a binomial modulus X^d + a that image is spanned by the powers of
+    X^(d/d0), so the test reads the support; otherwise x is compared with its
+    Hensel Frobenius^d0 image.  Coefficients are read mod l^m on both paths.
+    """
+    r = x.ring
+    if r.d % d0 != 0:
+        raise NonDivisibleDegrees(f"{d0} does not divide {r.d}")
+    q = r.q
+    if _monomial_table(r.ell, r.d, r.m, 1) is not None:
+        step = r.d // d0
+        return not any(c % q for i, c in enumerate(x.coeffs) if i % step)
+    y = witt_frobenius_power(x, d0)
+    return all((a - b) % q == 0 for a, b in zip(y.coeffs, x.coeffs))

@@ -269,6 +269,89 @@ def test_in_subring_detects_base_ring():
     assert not cr.in_subring(gen, 1)
 
 
+def test_in_subring_reads_coefficients_mod_q():
+    # (0, q, 0, 0) is 0 and (q + 1, 0, 0, 0) is 1: both lie in every subring
+    for ell in (5, 7):  # binomial modulus x^4 + 2, then x^4 + x + 1
+        ring = cr.make_witt_ring(ell, 4, 2)
+        assert (cr._monomial_table(ell, 4, 2, 1) is None) is (ell == 7)
+        for coeffs in ((0, ring.q, 0, 0), (ring.q + 1, 0, 0, 0)):
+            for d0 in (1, 2, 4):
+                assert cr.in_subring(cr.WittElem(ring, coeffs), d0)
+        assert not cr.in_subring(cr.WittElem(ring, (0, ring.q + 1, 0, 0)), 2)
+
+
+def test_binomial_criterion_matches_irreducibility():
+    for ell in (5, 7, 11, 13):
+        for d in range(2, 65):
+            for c in range(1, ell):
+                modulus = (c,) + (0,) * (d - 1) + (1,)
+                assert cr._binomial_is_irreducible(ell, d, c) == \
+                    cr._int_poly_is_irreducible(modulus, ell), (ell, d, c)
+
+
+# nonzero (power, coefficient) pairs of make_field's modulus at 2-power d,
+# recorded before the binomial criterion replaced the x^(l^k) test on binomials
+MAKE_FIELD_CHOICES = {
+    (5, 1): [(1, 1)], (13, 1): [(1, 1)], (7, 1): [(1, 1)], (11, 1): [(1, 1)],
+    (7, 2): [(0, 1), (2, 1)], (7, 4): [(0, 1), (1, 1), (4, 1)],
+    (7, 8): [(0, 3), (1, 1), (8, 1)], (7, 16): [(0, 3), (1, 2), (16, 1)],
+    (11, 2): [(0, 1), (2, 1)], (11, 4): [(0, 2), (1, 1), (4, 1)],
+    (11, 8): [(0, 4), (1, 1), (8, 1)],
+    **{(ell, 2 ** k): [(0, 2), (2 ** k, 1)] for ell in (5, 13) for k in range(1, 11)},
+}
+
+
+def test_make_field_choice_is_unchanged():
+    for (ell, d), expect in MAKE_FIELD_CHOICES.items():
+        modulus = cr.make_field(ell, d).modulus
+        assert [(i, c) for i, c in enumerate(modulus) if c] == expect, (ell, d)
+
+
+def _hensel_power(x, k):
+    for _ in range(k):
+        x = cr.hensel_frobenius(x)
+    return x
+
+
+@st.composite
+def _frobenius_cases(draw):
+    ell = draw(st.sampled_from((5, 7, 13)))
+    D = draw(st.sampled_from((1, 2, 4, 8, 16, 32)))
+    m = draw(st.integers(1, 6))
+    d = draw(st.sampled_from([e for e in (1, 2, 4, 8, 16, 32) if e <= D]))
+    ring, small = cr.make_witt_ring(ell, D, m), cr.make_witt_ring(ell, d, m)
+
+    def elem(r):
+        return cr.WittElem(r, tuple(draw(st.integers(0, r.q - 1)) for _ in range(r.d)))
+
+    return ring, elem(ring), elem(ring), elem(small), elem(small), draw(st.integers(0, 40))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_frobenius_cases())
+def test_monomial_frobenius_matches_hensel_path(case):
+    ring, x, y, xs, ys, k = case
+    D, d = ring.d, xs.ring.d
+    # Frobenius and its powers against the generic Hensel path
+    assert cr.witt_frobenius(x) == cr.hensel_frobenius(x)
+    assert cr.witt_frobenius_power(x, k) == _hensel_power(x, k % D)
+    assert cr.witt_frobenius(x * y) == cr.witt_frobenius(x) * cr.witt_frobenius(y)
+    z = x
+    for _ in range(D):
+        z = cr.witt_frobenius(z)
+    assert z == x
+    # embed against the Hensel-lifted generator powers, and as a ring map
+    e = cr.embed(xs, D)
+    if 1 < d < D:
+        assert e == cr._hensel_embed(xs, ring)
+    assert cr.embed(xs * ys, D) == e * cr.embed(ys, D)
+    # in_subring against Frobenius^d0-fixedness on the generic path
+    assert cr.in_subring(e, d)
+    for z in (x, e, e + cr.witt_scale(x, ring.ell ** (ring.m - 1))):
+        for d0 in [t for t in range(1, D + 1) if D % t == 0]:
+            assert cr.in_subring(z, d0) == (_hensel_power(z, d0 % D) == z)
+
+
 def test_teichmuller_naturality_under_embedding():
     f2 = cr.make_field(5, 2)
     a = cr.ff_gen(f2)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import wittlift.coeffring as cr
-from wittlift.certcheck import check_certificate
+from wittlift.certcheck import check_certificate, frobenius_power
 from wittlift.cohomology import (
     Cocycle,
     build_module,
@@ -416,7 +416,8 @@ def cold_tame_tower_5():
     with pytest.MonkeyPatch.context() as mp:
         for cache in ("_EMBED_CACHE", "_FROB_CACHE"):
             mp.setattr(cr, cache, {})
-        cr._residual_root.cache_clear()
+        for cached in (cr._residual_root, cr._monomial_table, cr._embed_shift):
+            cached.cache_clear()
         mp.setattr(cr, "ff_factorize",
                    lambda poly: calls.append(1) or factorize(poly))
         tower, cert = build_tower(TAME_PLAN_5)
@@ -454,6 +455,52 @@ def test_tame_tower_level_8():
     data = json.loads(text)
     assert verify_tower_dict(data["tower"]) == []
     assert check_certificate(data["certificate"]) == []
+
+
+TAME_PLAN_10 = TowerPlan(residual_tame(), 10,
+                         {k: ("q03", "q04", "q05")[(k - 2) % 3]
+                          for k in range(2, 11)})
+# sha256 of the level-10 tame tower and certificate, recorded while Frobenius,
+# in_subring and embed still ran through Hensel-lifted generator images
+TAME_10_SHA256 = "ed2df9f6540bdc58b28e80e6e9c65ffc4f133d25750b00bb81513cf038f87efb"
+
+
+def test_tame_tower_level_10():
+    tower, cert = build_tower(TAME_PLAN_10)
+    assert tower.levels[-1].rho.ring.d == 512
+    text = json.dumps({"tower": tower_to_json_dict(tower), "certificate": cert},
+                      indent=2, default=str)
+    assert hashlib.sha256(text.encode()).hexdigest() == TAME_10_SHA256
+    data = json.loads(text)
+    assert verify_tower_dict(data["tower"]) == []
+    assert check_certificate(data["certificate"]) == []
+
+
+def test_certcheck_does_not_use_the_monomial_fast_path(cold_tame_tower_5,
+                                                       monkeypatch):
+    _, cert, _ = cold_tame_tower_5
+
+    def refuse(*args):
+        raise AssertionError("monomial fast path called")
+
+    monkeypatch.setattr(cr, "_monomial_table", refuse)
+    ring = cr.make_witt_ring(5, 16, 5)
+    with pytest.raises(AssertionError):
+        cr.in_subring(cr.witt_one(ring), 8)
+    assert cert["d_top"] == 16
+    assert check_certificate(json.loads(json.dumps(cert))) == []
+
+
+def test_certcheck_frobenius_matches_hensel_path():
+    rng = random.Random(17)
+    for ell, D, m in itertools.product((5, 7, 13), (1, 2, 4, 8, 16, 32), (1, 3, 6)):
+        ring = cr.make_witt_ring(ell, D, m)
+        x = cr.WittElem(ring, tuple(rng.randrange(ring.q) for _ in range(D)))
+        k = rng.randrange(1, 2 * D + 1)
+        expect = x
+        for _ in range(k % D):
+            expect = cr.hensel_frobenius(expect)
+        assert frobenius_power(x, k) == expect, (ell, D, m, k)
 
 
 def test_certificate_structure():

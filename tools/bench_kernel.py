@@ -5,7 +5,10 @@ Times, over W(F_{5^d})/5^m with m the tower level of degree d
 
 * one Mat product and one Mat inverse for n in {2, 3} and
   d in {1, 2, 16, 128, 512};
-* one element product (WittElem * WittElem) at each of those d.
+* one element product (WittElem * WittElem) at each of those d;
+* witt_frobenius, in_subring(x, d/2) and embed from degree d/2 to d for
+  d in {8, 32, 128, 512}, with x the embedding of a random element of degree
+  d/2 (so in_subring reads every coefficient and answers True).
 
 Every timed call gets random operands drawn from SEED, with a unit
 determinant, so the numbers of two checkouts compare the same work.  Each
@@ -41,6 +44,7 @@ from wittlift.matlin import Mat  # noqa: E402
 
 ELL = 5
 DEGREES = (1, 2, 16, 128, 512)
+FROBENIUS_DEGREES = (8, 32, 128, 512)
 SIZES = (2, 3)
 BUDGET_S = 0.3
 MIN_CALLS = 5
@@ -127,6 +131,17 @@ def main(argv=None):
             cases.append({"op": "mat_inverse", "n": n, "d": d, "m": ring.m,
                           **time_calls(a.inverse)})
         print(json.dumps(cases[-5:]), file=sys.stderr)
+    for d in FROBENIUS_DEGREES:
+        ring = cr.make_witt_ring(ELL, d, level(d))
+        half = random_elem(cr.make_witt_ring(ELL, d // 2, ring.m), rng)
+        x = cr.embed(half, d)
+        cases.append({"op": "witt_frobenius", "d": d, "m": ring.m,
+                      **time_calls(lambda: cr.witt_frobenius(x))})
+        cases.append({"op": "in_subring", "d": d, "d0": d // 2, "m": ring.m,
+                      **time_calls(lambda: cr.in_subring(x, d // 2))})
+        cases.append({"op": "embed", "d": d, "d_small": d // 2, "m": ring.m,
+                      **time_calls(lambda: cr.embed(half, d))})
+        print(json.dumps(cases[-3:]), file=sys.stderr)
     report = {"benchmark": "kernel", "ell": ELL, "seed": SEED,
               "budget_s": BUDGET_S, "machine": machine(), "cases": cases}
     with open(args.out, "w") as fh:
