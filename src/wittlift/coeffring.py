@@ -704,12 +704,16 @@ def hensel_frobenius(x):
 
 def witt_frobenius(x):
     """The canonical Frobenius lift; reduces to a -> a^l, has order dividing d."""
-    return witt_frobenius_power(x, 1)
+    r = x.ring
+    table = _monomial_table(r.ell, r.d, r.m, 1)
+    if table is None:
+        return hensel_frobenius(x)
+    return _scatter(x.coeffs, *table, r)
 
 
 def witt_frobenius_power(x, k):
     """Frobenius^k: one scaled permutation on a binomial modulus, else k
-    Hensel Frobenius steps."""
+    witt_frobenius steps."""
     r = x.ring
     k %= r.d
     if not k:
@@ -717,7 +721,7 @@ def witt_frobenius_power(x, k):
     table = _monomial_table(r.ell, r.d, r.m, k)
     if table is None:
         for _ in range(k):
-            x = hensel_frobenius(x)
+            x = witt_frobenius(x)
         return x
     return _scatter(x.coeffs, *table, r)
 
@@ -1017,26 +1021,17 @@ def _hensel_embed(x, big):
     return acc
 
 
-@functools.lru_cache(maxsize=None)
-def _embed_shift(ell, d, d_big, direct=False):
-    """j with embed's image of the degree-d generator sigma^j(X^(d_big/d)).
+def _orbit_shift(ell, d, d_big):
+    """j with sigma^j(X^(d_big/d)) the smallest residual root of the degree-d
+    modulus y^d + a in the degree-d_big ring, whose modulus is X^d_big + a.
 
-    Defined, as an int, when the degree-d_big modulus is X^d_big + a with a
-    monomial table and the degree-d modulus is y^d + a; None otherwise.  The
-    rule is _embedding_powers': a direct pair takes the smallest residual
-    root, and the roots of y^d + a are the orbit sigma^j(X^(d_big/d)), one
-    monomial each; a composite jump composes the shifts through the largest
-    intermediate degree e, as Frobenius commutes with embed.
+    The roots of y^d + a are that orbit, one monomial each.  None unless both
+    moduli are binomials with the same a and the big one has a monomial table.
     """
     table = _monomial_table(ell, d_big, 1, 1)
     small, big = make_field(ell, d).modulus, make_field(ell, d_big).modulus
     if table is None or small[0] != big[0] or any(small[1:-1]):
         return None
-    mids = [e for e in range(d + 1, d_big) if e % d == 0 and d_big % e == 0]
-    if mids and not direct:
-        e = max(mids)
-        j1, j2 = _embed_shift(ell, d, e, True), _embed_shift(ell, e, d_big)
-        return None if None in (j1, j2) else (j1 + j2) % d
     perm, mult = table
     p, s, best = d_big // d, 1, None
     for j in range(d):
@@ -1045,6 +1040,23 @@ def _embed_shift(ell, d, d_big, direct=False):
             best = ((-p, s), j)
         p, s = perm[p], s * mult[p] % ell
     return best[1]
+
+
+@functools.lru_cache(maxsize=None)
+def _embed_shift(ell, d, d_big):
+    """j with embed's image of the degree-d generator sigma^j(X^(d_big/d)).
+
+    None when no monomial path exists.  The rule is _embedding_powers': a
+    direct pair takes the smallest residual root (_orbit_shift); a composite
+    jump composes the shifts through the largest intermediate degree e, as
+    Frobenius commutes with embed.
+    """
+    mids = [e for e in range(d + 1, d_big) if e % d == 0 and d_big % e == 0]
+    if not mids:
+        return _orbit_shift(ell, d, d_big)
+    e = max(mids)
+    j1, j2 = _orbit_shift(ell, d, e), _embed_shift(ell, e, d_big)
+    return None if None in (j1, j2) else (j1 + j2) % d
 
 
 def _embed_gen(small, big):
@@ -1109,18 +1121,9 @@ def ff_embed(a, d_big):
 
 
 def in_subring(x, d0):
-    """True iff x lies in the image of W(F_{l^{d0}})/l^m, for d0 | d.
-
-    On a binomial modulus X^d + a that image is spanned by the powers of
-    X^(d/d0), so the test reads the support; otherwise x is compared with its
-    Hensel Frobenius^d0 image.  Coefficients are read mod l^m on both paths.
-    """
+    """True iff x lies in the image of W(F_{l^{d0}})/l^m, for d0 | d: x equals
+    its Frobenius^d0 image, coefficients read mod l^m."""
     r = x.ring
     if r.d % d0 != 0:
         raise NonDivisibleDegrees(f"{d0} does not divide {r.d}")
-    q = r.q
-    if _monomial_table(r.ell, r.d, r.m, 1) is not None:
-        step = r.d // d0
-        return not any(c % q for i, c in enumerate(x.coeffs) if i % step)
-    y = witt_frobenius_power(x, d0)
-    return all((a - b) % q == 0 for a, b in zip(y.coeffs, x.coeffs))
+    return (witt_frobenius_power(x, d0) - x).is_zero()
