@@ -8,7 +8,7 @@ Times, over W(F_{5^d})/5^m with m the tower level of degree d
 * one element product (WittElem * WittElem) at each of those d;
 * witt_frobenius, in_subring(x, d/2) and embed from degree d/2 to d for
   d in {8, 32, 128, 512}, with x the embedding of a random element of degree
-  d/2 (so in_subring reads every coefficient and answers True).
+  d/2 (so in_subring answers True).
 
 Every timed call gets random operands drawn from SEED, with a unit
 determinant, so the numbers of two checkouts compare the same work.  Each
