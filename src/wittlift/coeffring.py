@@ -99,9 +99,6 @@ class WittRingParams:
         return f"W(GF({self.ell}^{self.d}))/{self.ell}^{self.m}"
 
 
-_WORD = (1 << 64) - 1
-
-
 @functools.lru_cache(maxsize=None)
 def _kronecker_plan(modulus, q, terms=1):
     """Slot layout and fold terms for sums of `terms` products mod (modulus, q).
@@ -109,25 +106,26 @@ def _kronecker_plan(modulus, q, terms=1):
     Such a sum of products of reduced operands with d coefficients has
     coefficients of at most terms * d * (q-1)^2, so a slot of k 64-bit words,
     k the fewest with 2^(64k) above that bound, holds each with no carry.
-    Packing and unpacking are struct calls on whole words, linear in d.
-    Returns (pack, unpack, bytes of a product, word shifts of a slot, fold
-    terms, top slots, d).  The fold terms are (j - d, c_j) for the nonzero
-    low coefficients c_j of the monic modulus, since
+    Packing and unpacking are linear in d: struct calls on whole words when
+    k = 1, one int.to_bytes or int.from_bytes per slot when k >= 2.
+    Returns (pack, unpack, bytes of a product, bytes of a slot, fold terms,
+    top slots, d).  The fold terms are (j - d, c_j) for the nonzero low
+    coefficients c_j of the monic modulus, since
     x^d == -(c_0 + ... + c_{d-1} x^{d-1}).
     """
     d = len(modulus) - 1
     k = -(-(terms * d * (q - 1) ** 2).bit_length() // 64)
     fold = tuple((j - d, c) for j, c in enumerate(modulus[:-1]) if c)
-    return (struct.Struct(f"<{d * k}Q").pack,
-            struct.Struct(f"<{(2 * d - 1) * k}Q").unpack, 8 * k * (2 * d - 1),
-            range(0, 64 * k, 64), fold, range(2 * d - 2, d - 1, -1), d)
+    return (struct.Struct(f"<{d}Q").pack, struct.Struct(f"<{2 * d - 1}Q").unpack,
+            8 * k * (2 * d - 1), 8 * k, fold, range(2 * d - 2, d - 1, -1), d)
 
 
 def _kron_pack(x, plan):
     """The Kronecker integer of a coefficient tuple with entries in [0, q)."""
-    shifts = plan[3]
-    if len(shifts) > 1:
-        x = [c >> s & _WORD for c in x for s in shifts]
+    width = plan[3]
+    if width > 8:
+        return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in x]),
+                              "little")
     return int.from_bytes(plan[0](*x), "little")
 
 
@@ -137,12 +135,13 @@ def _kron_reduce(p, plan, q):
     p is unpacked in one pass, its high coefficients are folded down through
     the modulus top-down, and the low d are reduced mod q once.
     """
-    _, unpack, nbytes, shifts, fold, top, d = plan
-    prod = list(unpack(p.to_bytes(nbytes, "little")))
-    k = len(shifts)
-    if k > 1:
-        prod = [sum(w << s for w, s in zip(prod[i:i + k], shifts))
-                for i in range(0, len(prod), k)]
+    _, unpack, nbytes, width, fold, top, d = plan
+    raw = p.to_bytes(nbytes, "little")
+    if width > 8:
+        prod = [int.from_bytes(raw[i:i + width], "little")
+                for i in range(0, nbytes, width)]
+    else:
+        prod = list(unpack(raw))
     for i in top:
         c = prod[i]
         if c:
@@ -277,43 +276,20 @@ def _power(x, e):
 def _int_poly_is_irreducible(coeffs, ell):
     """Irreducibility of a monic integer-coefficient polynomial over F_ell.
 
-    Uses the x^(ell^k) fixed-point criterion: f of degree d is irreducible
-    iff x^(ell^d) == x mod f and gcd-degree checks pass at every prime k | d.
+    Ben-Or's test: f of degree d is irreducible iff gcd(x^(ell^i) - x, f) = 1
+    for every i <= d/2.  x^(ell^i) mod f is reached by repeated ell-th
+    powers, and the test stops at the first common factor.
     """
     d = len(coeffs) - 1
-    if d == 1:
-        return True
-
-    def powmod_x(e):
-        # x^e mod (f, ell), square and multiply on coefficient tuples
-        result = (1,) + (0,) * (d - 1)
-        base = (0, 1) + (0,) * (d - 2)
-        while e:
-            if e & 1:
-                result = _poly_mulmod(result, base, coeffs, ell)
-            base = _poly_mulmod(base, base, coeffs, ell)
-            e >>= 1
-        return result
-
-    x_cls = (0, 1) + (0,) * (d - 2)
-    if powmod_x(ell ** d) != x_cls:
-        return False
-    primes = set()
-    k = d
-    p = 2
-    while p * p <= k:
-        while k % p == 0:
-            primes.add(p)
-            k //= p
-        p += 1
-    if k > 1:
-        primes.add(k)
-    for p in primes:
-        h = powmod_x(ell ** (d // p))
-        diff = tuple((hi - xi) % ell for hi, xi in zip(h, x_cls))
-        # gcd(h - x, f) must be 1: h - x must be invertible mod f
+    # F_ell[x]/(f): a field only when f is irreducible, but its arithmetic holds
+    ring = FieldParams(ell, d, tuple(coeffs))
+    x = FFElem(ring, tuple([int(i == 1) for i in range(d)]))
+    h = x
+    for _ in range(d // 2):
+        h = h ** ell
         try:
-            _poly_inverse(diff, coeffs, ell)
+            # gcd(h - x, f) = 1 iff h - x is invertible mod f
+            (h - x).inverse()
         except ZeroInverse:
             return False
     return True

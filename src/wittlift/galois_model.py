@@ -8,6 +8,7 @@ Deformation assigns a matrix over W(F_{l^d})/l^m to each generator.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -133,11 +134,21 @@ class ModelGroup:
 
 @dataclass(frozen=True)
 class Deformation:
-    """Level-m, degree-d representation of a ModelGroup by generator images."""
+    """Level-m, degree-d representation of a ModelGroup by generator images.
+
+    images must not change after construction: evaluate_word memoises word
+    products and generator inverses on the deformation.
+    """
 
     group: ModelGroup
     ring: object  # WittRingParams
     images: dict  # generator name -> Mat
+    # memo tables, filled on first use: word -> product, and generator name
+    # -> inverse image
+    _words: dict = dataclasses.field(default_factory=dict, init=False,
+                                     repr=False, compare=False)
+    _inverses: dict = dataclasses.field(default_factory=dict, init=False,
+                                        repr=False, compare=False)
 
     @property
     def m(self):
@@ -164,12 +175,26 @@ class Deformation:
 
 
 def evaluate_word(rho, word):
-    """Product of generator images with exponents; empty word is the identity."""
-    acc = None
+    """Product of generator images with exponents; empty word is the identity.
+
+    Memoised per word on rho, and each generator is inverted at most once.
+    """
+    acc = rho._words.get(word)
+    if acc is not None:
+        return acc
     for name, e in word:
-        x = rho.image(name) ** e
+        x = rho.image(name)
+        if e < 0:
+            inv = rho._inverses.get(name)
+            if inv is None:
+                inv = rho._inverses[name] = x.inverse()
+            x, e = inv, -e
+        x = x ** e
         acc = x if acc is None else acc * x
-    return Mat.identity(rho.ring, 2) if acc is None else acc
+    if acc is None:
+        acc = Mat.identity(rho.ring, 2)
+    rho._words[word] = acc
+    return acc
 
 
 @dataclass(frozen=True)

@@ -262,15 +262,25 @@ class Mat:
         return self.entries == Mat.identity(self.ring, self.n).entries
 
     def inverse(self):
-        """Gauss-Jordan on [A | I] with unit pivots p and no division: each
+        """At n = 2 the adjugate over the determinant: one fused determinant,
+        one unit inverse and one 1 x 4 scaling product.  Otherwise
+        Gauss-Jordan on [A | I] with unit pivots p and no division: each
         update row_i <- p row_i - a_ic row_c is one fused dot product per
         entry.  That leaves [D | R] with D diagonal, and A^-1 = D^-1 R, where
         1 / D_ii is the product of the other diagonal entries over the
         product of all of them, so one unit inverse serves every row.
         Singular unless det is a unit (valid over the local ring)."""
         ring, n = self.ring, self.n
-        one, zero = _one_zero(ring)
         q = _arith(ring)[1]
+        if n == 2:
+            a = self.entries
+            det = _det(ring, a, 2)
+            if not _is_unit(ring, det):
+                raise Singular("matrix is not invertible")
+            return Mat(ring, 2, _matmul_entries(
+                ring, (_unit_inverse(ring, det),),
+                (a[3], _imul(a[1], -1, q), _imul(a[2], -1, q), a[0]), 1, 4))
+        one, zero = _one_zero(ring)
         rows = [list(self.entries[i * n:(i + 1) * n])
                 + [one if j == i else zero for j in range(n)] for i in range(n)]
         for c in range(n):

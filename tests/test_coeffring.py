@@ -1,5 +1,6 @@
 """Tests for the truncated Witt-ring and finite-field arithmetic."""
 
+import itertools
 import random
 
 import pytest
@@ -290,13 +291,17 @@ def test_binomial_criterion_matches_irreducibility():
 
 
 # nonzero (power, coefficient) pairs of make_field's modulus at 2-power d,
-# recorded before the binomial criterion replaced the x^(l^k) test on binomials
+# recorded before the binomial criterion replaced the x^(l^k) test on
+# binomials; l = 7 at d = 32, 64 and l = 11 at d = 16, 32 were recorded before
+# Ben-Or's test replaced the x^(l^k) test on the other candidates
 MAKE_FIELD_CHOICES = {
     (5, 1): [(1, 1)], (13, 1): [(1, 1)], (7, 1): [(1, 1)], (11, 1): [(1, 1)],
     (7, 2): [(0, 1), (2, 1)], (7, 4): [(0, 1), (1, 1), (4, 1)],
     (7, 8): [(0, 3), (1, 1), (8, 1)], (7, 16): [(0, 3), (1, 2), (16, 1)],
+    (7, 32): [(0, 4), (1, 1), (32, 1)], (7, 64): [(0, 3), (1, 2), (64, 1)],
     (11, 2): [(0, 1), (2, 1)], (11, 4): [(0, 2), (1, 1), (4, 1)],
-    (11, 8): [(0, 4), (1, 1), (8, 1)],
+    (11, 8): [(0, 4), (1, 1), (8, 1)], (11, 16): [(0, 5), (1, 1), (2, 1), (16, 1)],
+    (11, 32): [(0, 9), (1, 1), (2, 8), (32, 1)],
     **{(ell, 2 ** k): [(0, 2), (2 ** k, 1)] for ell in (5, 13) for k in range(1, 11)},
 }
 
@@ -458,6 +463,64 @@ def test_inverses_match_oracle(case):
     assert all(0 <= c < ring.q for c in inv)
     assert _oracle_mulmod(a, inv, ring.lifted_modulus, ring.q) == \
         (1,) + (0,) * (d - 1)
+
+
+@st.composite
+def _multiword_cases(draw):
+    # at 5^28 and 5^40 a product coefficient needs three or four 64-bit words
+    m = draw(st.sampled_from([28, 40]))
+    d = draw(st.sampled_from([1, 2, 3, 8]))
+    rows, inner, cols = (draw(st.integers(1, 3)) for _ in range(3))
+    q = 5 ** m
+    coeff = st.one_of(st.integers(0, q - 1), st.just(q - 1))
+
+    def entries(count):
+        return [tuple(draw(st.lists(coeff, min_size=d, max_size=d))) for _ in range(count)]
+    return m, d, inner, cols, entries(rows * inner), entries(inner * cols)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_multiword_cases())
+def test_multiword_slots_match_schoolbook(case):
+    m, d, inner, cols, a, b = case
+    ring = cr.make_witt_ring(5, d, m)
+    modulus, q = ring.lifted_modulus, ring.q
+    if d > 1:
+        assert cr._kronecker_plan(modulus, q, inner)[3] >= 24
+    assert cr._poly_mulmod(a[0], b[0], modulus, q) == _oracle_mulmod(a[0], b[0], modulus, q)
+    expect = []
+    for i in range(0, len(a), inner):
+        for j in range(cols):
+            terms = [_oracle_mulmod(a[i + k], b[k * cols + j], modulus, q) for k in range(inner)]
+            expect.append(tuple(sum(cs) % q for cs in zip(*terms)))
+    got = cr._matmul(a if d > 1 else [x for (x,) in a], b if d > 1 else [y for (y,) in b],
+                     inner, cols, modulus, q)
+    assert list(got) == (expect if d > 1 else [x for (x,) in expect])
+
+
+def _oracle_is_irreducible(f, ell):
+    """Trial division of the monic f by every monic polynomial of degree
+    1 .. deg(f) / 2 over F_ell."""
+    d = len(f) - 1
+    for k in range(1, d // 2 + 1):
+        for low in itertools.product(range(ell), repeat=k):
+            rem = list(f)
+            for i in range(d, k - 1, -1):  # divide by the monic low + x^k
+                c = rem[i] % ell
+                for j, gj in enumerate(low):
+                    rem[i - k + j] -= c * gj
+            if all(c % ell == 0 for c in rem[:k]):
+                return False
+    return True
+
+
+def test_ben_or_matches_trial_division():
+    for ell in (5, 7):
+        for d in range(1, 5):
+            for low in itertools.product(range(ell), repeat=d):
+                f = (*low, 1)
+                assert cr._int_poly_is_irreducible(f, ell) == \
+                    _oracle_is_irreducible(f, ell), (ell, f)
 
 
 def _oracle_rref(rows):

@@ -54,6 +54,37 @@ def test_evaluate_word_homomorphism():
     assert evaluate_word(rho, parse_word("s s^-1")).is_identity()
 
 
+def _fresh_product(rho, word):
+    acc = Mat.identity(rho.ring, 2)
+    for name, e in word:
+        acc = acc * rho.images[name] ** e
+    return acc
+
+
+def test_evaluate_word_memo_matches_fresh_products():
+    for rho in (residual_tame(), *(deformation_tame(m) for m in (1, 2, 3))):
+        group = rho.group
+        words = [*group.relators, *(w for p in group.places for w in (p.sigma, p.tau)),
+                 parse_word("s^-3 t u^-2 w^-1 t^-1")]
+        assert any(e < 0 for w in words for _, e in w)
+        for word in words:
+            got = evaluate_word(rho, word)
+            assert got == _fresh_product(rho, word)
+            assert evaluate_word(rho, word) is got
+        assert set(rho._words) == set(words)
+        assert set(rho._inverses) == {"s", "t", "u", "w"}
+
+
+def test_reduce_and_embed_start_with_empty_memo():
+    rho = deformation_tame(3)
+    for word in rho.group.relators:
+        evaluate_word(rho, word)
+    assert rho._words and rho._inverses
+    for derived in (rho.reduce(2), rho.embed(2)):
+        assert derived._words == {} and derived._inverses == {}
+    assert rho.reduce(3) == rho
+
+
 def test_evaluate_word_unknown_generator():
     rho = residual_free()
     with pytest.raises(UnknownGenerator):

@@ -67,6 +67,29 @@ def test_zero_twist_is_identity():
     assert twist(rho, f).images == rho.images
 
 
+def test_twist_result_starts_with_an_empty_memo():
+    rho = deformation_tame(2)
+    for place in rho.group.places:
+        evaluate_word(rho, place.sigma)
+    module = build_module(rho.reduce(1), 1)
+    zero = tuple(cr.ff_zero(module.field) for _ in range(3))
+    out = twist(rho, Cocycle(module, {g: zero for g in rho.group.generators}))
+    # twist checks the relators on its result, and nothing else
+    assert set(out._words) == set(rho.group.relators)
+    assert all(g.is_identity() for g in out._words.values())
+
+
+def test_level_5_build_inverts_each_matrix_once(monkeypatch):
+    inverted = []  # holding the matrices keeps their ids unique
+    inverse = Mat.inverse
+    monkeypatch.setattr(Mat, "inverse", lambda g: inverted.append(g) or inverse(g))
+    build_tower(TAME_PLAN_5)
+    # twist and then validate_deformation check the relators on the same
+    # generator images, which used to be inverted once by each
+    assert inverted
+    assert len({id(g) for g in inverted}) == len(inverted)
+
+
 def test_coboundary_twist_preserves_traces():
     rho = deformation_tame(3)
     group = rho.group
@@ -438,42 +461,50 @@ def test_tame_tower_level_5_is_pinned(cold_tame_tower_5):
     assert check_certificate(data["certificate"]) == []
 
 
-TAME_PLAN_8 = TowerPlan(residual_tame(), 8,
-                        {k: ("q03", "q04", "q05")[(k - 2) % 3]
-                         for k in range(2, 9)})
+def _tame_plan(max_level):
+    return TowerPlan(residual_tame(), max_level,
+                     {k: ("q03", "q04", "q05")[(k - 2) % 3]
+                      for k in range(2, max_level + 1)})
+
+
+def _check_pinned_tower(max_level, sha256):
+    """Build the tame tower with q03, q04, q05 in turn; its tower and
+    certificate JSON must hash to sha256, verify and check clean."""
+    tower, cert = build_tower(_tame_plan(max_level))
+    assert tower.levels[-1].rho.ring.d == 2 ** (max_level - 1)
+    text = json.dumps({"tower": tower_to_json_dict(tower), "certificate": cert},
+                      indent=2, default=str)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+    data = json.loads(text)
+    assert verify_tower_dict(data["tower"]) == []
+    assert check_certificate(data["certificate"]) == []
+
+
 # sha256 of the level-8 tame tower and certificate, recorded before the Fox
 # Jacobian replaced the per-unit-cocycle column builders
 TAME_8_SHA256 = "2cfe128e902475651b5171151c01fe1f5c0744abc49d271eafa7b5b7e1ab396a"
 
 
 def test_tame_tower_level_8():
-    tower, cert = build_tower(TAME_PLAN_8)
-    assert tower.levels[-1].rho.ring.d == 128
-    text = json.dumps({"tower": tower_to_json_dict(tower), "certificate": cert},
-                      indent=2, default=str)
-    assert hashlib.sha256(text.encode()).hexdigest() == TAME_8_SHA256
-    data = json.loads(text)
-    assert verify_tower_dict(data["tower"]) == []
-    assert check_certificate(data["certificate"]) == []
+    _check_pinned_tower(8, TAME_8_SHA256)
 
 
-TAME_PLAN_10 = TowerPlan(residual_tame(), 10,
-                         {k: ("q03", "q04", "q05")[(k - 2) % 3]
-                          for k in range(2, 11)})
 # sha256 of the level-10 tame tower and certificate, recorded while Frobenius,
 # in_subring and embed still ran through Hensel-lifted generator images
 TAME_10_SHA256 = "ed2df9f6540bdc58b28e80e6e9c65ffc4f133d25750b00bb81513cf038f87efb"
 
 
 def test_tame_tower_level_10():
-    tower, cert = build_tower(TAME_PLAN_10)
-    assert tower.levels[-1].rho.ring.d == 512
-    text = json.dumps({"tower": tower_to_json_dict(tower), "certificate": cert},
-                      indent=2, default=str)
-    assert hashlib.sha256(text.encode()).hexdigest() == TAME_10_SHA256
-    data = json.loads(text)
-    assert verify_tower_dict(data["tower"]) == []
-    assert check_certificate(data["certificate"]) == []
+    _check_pinned_tower(10, TAME_10_SHA256)
+
+
+# sha256 of the level-11 tame tower (d = 1024) and certificate, recorded
+# before evaluate_word was memoised and 2 x 2 inverses taken by adjugate
+TAME_11_SHA256 = "36b024eca68ba73dbfc7e210645e7a062e48bdb34b0dd13ed6b4025639e42fa5"
+
+
+def test_tame_tower_level_11():
+    _check_pinned_tower(11, TAME_11_SHA256)
 
 
 def test_certcheck_does_not_use_the_monomial_fast_path(cold_tame_tower_5,

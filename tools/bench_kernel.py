@@ -4,7 +4,8 @@ Times, over W(F_{5^d})/5^m with m the tower level of degree d
 (d = 2^(m-1), and m = 1 at d = 1):
 
 * one Mat product and one Mat inverse for n in {2, 3} and
-  d in {1, 2, 16, 128, 512};
+  d in {1, 2, 16, 128, 512, 2048} (at d = 2048, m = 12, a slot of a 2 x 2
+  product's Kronecker integer spans two 64-bit words);
 * one element product (WittElem * WittElem) at each of those d;
 * witt_frobenius, in_subring(x, d/2) and embed from degree d/2 to d for
   d in {8, 32, 128, 512}, with x the embedding of a random element of degree
@@ -13,9 +14,12 @@ Times, over W(F_{5^d})/5^m with m the tower level of degree d
 Every timed call gets random operands drawn from SEED, with a unit
 determinant, so the numbers of two checkouts compare the same work.  Each
 case runs its call repeatedly for about BUDGET_S seconds (at least MIN_CALLS
-times) and reports the median and minimum microseconds per call.  Standard
-library only; the library is imported from the src/ directory next to this
-script.
+times) and reports the median and minimum microseconds per call.  A speed
+sample (benchmarks/speed.py) is taken before and after each case, and the
+median is also reported scaled by REF_CHUNK_S over their mean, as the
+benchmark scales its wall times, so that a loaded host does not read as slow
+code.  Standard library only; the library is imported from the src/
+directory next to this script.
 
     python tools/bench_kernel.py                  # writes BENCH_kernel.json
     python tools/bench_kernel.py --out other.json
@@ -38,12 +42,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "benchmarks"))
 
+import speed  # noqa: E402
 import wittlift.coeffring as cr  # noqa: E402
 from wittlift.matlin import Mat  # noqa: E402
 
 ELL = 5
-DEGREES = (1, 2, 16, 128, 512)
+DEGREES = (1, 2, 16, 128, 512, 2048)
 FROBENIUS_DEGREES = (8, 32, 128, 512)
 SIZES = (2, 3)
 BUDGET_S = 0.3
@@ -69,15 +75,19 @@ def random_invertible(ring, n, rng):
 
 
 def time_calls(fn):
-    """Microseconds per call of fn(), one sample per call."""
+    """Microseconds per call of fn(), one sample per call, with the median
+    also scaled by the speed samples taken around the case."""
     samples = []
+    before = speed.sample()
     start = time.perf_counter()
     while len(samples) < MIN_CALLS or time.perf_counter() - start < BUDGET_S:
         t0 = time.perf_counter()
         fn()
         samples.append((time.perf_counter() - t0) * 1e6)
-    return {"us_median": statistics.median(samples), "us_min": min(samples),
-            "calls": len(samples)}
+    chunk_s = (before + speed.sample()) / 2
+    median = statistics.median(samples)
+    return {"us_median": median, "us_median_scaled": median * speed.REF_CHUNK_S / chunk_s,
+            "us_min": min(samples), "chunk_ms": chunk_s * 1e3, "calls": len(samples)}
 
 
 def git(*args, check=True):
@@ -117,6 +127,7 @@ def main(argv=None):
     ap.add_argument("--out", default=str(ROOT / "BENCH_kernel.json"))
     args = ap.parse_args(argv)
     rng = random.Random(SEED)
+    speed.warm_up()
     cases = []
     for d in DEGREES:
         ring = cr.make_witt_ring(ELL, d, level(d))
@@ -143,7 +154,8 @@ def main(argv=None):
                       **time_calls(lambda: cr.embed(half, d))})
         print(json.dumps(cases[-3:]), file=sys.stderr)
     report = {"benchmark": "kernel", "ell": ELL, "seed": SEED,
-              "budget_s": BUDGET_S, "machine": machine(), "cases": cases}
+              "budget_s": BUDGET_S, "ref_chunk_ms": speed.REF_CHUNK_S * 1e3,
+              "machine": machine(), "cases": cases}
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
