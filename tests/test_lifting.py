@@ -85,7 +85,7 @@ def test_level_5_build_inverts_each_matrix_once(monkeypatch):
     monkeypatch.setattr(Mat, "inverse", lambda g: inverted.append(g) or inverse(g))
     build_tower(TAME_PLAN_5)
     # twist and then validate_deformation check the relators on the same
-    # generator images, which used to be inverted once by each
+    # generator images: they share one inverse of each
     assert inverted
     assert len({id(g) for g in inverted}) == len(inverted)
 
