@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 from .coeffring import WittElem, hensel_frobenius, witt_from_str
+from .errors import InputError
 
 SCHEMA_VERSION = 1
 
@@ -60,9 +61,12 @@ def check_certificate(cert):
         if kind == "uncovered":
             problems.append(f"degree {d} has no witness")
             continue
+        if not isinstance(entry.get("trace"), str):
+            problems.append(f"degree {d}: trace is not a string")
+            continue
         try:
             tr = witt_from_str(entry["trace"])
-        except Exception as exc:
+        except (InputError, KeyError) as exc:
             problems.append(f"degree {d}: unparseable trace ({exc})")
             continue
         amb = tr.ring.d

@@ -170,20 +170,22 @@ def _matmul(a, b, inner, cols, modulus, q):
     """Row-major product of matrices of canonical values mod (modulus, q).
 
     a has len(a) // inner rows and inner columns, b has inner rows and cols
-    columns; a value is an int in [0, q) at d = 1 and a d-tuple of them
-    otherwise.  Each output entry is one dot product: at d > 1 every input
-    entry is packed once, the inner big-integer products of a row and a
-    column are summed, and the sum is unpacked and folded once (Kronecker
-    substitution applied to the whole dot product).
+    columns; a value is a d-tuple of ints in [0, q).  Each output entry is one
+    dot product: at d > 1 every input entry is packed once, the inner
+    big-integer products of a row and a column are summed, and the sum is
+    unpacked and folded once (Kronecker substitution applied to the whole dot
+    product); at d = 1 the 1-tuples are unwrapped and the sums wrapped.
     """
-    if len(modulus) > 2:
+    if len(modulus) == 2:
+        a, b = [x for (x,) in a], [y for (y,) in b]
+    else:
         plan = _kronecker_plan(modulus, q, inner)
         a = [_kron_pack(x, plan) for x in a]
         b = [_kron_pack(y, plan) for y in b]
     rows = [a[i:i + inner] for i in range(0, len(a), inner)]
     columns = [b[j::cols] for j in range(cols)]
     if len(modulus) == 2:
-        return tuple([sum(map(mul, r, c)) % q for r in rows for c in columns])
+        return tuple([(sum(map(mul, r, c)) % q,) for r in rows for c in columns])
     return tuple([_kron_reduce(sum(map(mul, r, c)), plan, q)
                   for r in rows for c in columns])
 
@@ -668,7 +670,8 @@ def _frobenius_gen_powers(ring):
 
 def hensel_frobenius(x):
     """The canonical Frobenius lift through the Hensel-lifted generator image,
-    on any modulus; witt_frobenius takes it where no monomial table exists."""
+    on any modulus; witt_frobenius_power takes it where no monomial table
+    exists."""
     powers = _frobenius_gen_powers(x.ring)
     if powers is None:
         return x
@@ -680,16 +683,12 @@ def hensel_frobenius(x):
 
 def witt_frobenius(x):
     """The canonical Frobenius lift; reduces to a -> a^l, has order dividing d."""
-    r = x.ring
-    table = _monomial_table(r.ell, r.d, r.m, 1)
-    if table is None:
-        return hensel_frobenius(x)
-    return _scatter(x.coeffs, *table, r)
+    return witt_frobenius_power(x, 1)
 
 
 def witt_frobenius_power(x, k):
     """Frobenius^k: one scaled permutation on a binomial modulus, else k
-    witt_frobenius steps."""
+    hensel_frobenius steps."""
     r = x.ring
     k %= r.d
     if not k:
@@ -697,7 +696,7 @@ def witt_frobenius_power(x, k):
     table = _monomial_table(r.ell, r.d, r.m, k)
     if table is None:
         for _ in range(k):
-            x = witt_frobenius(x)
+            x = hensel_frobenius(x)
         return x
     return _scatter(x.coeffs, *table, r)
 

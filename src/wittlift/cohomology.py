@@ -21,6 +21,7 @@ from .errors import (
     ParamMismatch,
     UnknownGenerator,
 )
+from .galois_model import Deformation, evaluate_word
 from .matlin import Mat
 
 
@@ -31,7 +32,6 @@ class GModule:
     field: object  # FieldParams, F_{l^d}
     dim: int
     action: dict  # generator name -> Mat over field (dim x dim)
-    twist: str  # "adjoint" | "cartier_dual" | "custom"
     epsilon: dict  # generator name -> integer (needed for the dual pairing)
     # memo tables, filled on first use: generator name -> inverse action, and
     # (generators, word) -> Fox Jacobian rows
@@ -55,11 +55,6 @@ class GModule:
         for name, e in word:
             acc = acc * self.act_gen(name, e)
         return acc
-
-
-def matvec(mat, vec):
-    """mat times the column vector vec of entries over mat's ring."""
-    return mat.apply(vec)
 
 
 def vec_add(a, b):
@@ -123,13 +118,13 @@ def build_module(rhobar, d, twist="adjoint"):
         elif twist != "adjoint":
             raise ParamMismatch(f"unknown twist {twist!r}")
         action[name] = a
-    return GModule(field, 3, action, twist, eps)
+    return GModule(field, 3, action, eps)
 
 
-def module_from_action(field, action, epsilon=None, twist="custom"):
+def module_from_action(field, action, epsilon=None):
     """Wrap explicit generator action matrices (used for test modules)."""
     dim = next(iter(action.values())).n if action else 0
-    return GModule(field, dim, dict(action), twist, dict(epsilon or {}))
+    return GModule(field, dim, dict(action), dict(epsilon or {}))
 
 
 def _contragredient(a, eps):
@@ -141,7 +136,7 @@ def dual_module(module):
     """Contragredient twisted by epsilon, for any module with epsilon data."""
     action = {name: _contragredient(a, module.epsilon.get(name, 1))
               for name, a in module.action.items()}
-    return GModule(module.field, module.dim, action, "cartier_dual", module.epsilon)
+    return GModule(module.field, module.dim, action, module.epsilon)
 
 
 def pairing(x, phi):
@@ -180,14 +175,14 @@ def cocycle_eval(module, values, word):
         v = values[name]
         if e >= 0:
             for _ in range(e):
-                acc = vec_add(acc, matvec(prefix, v))
+                acc = vec_add(acc, prefix.apply(v))
                 prefix = prefix * a
         else:
             ainv = module.act_gen(name, -1)
-            vinv = vec_neg(matvec(ainv, v))  # f(g^-1) = -g^-1.f(g)
+            vinv = vec_neg(ainv.apply(v))  # f(g^-1) = -g^-1.f(g)
             for _ in range(-e):
                 prefix = prefix * ainv
-                acc = vec_add(acc, matvec(prefix * a, vinv))
+                acc = vec_add(acc, (prefix * a).apply(vinv))
     return acc
 
 
@@ -252,7 +247,7 @@ def coboundary_of(group, module, m_elem):
     """The coboundary g -> g.m - m as a Cocycle."""
     values = {}
     for name in group.generators:
-        values[name] = vec_add(matvec(module.act_gen(name), m_elem),
+        values[name] = vec_add(module.act_gen(name).apply(m_elem),
                                vec_neg(m_elem))
     return Cocycle(module, values)
 
@@ -357,8 +352,8 @@ def normalize_det(group, name, lift):
     det = lift.det()
     if det == want:
         return lift
-    delta = want * det.inverse()
-    diff = delta - cr.witt_one(ring)
+    # det = eps mod l^(m1-1), so eps det^-1 - 1 = -(det - eps) eps^-1 mod l^m1
+    diff = cr.witt_scale(det - want, -pow(group.epsilon[name], -1, ring.q))
     if diff.valuation() < m1 - 1:
         raise DetNotEpsilon(f"det discrepancy at {name} is not 1 mod l^{m1 - 1}")
     lm = ell ** (m1 - 1)
@@ -393,7 +388,8 @@ def _defect_coords(e_mat, m, field):
 
 
 def relator_defects(rho_m, lifts):
-    """Defect z_r per relator of the group, for generator lifts at level m+1."""
+    """Defect z_r per relator of the group, for generator lifts at level m+1;
+    evaluate_word multiplies the lifts, inverting each at most once."""
     group = rho_m.group
     m = rho_m.ring.m
     ring1 = next(iter(lifts.values())).ring
@@ -402,14 +398,9 @@ def relator_defects(rho_m, lifts):
     for name in group.generators:
         if lifts[name].reduce(m) != rho_m.image(name):
             raise LiftsDoNotReduce(f"lift at {name} does not reduce to rho_m")
-    field = ring1.residue_field
-    out = []
-    for rel in group.relators:
-        acc = Mat.identity(ring1, 2)
-        for name, e in rel:
-            acc = acc * (lifts[name] ** e)
-        out.append(_defect_coords(acc, m, field))
-    return out
+    lifted = Deformation(group, ring1, lifts)
+    return [_defect_coords(evaluate_word(lifted, rel), m, ring1.residue_field)
+            for rel in group.relators]
 
 
 @dataclass(frozen=True)

@@ -332,7 +332,6 @@ class TowerPlan:
     r_labels: dict  # level (>= 2) -> place label
     locked_labels: tuple = ()
     escape: bool = True  # False gives the Frobenius-fixed negative control
-    require_nice: bool = False
 
     def place_for(self, level):
         return self.rhobar.group.place(self.r_labels[level])
@@ -375,8 +374,6 @@ def tower_step(rho_m, plan, level):
     lifts = apply_adjustment(lifts, res.adjustment, m)
     candidate = Deformation(group, ring1, lifts)
     place = plan.place_for(level)
-    if plan.require_nice and not is_rho_m_nice(place, rho_m):
-        raise ParamMismatch(f"place {place.label} is not rho_m-nice")
     cur = evaluate_word(candidate, place.sigma).trace()
     if plan.escape:
         gen_digit = cr.ff_gen(ring1.residue_field)

@@ -10,10 +10,6 @@ from __future__ import annotations
 from .coeffring import ff_one, ff_zero
 
 
-def mat_copy(rows):
-    return [list(r) for r in rows]
-
-
 def rref(rows):
     """Reduced row echelon form; returns (rref rows, pivot column list).
 
@@ -21,7 +17,7 @@ def rref(rows):
     columns where it is nonzero) is recorded once; every other row is then
     updated in place on those columns only.
     """
-    rows = mat_copy(rows)
+    rows = [list(r) for r in rows]
     if not rows:
         return rows, []
     ncols = len(rows[0])
@@ -94,7 +90,7 @@ def solve(rows, rhs, params):
 
 def independent_complement(sub_rows, all_rows, params):
     """Vectors from all_rows extending a basis of span(sub_rows), reduced."""
-    stack = mat_copy(sub_rows)
+    stack = [list(r) for r in sub_rows]
     base_rank = rank(stack) if stack else 0
     out = []
     for v in all_rows:

@@ -1,16 +1,16 @@
 """Matrix algebra over the coefficient rings.
 
-Mat holds its entries as canonical coefficient values (an int at d = 1, a
-d-tuple otherwise) and multiplies through coeffring._matmul, one fused
-Kronecker dot product per output entry; FFElem/WittElem objects appear only
-at the boundary (Mat.from_rows, Mat.rows, Mat.apply, det, trace and
-elem_matmul), so the entry format stays inside this module.  The module also
-covers characteristic polynomials and eigenvalues, Hensel diagonalization of
-2x2 matrices over truncated Witt rings, multiplicative Jordan decomposition,
-the tame-relation branch test, the BFS closure of integer matrix groups,
-split-diagonal extraction from subgroups with full residual image, and the
-integral-model decision (witness checks and lattice saturation) on exact
-rationals.
+Mat holds its entries in the elements' own format, their coefficient
+d-tuples reduced mod q at every d, and multiplies through coeffring._matmul,
+one fused Kronecker dot product per output entry; FFElem/WittElem objects
+appear only at the boundary (Mat.from_rows, Mat.rows, Mat.apply, det, trace
+and elem_matmul).  The module also covers characteristic polynomials and
+eigenvalues, Hensel diagonalization of 2x2 matrices over truncated Witt
+rings, multiplicative Jordan decomposition, the tame-relation branch test,
+the BFS closure of integer matrix groups, split-diagonal extraction from
+subgroups with full residual image, and the integral-model decision
+(witness checks and lattice saturation) on exact rationals; KElem is a
+(num, den) view of an exact rational without arithmetic.
 """
 
 from __future__ import annotations
@@ -52,36 +52,28 @@ def _arith(ring):
     return ring.lifted_modulus, ring.q, cr.WittElem
 
 
-def _elem_is_unit(x):
-    return not x.is_zero() if isinstance(x, cr.FFElem) else x.is_unit()
-
-
 def _entry_value(ring, x):
     """The canonical Mat entry of the FFElem/WittElem x over ring: its
-    coefficients reduced mod q, as an int at d = 1 and a d-tuple otherwise."""
+    coefficient tuple reduced mod q."""
     own = x.params if isinstance(x, cr.FFElem) else x.ring
     if own is not ring and own != ring:
         raise ParamMismatch(f"{own} vs {ring}")
     q = _arith(ring)[1]
-    if ring.d == 1:
-        return x.coeffs[0] % q
     return tuple([c % q for c in x.coeffs])
 
 
 def _entry_elem(ring, v):
     """The FFElem/WittElem over ring of the canonical Mat entry v."""
-    return _arith(ring)[2](ring, v if ring.d > 1 else (v,))
+    return _arith(ring)[2](ring, v)
 
 
 def _one_zero(ring):
-    d = ring.d
-    return (1, 0) if d == 1 else ((1,) + (0,) * (d - 1), (0,) * d)
+    zeros = (0,) * (ring.d - 1)
+    return (1,) + zeros, (0,) + zeros
 
 
-def _mod_entries(ring, entries, q):
+def _mod_entries(entries, q):
     """Entries with every coefficient reduced mod q."""
-    if ring.d == 1:
-        return tuple([x % q for x in entries])
     return tuple([tuple([c % q for c in x]) for x in entries])
 
 
@@ -95,7 +87,7 @@ def _flatten_square(rows):
 
 def _is_unit(ring, v):
     ell = ring.ell
-    return v % ell != 0 if ring.d == 1 else any(c % ell for c in v)
+    return any(c % ell for c in v)
 
 
 def _mul(ring, x, y):
@@ -109,21 +101,17 @@ def _product(ring, xs):
 
 def _unit_inverse(ring, v):
     modulus, q, _ = _arith(ring)
-    if ring.d > 1:
-        return cr._unit_inverse(v, modulus, ring.ell, q)
-    return cr._unit_inverse((v,), modulus, ring.ell, q)[0]
+    return cr._unit_inverse(v, modulus, ring.ell, q)
 
 
 def _imul(v, s, q):
     """The entry v times the integer s."""
-    return v * s % q if isinstance(v, int) else tuple([c * s % q for c in v])
+    return tuple([c * s % q for c in v])
 
 
 def _sum(ring, xs):
     """The sum of the entries xs."""
     q = _arith(ring)[1]
-    if ring.d == 1:
-        return sum(xs) % q
     return tuple([sum(cs) % q for cs in zip(*xs)])
 
 
@@ -164,10 +152,10 @@ def _det(ring, a, n):
 class Mat:
     """Square n x n matrix over F_{l^d} (FieldParams) or W(F_{l^d})/l^m.
 
-    entries holds the n^2 entries row-major as canonical values: an int in
-    [0, q) at d = 1 and a d-tuple of ints in [0, q) otherwise, with q = l
-    over a field and l^m over a Witt ring.  Every constructor reduces, so
-    equal matrices have equal entries.  Products, determinants and inverses
+    entries holds the n^2 entries row-major as canonical values: the
+    elements' coefficient d-tuples with every coefficient in [0, q), q = l
+    over a field and l^m over a Witt ring, at every d.  Every constructor
+    reduces, so equal matrices have equal entries.  Products, determinants and inverses
     run on the entries through coeffring._matmul; rows is a view of
     FFElem/WittElem objects, built on each access.
     """
@@ -186,7 +174,7 @@ class Mat:
     def from_ints(cls, ring, rows):
         n, xs = _flatten_square(rows)
         q, zeros = _arith(ring)[1], (0,) * (ring.d - 1)
-        return cls(ring, n, tuple([(v % q,) + zeros if zeros else v % q for v in xs]))
+        return cls(ring, n, tuple([(v % q,) + zeros for v in xs]))
 
     @classmethod
     def identity(cls, ring, n):
@@ -203,8 +191,7 @@ class Mat:
         """The entries as rows of FFElem/WittElem objects."""
         ring, n = self.ring, self.n
         elem = _arith(ring)[2]
-        vals = self.entries if ring.d > 1 else [(x,) for x in self.entries]
-        return tuple(tuple([elem(ring, v) for v in vals[i:i + n]])
+        return tuple(tuple([elem(ring, v) for v in self.entries[i:i + n]])
                      for i in range(0, n * n, n))
 
     def _check(self, other):
@@ -216,11 +203,8 @@ class Mat:
     def _add(self, other, sign):
         self._check(other)
         q = _arith(self.ring)[1]
-        if self.ring.d == 1:
-            ents = [(x + sign * y) % q for x, y in zip(self.entries, other.entries)]
-        else:
-            ents = [tuple([(s + sign * t) % q for s, t in zip(x, y)])
-                    for x, y in zip(self.entries, other.entries)]
+        ents = [tuple([(s + sign * t) % q for s, t in zip(x, y)])
+                for x, y in zip(self.entries, other.entries)]
         return Mat(self.ring, self.n, tuple(ents))
 
     def __add__(self, other):
@@ -306,13 +290,13 @@ class Mat:
     def residue(self):
         ring = self.ring
         return Mat(ring.residue_field, self.n,
-                   _mod_entries(ring, self.entries, ring.ell))
+                   _mod_entries(self.entries, ring.ell))
 
     def reduce(self, m2):
         if m2 > self.ring.m:
             raise ParamMismatch("cannot reduce to higher precision")
         ring2 = cr.make_witt_ring(self.ring.ell, self.ring.d, m2)
-        return Mat(ring2, self.n, _mod_entries(ring2, self.entries, ring2.q))
+        return Mat(ring2, self.n, _mod_entries(self.entries, ring2.q))
 
     def embed(self, d_big):
         if _is_field(self.ring):
@@ -324,10 +308,7 @@ class Mat:
 
     def lift_trivial(self, m):
         ring = cr.make_witt_ring(self.ring.ell, self.ring.d, m)
-        return Mat(ring, self.n, _mod_entries(ring, self.entries, ring.q))
-
-    def entry_key(self):
-        return self.entries
+        return Mat(ring, self.n, _mod_entries(self.entries, ring.q))
 
     def __repr__(self):
         return f"Mat({[[list(a.coeffs) for a in r] for r in self.rows]})"
@@ -438,16 +419,6 @@ def hensel_diagonalize(g):
 # Jordan decomposition and the tame-relation branch test
 
 
-def matrix_order(y, cap=10 ** 7):
-    acc = y
-    ident = Mat.identity(y.ring, y.n)
-    for k in range(1, cap + 1):
-        if acc == ident:
-            return k
-        acc = acc * y
-    raise Singular("order exceeds cap (matrix not of finite order?)")
-
-
 def jordan_decompose(y):
     """Multiplicative Jordan decomposition y = y_s * y_u over F_{l^d}.
 
@@ -457,7 +428,7 @@ def jordan_decompose(y):
     """
     if not (_is_field(y.ring) or y.ring.m == 1):
         raise ParamMismatch("jordan_decompose needs a matrix over a field")
-    if not _elem_is_unit(y.det()):
+    if not _is_unit(y.ring, _det(y.ring, y.entries, y.n)):
         raise Singular("matrix is singular")
     ell, n = y.ring.ell, y.n
     la = ell ** next(a for a in itertools.count() if ell ** a >= n)
@@ -487,7 +458,7 @@ def check_tame_relation(x, y, q):
     if q <= 1:
         raise InvalidQuery(f"q must be > 1, got {q}")
     for name, a in (("x", x), ("y", y)):
-        if not _elem_is_unit(a.det()):
+        if not _is_unit(a.ring, _det(a.ring, a.entries, a.n)):
             raise InvalidQuery(f"{name} is not invertible: det {name} = {a.det()}")
     if x * y * x.inverse() != y ** q:
         return TameBranch("not_conjugate_relation")
@@ -618,15 +589,6 @@ def find_split_diagonal(gens):
     return p, dd
 
 
-def root_of_unity_bound(ring):
-    """The valuation threshold from the one-unit root-of-unity lemma.
-
-    In an unramified truncation only l has positive valuation, so the bound
-    is v(l) = 1: any root of unity congruent to 1 mod l^2 is 1.
-    """
-    return 1
-
-
 # ---------------------------------------------------------------------------
 # integral models, on exact rationals
 #
@@ -663,7 +625,8 @@ class KElem:
     value is a Fraction.  ring, W(F_l)/l^m, sets l and the precision of the
     (num, den) view: den = max(0, -v_l(value)) and num = value * l^den mod
     l^m as a WittElem, a denominator prime to l inverted mod l^m; num is
-    None for 0.  The operators are Fraction operators behind a ring check.
+    None for 0.  It has no arithmetic: integral_model and module_basis
+    compute on the Fractions.
     """
 
     ring: object
@@ -686,29 +649,6 @@ class KElem:
     def valuation(self):
         """v_l of the value, _INF for 0."""
         return _val(self.value, self.ring.ell) if self.value else _INF
-
-    def __add__(self, other):
-        return KElem(self.ring, self.value + _value(self.ring, other))
-
-    def __neg__(self):
-        return KElem(self.ring, -self.value)
-
-    def __sub__(self, other):
-        return KElem(self.ring, self.value - _value(self.ring, other))
-
-    def __mul__(self, other):
-        return KElem(self.ring, self.value * _value(self.ring, other))
-
-    def inverse(self):
-        if not self.value:
-            raise Singular("division by zero")
-        return KElem(self.ring, 1 / self.value)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def key(self):
-        return self.value
 
     def __repr__(self):
         if not self.value:

@@ -166,7 +166,6 @@ def module_suite(group, images, ell=5):
 
 
 def _acts(group, action, field):
-    from .cohomology import GModule
-    mod = GModule(field, next(iter(action.values())).n, action, "custom", {})
+    mod = module_from_action(field, action)
     ident = Mat.identity(field, mod.dim)
     return all(mod.word_matrix(r) == ident for r in group.relators)

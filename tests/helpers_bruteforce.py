@@ -1,5 +1,5 @@
-"""Brute-force oracles: cohomology of small finite groups, and integrality
-of integral_model's conjugates in plain integers.
+"""Brute-force oracles: cohomology of small finite groups, integrality of
+integral_model's conjugates in plain integers, and matrix orders.
 
 The cohomology oracle is independent of the Fox-derivative machinery: group
 elements are enumerated through a faithful matrix realization, and every
@@ -10,8 +10,20 @@ crossed-homomorphism rule on all (element, generator) edges.
 import itertools
 
 import wittlift.coeffring as cr
-from wittlift.cohomology import matvec, vec_add
+from wittlift.cohomology import vec_add
+from wittlift.errors import Singular
 from wittlift.matlin import Mat
+
+
+def matrix_order(y, cap=10 ** 7):
+    """The least k >= 1 with y^k = 1, by repeated products; Singular past cap."""
+    acc = y
+    ident = Mat.identity(y.ring, y.n)
+    for k in range(1, cap + 1):
+        if acc == ident:
+            return k
+        acc = acc * y
+    raise Singular("order exceeds cap (matrix not of finite order?)")
 
 
 def enumerate_elements(group, images, module):
@@ -24,7 +36,7 @@ def enumerate_elements(group, images, module):
                            images[group.generators[0]].n)
     ident_a = Mat.identity(module.field, module.dim)
     elements = [{"act": ident_a}]
-    index = {ident_f.entry_key(): 0}
+    index = {ident_f.entries: 0}
     mats = [ident_f]
     edges = []
     frontier = [0]
@@ -33,7 +45,7 @@ def enumerate_elements(group, images, module):
         for ei in frontier:
             for name in group.generators:
                 prod = mats[ei] * images[name]
-                key = prod.entry_key()
+                key = prod.entries
                 if key not in index:
                     index[key] = len(elements)
                     mats.append(prod)
@@ -73,10 +85,10 @@ def brute_force_h1(group, images, module):
                 continue
             ei, name = discovery[ti]
             values[ti] = vec_add(values[ei],
-                                 matvec(elements[ei]["act"], f[name]))
+                                 elements[ei]["act"].apply(f[name]))
         ok = True
         for ei, name, ti in edges:
-            want = vec_add(values[ei], matvec(elements[ei]["act"], f[name]))
+            want = vec_add(values[ei], elements[ei]["act"].apply(f[name]))
             if want != values[ti]:
                 ok = False
                 break
@@ -85,7 +97,7 @@ def brute_force_h1(group, images, module):
 
     cob = set()
     for m in vectors:
-        key = tuple(vec_add(matvec(module.act_gen(name), m),
+        key = tuple(vec_add(module.act_gen(name).apply(m),
                             tuple(-x for x in m))
                     for name in group.generators)
         cob.add(key)

@@ -34,13 +34,13 @@ from wittlift.lifting import (
     twist,
 )
 from wittlift.matlin import (
+    KElem,
     Mat,
     find_split_diagonal,
     hensel_diagonalize,
     integral_model,
     jordan_decompose,
     kelem_from_rational,
-    matrix_order,
     check_tame_relation,
 )
 from wittlift.presets import (
@@ -51,7 +51,7 @@ from wittlift.presets import (
     surrogate_free,
     surrogate_tame,
 )
-from helpers_bruteforce import brute_force_h1, conjugate_is_integral
+from helpers_bruteforce import brute_force_h1, conjugate_is_integral, matrix_order
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +145,8 @@ def test_acceptance_2_matrix_toolkit():
     orders = {}
     inverses = {}
     for g in gl2:
-        orders[g.entry_key()] = matrix_order(g)
-        inverses[g.entry_key()] = g.inverse()
+        orders[g.entries] = matrix_order(g)
+        inverses[g.entries] = g.inverse()
     for y in gl2:
         y_s, y_u = jordan_decompose(y)
         assert y_s * y_u == y and y_u * y_s == y
@@ -155,8 +155,8 @@ def test_acceptance_2_matrix_toolkit():
         # uniqueness: no other commuting (semisimple, 5-power-order) pair
         matches = 0
         for a in gl2:
-            if orders[a.entry_key()] % 5 != 0:
-                b = inverses[a.entry_key()] * y
+            if orders[a.entries] % 5 != 0:
+                b = inverses[a.entries] * y
                 if matrix_order(b) in (1, 5) and a * b == b * a:
                     matches += 1
                     assert a == y_s and b == y_u
@@ -164,10 +164,10 @@ def test_acceptance_2_matrix_toolkit():
 
     # tame-relation dichotomy, every satisfying pair with q = 2
     satisfying = 0
-    squares = {y.entry_key(): y * y for y in gl2}
+    squares = {y.entries: y * y for y in gl2}
     for x in gl2:
         for y in gl2:
-            if x * y == squares[y.entry_key()] * x:  # x y x^-1 = y^2
+            if x * y == squares[y.entries] * x:  # x y x^-1 = y^2
                 satisfying += 1
                 branch = check_tame_relation(x, y, 2)
                 assert branch.kind in ("semisimple_finite_order",
@@ -185,7 +185,7 @@ def test_acceptance_2_matrix_toolkit():
 
 
 def _find_key(mat, orders):
-    k = mat.entry_key()
+    k = mat.entries
     assert k in orders
     return k
 
@@ -444,11 +444,12 @@ def _k(num, den=1):
 
 
 def _kmat_int(rng):
-    """A random matrix in GL_2 of the 5-adic integers with small entries."""
+    """A random matrix in GL_2 of the 5-adic integers with small entries,
+    as Fractions."""
     while True:
         a, b, c, d = (rng.randrange(-10, 11) for _ in range(4))
         if (a * d - b * c) % 5 != 0:
-            return [[_k(a), _k(b)], [_k(c), _k(d)]]
+            return [[Fraction(a), Fraction(b)], [Fraction(c), Fraction(d)]]
 
 
 def _kmat_mul(a, b):
@@ -457,24 +458,32 @@ def _kmat_mul(a, b):
 
 
 def _conjugate(p, g):
+    """p^-1 g p for 2 x 2 matrices of Fractions."""
     det = p[0][0] * p[1][1] - p[0][1] * p[1][0]
     inv = [[p[1][1] / det, -p[0][1] / det],
            [-p[1][0] / det, p[0][0] / det]]
     return _kmat_mul(_kmat_mul(inv, g), p)
 
 
+def _kelems(g):
+    return [[KElem(RK, x) for x in row] for row in g]
+
+
+def _values(g):
+    return [[x.value for x in row] for row in g]
+
+
 def _is_integral(g):
-    return all(x.is_exact_zero() or x.valuation() >= 0
-               for row in g for x in row)
+    return all(x.denominator % 5 for row in g for x in row)
 
 
 def test_acceptance_8_integral_model():
     # worked example: the order-2 element [[0,5],[1/5,0]]
     g = [[_k(0), _k(5)], [_k(1, 5), _k(0)]]
     p = integral_model([g])
-    assert p[0][0].key() == _k(1).key()
-    assert p[1][1].key() == _k(1, 5).key()
-    assert _is_integral(_conjugate(p, g))
+    assert p[0][0].value == 1
+    assert p[1][1].value == Fraction(1, 5)
+    assert _is_integral(_conjugate(_values(p), _values(g)))
     assert conjugate_is_integral(p, g, 5, RK.m)
 
     # 100 random bounded groups: conjugates of integral generator sets
@@ -483,14 +492,14 @@ def test_acceptance_8_integral_model():
         frame = _kmat_int(rng)
         # scale the frame by diag(1, 5^k) to create denominators
         k = rng.randrange(0, 3)
-        frame = [[frame[0][0], frame[0][1] * _k(1, 5 ** k)],
-                 [frame[1][0], frame[1][1] * _k(1, 5 ** k)]]
+        frame = [[frame[0][0], frame[0][1] / 5 ** k],
+                 [frame[1][0], frame[1][1] / 5 ** k]]
         gens = []
         for _ in range(rng.randrange(1, 4)):
-            gens.append(_conjugate(frame, _kmat_int(rng)))
+            gens.append(_kelems(_conjugate(frame, _kmat_int(rng))))
         p = integral_model(gens)
         for g in gens:
-            assert _is_integral(_conjugate(p, g))
+            assert _is_integral(_conjugate(_values(p), _values(g)))
             assert conjugate_is_integral(p, g, 5, RK.m)
 
     # unbounded generator

@@ -20,7 +20,6 @@ from wittlift.cohomology import (
     fox_jacobian,
     invariants_dim,
     lift_solve,
-    matvec,
     module_from_action,
     normalize_det,
     pairing,
@@ -104,7 +103,7 @@ def test_cartier_dual_pairing():
         x = tuple(cr.ff_from_int(F5, rng.randrange(5)) for _ in range(3))
         phi = tuple(cr.ff_from_int(F5, rng.randrange(5)) for _ in range(3))
         eps = cr.ff_from_int(F5, rho.group.epsilon[name])
-        lhs = pairing(matvec(mod.action[name], x), matvec(dual.action[name], phi))
+        lhs = pairing(mod.action[name].apply(x), dual.action[name].apply(phi))
         assert lhs == pairing(x, phi) * eps
 
 
@@ -349,6 +348,124 @@ def test_lift_solve_plug_back_seeded_defects():
             for gname, e in rel:
                 acc = acc * (fixed[gname] ** e)
             assert acc.is_identity()
+
+
+def _o_mul22(a, b):
+    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)] for i in range(2)]
+
+
+def _o_inverse22(a):
+    """The adjugate over the determinant, on element objects."""
+    dinv = (a[0][0] * a[1][1] - a[0][1] * a[1][0]).inverse()
+    return [[a[1][1] * dinv, -a[0][1] * dinv], [-a[1][0] * dinv, a[0][0] * dinv]]
+
+
+def _o_defects(group, lifts, m):
+    """Defect coordinates (b, a, c) of each relator, from a schoolbook product
+    of the lifts' entries: the relator image is I + l^m [[a, b], [c, -a]]."""
+    ring = next(iter(lifts.values())).ring
+    field, lm = ring.residue_field, ring.ell ** m
+    out = []
+    for rel in group.relators:
+        acc = [[cr.witt_one(ring), cr.witt_zero(ring)], [cr.witt_zero(ring), cr.witt_one(ring)]]
+        for name, e in rel:
+            step = [list(r) for r in lifts[name].rows]
+            if e < 0:
+                step = _o_inverse22(step)
+            for _ in range(abs(e)):
+                acc = _o_mul22(acc, step)
+        acc[0][0] = acc[0][0] - cr.witt_one(ring)
+        acc[1][1] = acc[1][1] - cr.witt_one(ring)
+        assert all(c % lm == 0 for r in acc for x in r for c in x.coeffs)
+        digit = [[cr.FFElem(field, tuple(c // lm % ring.ell for c in x.coeffs)) for x in r]
+                 for r in acc]
+        out.append((digit[0][1], digit[0][0], digit[1][0]))
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_relator_defects_match_schoolbook_products(m, monkeypatch):
+    rng = random.Random(m)
+    group = surrogate_tame()
+    rho = deformation_tame(m)
+    inverted, products = [], []
+    inverse, mul = Mat.inverse, Mat.__mul__
+    monkeypatch.setattr(Mat, "inverse", lambda a: inverted.append(a.entries) or inverse(a))
+    monkeypatch.setattr(Mat, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    # binary powering per letter, then one product per further letter
+    want_products = sum(len(rel) - 1 + sum(abs(e).bit_length() + bin(abs(e)).count("1") - 2
+                                           for _, e in rel) for rel in group.relators)
+    for _ in range(5):
+        lifts = _trivial_lifts(rho, m + 1)
+        name = rng.choice(group.generators)
+        ring1, lm = lifts[name].ring, 5 ** m
+        a, b, c = (rng.randrange(5) for _ in range(3))
+        lifts[name] = Mat.from_ints(ring1, [[1 + lm * a, lm * b],
+                                            [lm * c, 1 - lm * a]]) * lifts[name]
+        inverted.clear()
+        products.clear()
+        defects = relator_defects(rho, lifts)
+        assert len(products) == want_products
+        assert defects == _o_defects(group, lifts, m)
+        # each lift is inverted at most once, and only lifts are inverted
+        assert len(inverted) == len(set(inverted))
+        assert set(inverted) <= {x.entries for x in lifts.values()}
+
+
+def _o_normalize_det(group, name, lift):
+    """normalize_det through the unit inverse: w is the digit of
+    eps * det^-1 - 1 at l^(m1-1), and the lift is scaled by 1 + l^(m1-1) w/2."""
+    ring = lift.ring
+    ell, m1 = ring.ell, ring.m
+    want = cr.witt_from_int(ring, group.epsilon[name])
+    det = lift.det()
+    if det == want:
+        return lift
+    diff = want * det.inverse() - cr.witt_one(ring)
+    if diff.valuation() < m1 - 1:
+        raise DetNotEpsilon("not 1 mod l^(m1-1)")
+    lm = ell ** (m1 - 1)
+    half = pow(2, -1, ell)
+    s = cr.WittElem(ring, tuple(lm * ((c // lm) % ell * half % ell) for c in diff.coeffs))
+    out = lift.scale(cr.witt_one(ring) + s)
+    if out.det() != want:
+        raise DetNotEpsilon("normalization failed")
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_normalize_det_matches_inverse_formula(d):
+    rng = random.Random(d)
+    group = surrogate_tame()
+    for trial in range(30):
+        m = rng.choice([1, 2, 3])
+        ring = cr.make_witt_ring(5, d, m + 1)
+        name = rng.choice(group.generators)
+        eps = cr.witt_from_int(ring, group.epsilon[name])
+        while True:
+            g = Mat.from_rows(ring, [[cr.WittElem(ring, tuple(rng.randrange(ring.q)
+                                                              for _ in range(d)))
+                                      for _ in range(2)] for _ in range(2)])
+            if g.det().is_unit():
+                break
+        # scale row 0 so that det = eps (1 + l^k u): k = m keeps det = eps
+        # mod l^m, and k = m - 1 with u a unit does not
+        if trial % 5 == 0 and m > 1:
+            k, u = m - 1, cr.witt_from_int(ring, rng.randrange(1, 5))
+        else:
+            k, u = m, cr.WittElem(ring, tuple(rng.randrange(ring.q) for _ in range(d)))
+        f = eps * g.det().inverse() * (cr.witt_one(ring) + cr.witt_scale(u, 5 ** k))
+        (a, b), (c, e) = g.rows
+        lift = Mat.from_rows(ring, [[a * f, b * f], [c, e]])
+        if k < m:
+            with pytest.raises(DetNotEpsilon):
+                _o_normalize_det(group, name, lift)
+            with pytest.raises(DetNotEpsilon):
+                normalize_det(group, name, lift)
+        else:
+            out = normalize_det(group, name, lift)
+            assert out == _o_normalize_det(group, name, lift)
+            assert out.det() == eps
 
 
 def test_lift_solve_defect_trace_must_vanish():

@@ -557,6 +557,30 @@ def test_certcheck_catches_tampering():
     assert any("no entries" in p for p in check_certificate(missing))
 
 
+def _one_entry_certificate(**fields):
+    return {"schema_version": 1, "d_top": 1,
+            "entries": [{"d": 1, "kind": "frobenius", "check_degree": 1, **fields}]}
+
+
+@pytest.mark.parametrize("fields, reason", [
+    ({}, "trace is not a string"),
+    ({"trace": 7}, "trace is not a string"),
+    ({"trace": "5^2:1:[1"}, "unparseable trace"),
+    ({"trace": "4^2:1:[1]"}, "unparseable trace"),
+], ids=["missing", "not_a_string", "malformed", "ell_4"])
+def test_certcheck_reports_a_bad_trace_once(fields, reason):
+    problems = check_certificate(_one_entry_certificate(**fields))
+    assert len(problems) == 1 and reason in problems[0]
+
+
+def test_certcheck_lets_internal_errors_propagate(monkeypatch):
+    def broken(text):
+        raise RuntimeError("internal failure")
+    monkeypatch.setattr("wittlift.certcheck.witt_from_str", broken)
+    with pytest.raises(RuntimeError, match="internal failure"):
+        check_certificate(_one_entry_certificate(trace="5^2:1:[1]"))
+
+
 def test_tower_json_round_trip_and_corruption():
     tower, _ = build_tower(PLAN)
     data = tower_to_json_dict(tower)
