@@ -174,8 +174,12 @@ def _matmul(a, b, inner, cols, modulus, q):
     dot product: at d > 1 every input entry is packed once, the inner
     big-integer products of a row and a column are summed, and the sum is
     unpacked and folded once (Kronecker substitution applied to the whole dot
-    product); at d = 1 the 1-tuples are unwrapped and the sums wrapped.
+    product); at d = 1 the 1-tuples are unwrapped, a 2 x 2 product written out.
     """
+    if len(modulus) == 2 and inner == cols == 2 and len(a) == 4:
+        (a0,), (a1,), (a2,), (a3,), (b0,), (b1,), (b2,), (b3,) = *a, *b
+        return (((a0 * b0 + a1 * b2) % q,), ((a0 * b1 + a1 * b3) % q,),
+                ((a2 * b0 + a3 * b2) % q,), ((a2 * b1 + a3 * b3) % q,))
     if len(modulus) == 2:
         a, b = [x for (x,) in a], [y for (y,) in b]
     else:

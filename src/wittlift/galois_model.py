@@ -150,6 +150,12 @@ class Deformation:
     _inverses: dict = dataclasses.field(default_factory=dict, init=False,
                                         repr=False, compare=False)
 
+    def __post_init__(self):
+        for name, eps in self.group.epsilon.items():
+            if eps % self.ring.ell == 0:
+                raise SchemaError(f"epsilon of generator {name!r} is {eps}, "
+                                  f"not a unit mod l = {self.ring.ell}")
+
     @property
     def m(self):
         return self.ring.m

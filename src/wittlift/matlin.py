@@ -9,8 +9,8 @@ eigenvalues, Hensel diagonalization of 2x2 matrices over truncated Witt
 rings, multiplicative Jordan decomposition, the tame-relation branch test,
 the BFS closure of integer matrix groups, split-diagonal extraction from
 subgroups with full residual image, and the integral-model decision
-(witness checks and lattice saturation) on exact rationals; KElem is a
-(num, den) view of an exact rational without arithmetic.
+(witness checks and lattice saturation) on integers; KElem is a (num, den)
+view of an exact rational without arithmetic, used only at the boundary.
 """
 
 from __future__ import annotations
@@ -320,7 +320,7 @@ class Mat:
 
 def char_poly(g):
     """det(xI - g) as an ascending list of elements of g's ring, by the
-    Faddeev-LeVerrier recurrence of _rational_char_poly: one Mat product and
+    Faddeev-LeVerrier recurrence of _int_char_poly: one Mat product and
     one division by k per step, and k is a unit because k <= n < l."""
     ring, n = g.ring, g.n
     if n >= ring.ell:
@@ -590,17 +590,17 @@ def find_split_diagonal(gens):
 
 
 # ---------------------------------------------------------------------------
-# integral models, on exact rationals
+# integral models, on integers
 #
-# The generators are exact elements of Q (given in Z[1/l]), so the witness
-# checks and the saturation run on Fractions; a ring only sets l and the
-# precision of the (num, den) view that KElem shows its callers.
+# Generators are integer matrices over the lcm of their denominators and the
+# lattice's vectors integer vectors over a power of l; exact rationals appear
+# only in KElem, the final basis normalisation and UnboundedGroup messages.
 
 SATURATION_ROUNDS = 50
 
 
 def _val(x, ell):
-    """v_l of the nonzero Fraction x."""
+    """v_l of the nonzero int or Fraction x."""
     v, num, den = 0, x.numerator, x.denominator
     while num % ell == 0:
         num //= ell
@@ -612,7 +612,7 @@ def _val(x, ell):
 
 
 def _value(ring, x):
-    """The Fraction of the KElem x, which must be over ring."""
+    """The exact rational value of the KElem x, which must be over ring."""
     if x.ring is not ring and x.ring != ring:
         raise ParamMismatch(f"{x.ring} vs {ring}")
     return x.value
@@ -626,7 +626,7 @@ class KElem:
     (num, den) view: den = max(0, -v_l(value)) and num = value * l^den mod
     l^m as a WittElem, a denominator prime to l inverted mod l^m; num is
     None for 0.  It has no arithmetic: integral_model and module_basis
-    compute on the Fractions.
+    compute on integers, and build a KElem only for the conjugator.
     """
 
     ring: object
@@ -666,27 +666,25 @@ def kelem_from_rational(ring, numerator, denominator=1):
     return KElem(ring, Fraction(numerator, denominator))
 
 
-def module_basis(gens):
-    """A basis of the Z_(l)-lattice spanned by gens (tuples of KElem over one
-    ring), basis vector i with its pivot at row i.
+def module_basis(vecs, ell):
+    """A basis of the Z_(l)-lattice spanned by vecs, integer vectors over one
+    common denominator, as integer vectors over it: basis vector i has its
+    pivot at row i and no prime-to-l content.
 
-    Minimal-valuation elimination: among the remaining vectors and rows the
-    nonzero entry of least valuation v is the pivot; its vector, scaled by a
-    unit so that the pivot is exactly l^v, joins the basis, and every other
-    vector loses that row by subtracting an integral multiple of it.  Each
-    basis vector is zero at the rows pivoted before it, so the basis
-    determinant is +- the product of the pivots.  Raises DoesNotSpan below
-    full rank.
+    Division-free minimal-valuation elimination (Bareiss): the nonzero entry
+    of least valuation among the remaining vectors and rows is the pivot
+    p_i = l^v u, u a unit; p joins the basis, and every other vector c loses
+    that row by c <- u c - (c_i / l^v) p, a unit multiple of c - (c_i / p_i) p.
+    Each basis vector is zero at the rows pivoted before it, so det is a unit
+    times the product of the pivots.  Raises DoesNotSpan below full rank.
     """
-    if not gens:
+    if not vecs:
         raise DoesNotSpan("no generators")
-    ring = gens[0][0].ring
-    ell, n = ring.ell, len(gens[0])
-    cols = [[_value(ring, x) for x in v] for v in gens]
+    n, vecs = len(vecs[0]), [list(v) for v in vecs]
     basis = {}
-    while cols and len(basis) < n:
+    while vecs and len(basis) < n:
         best = None
-        for j, col in enumerate(cols):
+        for j, col in enumerate(vecs):
             for i, x in enumerate(col):
                 if x and i not in basis:
                     v = _val(x, ell)
@@ -695,46 +693,49 @@ def module_basis(gens):
         if best is None:
             break
         v, j, i = best
-        s = Fraction(ell) ** v / cols[j][i]
-        pivot = [x * s for x in cols.pop(j)]
-        for col in cols:
+        pivot, t = vecs.pop(j), ell ** v
+        u = pivot[i] // t
+        for col in vecs:
             if col[i]:
-                f = col[i] / pivot[i]
-                col[:] = [x - f * y for x, y in zip(col, pivot)]
-        basis[i] = pivot
+                f = col[i] // t
+                col[:] = [u * x - f * y for x, y in zip(col, pivot)]
+        g = math.gcd(*pivot)
+        basis[i] = [x // (g // ell ** _val(g, ell)) for x in pivot]
     if len(basis) < n:
         raise DoesNotSpan(f"generators span a module of rank {len(basis)} < {n}")
-    return [tuple(KElem(ring, x) for x in basis[i]) for i in range(n)]
+    return [basis[i] for i in range(n)]
 
 
-def _rational_matmul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+def _int_matmul(a, b):
+    return [[sum([x * y for x, y in zip(row, col)]) for col in zip(*b)] for row in a]
 
 
-def _rational_char_poly(a):
-    """det(xI - a) as ascending Fractions c_0, ..., c_n, for a square matrix
-    a of Fractions, by Faddeev-LeVerrier: M_1 = I, M_k = a M_{k-1} +
-    c_{n-k+1} I and c_{n-k} = -tr(a M_k) / k.  det a = (-1)^n c_0."""
-    n = len(a)
-    c, am = [Fraction(1)], a
+def _int_char_poly(b):
+    """det(xI - b) as ascending ints c_0, ..., c_n, for a square integer
+    matrix b, by Faddeev-LeVerrier: M_1 = I, M_k = b M_{k-1} + c_{n-k+1} I
+    and c_{n-k} = -tr(b M_k) / k, an exact division.  det b = (-1)^n c_0."""
+    n = len(b)
+    c, am = [1], b
     for k in range(1, n + 1):
-        c.append(-sum(am[i][i] for i in range(n)) / k)
+        c.append(-sum([am[i][i] for i in range(n)]) // k)
         if k < n:
-            am = _rational_matmul(a, [[x + c[k] if i == j else x for j, x in enumerate(row)]
-                                      for i, row in enumerate(am)])
+            am = _int_matmul(b, [[x + c[k] if i == j else x for j, x in enumerate(row)]
+                                 for i, row in enumerate(am)])
     return c[::-1]
 
 
-def _refute(word, c, ell):
-    """Raise UnboundedGroup naming word unless its characteristic polynomial
-    c has a unit constant term and l-integral coefficients."""
-    n = len(c) - 1
-    if _val(c[0], ell):
-        raise UnboundedGroup(f"{word}: det {(-1) ** n * c[0]} is not a {ell}-adic unit")
+def _refute(word, c, den, ell):
+    """Raise UnboundedGroup naming word unless B / den, whose characteristic
+    polynomial is sum c_k x^k / den^(n-k), has a unit det and l-integral coefficients."""
+    n, vd = len(c) - 1, _val(den, ell)
+    if _val(c[0], ell) != n * vd:
+        raise UnboundedGroup(f"{word}: det {Fraction((-1) ** n * c[0], den ** n)} "
+                             f"is not a {ell}-adic unit")
     for k in range(n - 1, 0, -1):
-        if c[k] and _val(c[k], ell) < 0:
-            what = (f"trace {-c[k]}" if k == n - 1 else
-                    f"x^{k} coefficient {c[k]} of the characteristic polynomial")
+        if c[k] and _val(c[k], ell) < (n - k) * vd:
+            what = (f"trace {Fraction(-c[k], den)}" if k == n - 1 else
+                    f"x^{k} coefficient {Fraction(c[k], den ** (n - k))} of the "
+                    f"characteristic polynomial")
             raise UnboundedGroup(f"{word}: {what} is not {ell}-integral")
 
 
@@ -763,27 +764,36 @@ def integral_model(gens):
                                "generator 0 has no rows")
     ring = gens[0][0][0].ring
     ell = ring.ell
-    mats = [[[_value(ring, x) for x in row] for row in g] for g in gens]
-    polys = [_rational_char_poly(a) for a in mats]
+    # generator i is mats[i] / dens[i], with mats[i] integral
+    vals = [[[_value(ring, x) for x in row] for row in g] for g in gens]
+    dens = [math.lcm(*[x.denominator for row in a for x in row]) for a in vals]
+    mats = [[[x.numerator * (den // x.denominator) for x in row] for row in a]
+            for a, den in zip(vals, dens)]
+    polys = [_int_char_poly(b) for b in mats]
     for gi, c in enumerate(polys):
         if not c[0]:
             raise InvalidQuery(f"generator {gi} is singular: det = 0")
     for gi, c in enumerate(polys):
-        _refute(f"generator {gi}", c, ell)
+        _refute(f"generator {gi}", c, dens[gi], ell)
     for i, j in itertools.combinations(range(len(mats)), 2):
-        _refute(f"generators {i} * {j}",
-                _rational_char_poly(_rational_matmul(mats[i], mats[j])), ell)
-    basis = [tuple(KElem(ring, Fraction(int(i == j))) for i in range(n)) for j in range(n)]
-    vdet = 0
+        _refute(f"generators {i} * {j}", _int_char_poly(_int_matmul(mats[i], mats[j])),
+                dens[i] * dens[j], ell)
+    # s_i is a unit times B_i / l^e_i: over l^top it acts as l^(top - e_i) B_i
+    es = [_val(den, ell) for den in dens]
+    top, basis, e, vdet = max(es), [[int(i == j) for i in range(n)] for j in range(n)], 0, 0
+    acts = [[[x * ell ** (top - ei) for x in row] for row in b] for b, ei in zip(mats, es)]
     for rounds in itertools.count(1):
         if n >= 3 and rounds > SATURATION_ROUNDS:
             raise Undecided(f"no word of length <= 2 is a witness and the saturation "
                             f"did not close in {SATURATION_ROUNDS} rounds (n = {n})")
-        cols = [[x.value for x in b] for b in basis]
-        basis = module_basis(basis + [
-            tuple(KElem(ring, sum(x * y for x, y in zip(row, b))) for row in a)
-            for a in mats for b in cols])
-        new = sum(basis[i][i].valuation() for i in range(n))
+        scale, e = ell ** top, e + top  # the lattice's vectors are over l^e
+        basis = module_basis([[x * scale for x in b] for b in basis] + [
+            [sum([x * y for x, y in zip(row, b)]) for row in a] for a in acts for b in basis], ell)
+        ws = [_val(b[i], ell) for i, b in enumerate(basis)]
+        new = sum(ws) - n * e
         if new == vdet:
-            return [[basis[j][i] for j in range(n)] for i in range(n)]
+            # b_i = l^w u makes b / (u l^e) the vector with pivot exactly l^(w - e)
+            norm = [b[i] // ell ** w * ell ** e for i, (b, w) in enumerate(zip(basis, ws))]
+            return [[KElem(ring, Fraction(basis[j][i], norm[j])) for j in range(n)]
+                    for i in range(n)]
         vdet = new

@@ -1,5 +1,6 @@
 """Brute-force oracles: cohomology of small finite groups, integrality of
-integral_model's conjugates in plain integers, and matrix orders.
+integral_model's conjugates in plain integers, matrix orders, and a
+reference integral-model decision on exact Fractions.
 
 The cohomology oracle is independent of the Fox-derivative machinery: group
 elements are enumerated through a faithful matrix realization, and every
@@ -8,6 +9,7 @@ crossed-homomorphism rule on all (element, generator) edges.
 """
 
 import itertools
+from fractions import Fraction
 
 import wittlift.coeffring as cr
 from wittlift.cohomology import vec_add
@@ -156,3 +158,119 @@ def conjugate_is_integral(p, g, ell, m):
                 for i in range(2)]
     return all(_int_valuation(x, ell, m) >= need
                for row in mul(mul(adj, gg), pp) for x in row)
+
+
+# ---------------------------------------------------------------------------
+# reference integral model on exact Fractions
+#
+# The decision integral_model makes, computed the direct way on Fractions:
+# every entry, characteristic-polynomial coefficient and lattice vector is a
+# Fraction, and module_basis scales each pivot to exactly l^v as it goes.  It
+# uses nothing from wittlift, so the integer implementation is checked
+# against an independent computation; outcomes are (exception class name,
+# message) pairs, or ("ok", P) with P the conjugator's values.
+
+
+def fraction_val(x, ell):
+    """v_l of the nonzero rational x."""
+    x, v = Fraction(x), 0
+    num, den = x.numerator, x.denominator
+    while num % ell == 0:
+        num, v = num // ell, v + 1
+    while den % ell == 0:
+        den, v = den // ell, v - 1
+    return v
+
+
+def fraction_matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def fraction_char_poly(a):
+    """det(xI - a) as ascending Fractions c_0, ..., c_n, by Faddeev-LeVerrier."""
+    n = len(a)
+    c, am = [Fraction(1)], a
+    for k in range(1, n + 1):
+        c.append(-sum(am[i][i] for i in range(n)) / k)
+        if k < n:
+            am = fraction_matmul(a, [[x + c[k] if i == j else x for j, x in enumerate(row)]
+                                     for i, row in enumerate(am)])
+    return c[::-1]
+
+
+class _Outcome(Exception):
+    def __init__(self, kind, message):
+        super().__init__(kind, message)
+        self.kind, self.message = kind, message
+
+
+def _fraction_refute(word, c, ell):
+    n = len(c) - 1
+    if fraction_val(c[0], ell):
+        raise _Outcome("UnboundedGroup",
+                       f"{word}: det {(-1) ** n * c[0]} is not a {ell}-adic unit")
+    for k in range(n - 1, 0, -1):
+        if c[k] and fraction_val(c[k], ell) < 0:
+            what = (f"trace {-c[k]}" if k == n - 1 else
+                    f"x^{k} coefficient {c[k]} of the characteristic polynomial")
+            raise _Outcome("UnboundedGroup", f"{word}: {what} is not {ell}-integral")
+
+
+def fraction_module_basis(vecs, ell):
+    """Minimal-valuation elimination on Fraction vectors; basis vector i has
+    its pivot, exactly l^v, at row i."""
+    n, cols = len(vecs[0]), [list(v) for v in vecs]
+    basis = {}
+    while cols and len(basis) < n:
+        best = None
+        for j, col in enumerate(cols):
+            for i, x in enumerate(col):
+                if x and i not in basis:
+                    v = fraction_val(x, ell)
+                    if best is None or v < best[0]:
+                        best = (v, j, i)
+        if best is None:
+            break
+        v, j, i = best
+        s = Fraction(ell) ** v / cols[j][i]
+        pivot = [x * s for x in cols.pop(j)]
+        for col in cols:
+            if col[i]:
+                f = col[i] / pivot[i]
+                col[:] = [x - f * y for x, y in zip(col, pivot)]
+        basis[i] = pivot
+    if len(basis) < n:
+        raise _Outcome("DoesNotSpan", f"generators span a module of rank {len(basis)} < {n}")
+    return [basis[i] for i in range(n)]
+
+
+def fraction_integral_model(gens, ell, rounds_cap=50):
+    """The integral-model outcome for square Fraction matrices gens: ("ok",
+    P) or (exception class name, message), with at most rounds_cap
+    saturation rounds for n >= 3."""
+    n = len(gens[0])
+    try:
+        polys = [fraction_char_poly(a) for a in gens]
+        for gi, c in enumerate(polys):
+            if not c[0]:
+                raise _Outcome("InvalidQuery", f"generator {gi} is singular: det = 0")
+        for gi, c in enumerate(polys):
+            _fraction_refute(f"generator {gi}", c, ell)
+        for i, j in itertools.combinations(range(len(gens)), 2):
+            _fraction_refute(f"generators {i} * {j}",
+                             fraction_char_poly(fraction_matmul(gens[i], gens[j])), ell)
+        basis = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+        vdet = 0
+        for rounds in itertools.count(1):
+            if n >= 3 and rounds > rounds_cap:
+                raise _Outcome("Undecided", f"no word of length <= 2 is a witness and the "
+                               f"saturation did not close in {rounds_cap} rounds (n = {n})")
+            basis = fraction_module_basis(basis + [
+                [sum(x * y for x, y in zip(row, b)) for row in a] for a in gens for b in basis],
+                ell)
+            new = sum(fraction_val(basis[i][i], ell) for i in range(n))
+            if new == vdet:
+                return "ok", [[basis[j][i] for j in range(n)] for i in range(n)]
+            vdet = new
+    except _Outcome as out:
+        return out.kind, out.message

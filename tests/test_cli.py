@@ -69,6 +69,18 @@ def test_tower_build_bad_plan_is_input_error(tmp_path):
     assert main(["tower", "build", missing]) == 4
 
 
+def test_tower_build_non_unit_epsilon_is_input_error(tmp_path, capsys):
+    plan = plan_dict()
+    plan["group"]["epsilon"]["w"] = 10
+    path = write_json(tmp_path / "plan.json", plan)
+    assert main(["tower", "build", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)  # one JSON object, no traceback
+    assert err == {"error": "epsilon of generator 'w' is 10, not a unit mod l = 5",
+                   "kind": "input"}
+
+
 def test_h1_trivial_module(tmp_path, capsys):
     group = write_json(tmp_path / "g.json",
                        {"group": surrogate_free().to_json_dict()})

@@ -98,6 +98,19 @@ def test_validate_trivial_representation():
     assert validate_deformation(rho).ok
 
 
+def test_deformation_refuses_non_unit_epsilon():
+    # epsilon(a) = 5 is not a unit at l = 5; normalize_det would otherwise
+    # fail inside pow on the first lift
+    group = ModelGroup(("a",), (), (), {"a": 5})
+    ring = cr.make_witt_ring(5, 1, 2)
+    with pytest.raises(SchemaError, match=r"^epsilon of generator 'a' is 5, not a unit "
+                                          r"mod l = 5$"):
+        Deformation(group, ring, {"a": Mat.identity(ring, 2)})
+    # the same group is fine where 5 is a unit
+    ring7 = cr.make_witt_ring(7, 1, 2)
+    assert Deformation(group, ring7, {"a": Mat.identity(ring7, 2)}).ring is ring7
+
+
 def test_validate_catches_bad_determinant():
     group = surrogate_free()
     ring = cr.make_witt_ring(5, 1, 1)

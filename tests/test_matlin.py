@@ -3,6 +3,7 @@ split diagonals, and the fraction-field lattice algorithms."""
 
 import functools
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wittlift.coeffring as cr
-from helpers_bruteforce import conjugate_is_integral, matrix_order
+from helpers_bruteforce import conjugate_is_integral, fraction_integral_model, matrix_order
 from wittlift.errors import (
     DoesNotSpan,
     EigenvaluesNotInField,
@@ -636,32 +637,36 @@ def test_kelem_matches_fraction_arithmetic(case):
 
 
 def test_module_basis_worked_example():
-    basis = module_basis([(K(1), K(0)), (K(5), K(0)), (K(0), K(5))])
-    assert len(basis) == 2
-    assert [x.value for x in basis[0]] == [1, 0]
-    assert [x.value for x in basis[1]] == [0, 5]
+    basis = module_basis([[1, 0], [5, 0], [0, 5]], 5)
+    assert basis == [[1, 0], [0, 5]]
 
 
 def test_module_basis_does_not_span():
     with pytest.raises(DoesNotSpan):
-        module_basis([(K(1), K(0)), (K(3), K(0))])
+        module_basis([[1, 0], [3, 0]], 5)
 
 
 def test_module_basis_change_of_basis_is_integral():
     rng = random.Random(19)
     for _ in range(20):
-        gens = [tuple(K(rng.randrange(-20, 21), 5 ** rng.randrange(2))
-                      for _ in range(2)) for _ in range(4)]
+        # vectors with entries a / 5^e, e <= 1, over the common denominator 5
+        gens = [[rng.randrange(-20, 21) * 5 ** rng.randrange(2) for _ in range(2)]
+                for _ in range(4)]
         try:
-            basis = module_basis(gens)
+            basis = module_basis(gens, 5)
         except DoesNotSpan:
             continue
+        # pivot i at row i, the vector pivoted second zero at the first's row,
+        # and each vector's content a power of 5
+        assert basis[0][0] and basis[1][1] and 0 in (basis[0][1], basis[1][0])
+        for vec in basis:
+            content = math.gcd(*vec)
+            assert content == 5 ** _v(Fraction(content), 5)
         # every generator is an integral combination of the basis vectors
-        (a, c), (b, d) = ([x.value for x in v] for v in basis)
+        (a, c), (b, d) = basis
         det = a * d - b * c
-        for g in gens:
-            s, t = (x.value for x in g)
-            assert _integral([[(s * d - b * t) / det, (a * t - s * c) / det]], 5)
+        for s, t in gens:
+            assert _integral([[Fraction(s * d - b * t, det), Fraction(a * t - s * c, det)]], 5)
 
 
 def test_integral_model_worked_example():
@@ -805,3 +810,80 @@ def test_integral_model_3x3_round_cap(monkeypatch):
     monkeypatch.setattr("wittlift.matlin.SATURATION_ROUNDS", 1)
     with pytest.raises(Undecided, match="did not close in 1 rounds"):
         integral_model([_at(RK, _CYCLE)])
+
+
+def _unimodular(draw, n, dens):
+    """A product of four elementary matrices I + t E_ij, t = a / b with b drawn
+    from dens (units of Z_(l) when every b is prime to l)."""
+    u = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(4):
+        i, j = draw(st.permutations(range(n)))[:2]
+        t = F(draw(st.integers(-3, 3)), draw(st.sampled_from(dens)))
+        u = _qmul(u, [[int(r == c) + (t if (r, c) == (i, j) else 0) for c in range(n)]
+                      for r in range(n)])
+    return u
+
+
+def _integer_matrix(draw, n, ell):
+    """Mostly L U with L unipotent lower and U upper triangular with unit
+    diagonal, so that det is an l-adic unit; sometimes any small matrix."""
+    if draw(st.integers(0, 9)) == 0:
+        return [[draw(st.integers(-10, 10)) for _ in range(n)] for _ in range(n)]
+    low = [[1 if i == j else draw(st.integers(-3, 3)) if j < i else 0 for j in range(n)]
+           for i in range(n)]
+    up = [[draw(st.sampled_from([1, -1, 2, -2, ell + 1])) if i == j else
+           draw(st.integers(-3, 3)) if j > i else 0 for j in range(n)] for i in range(n)]
+    return _qmul(low, up)
+
+
+@st.composite
+def _integral_model_cases(draw):
+    """(l, generators as Fraction matrices, saturation round cap).  Families:
+    conjugates F^-1 h F of integral h with F = U diag(l^k_i), one frame for
+    the group (bounded when every det h is a unit) or one per generator,
+    with U over Z or with denominators prime to l; random matrices with
+    denominators l^k, or with denominators prime to l; and any of these with
+    generator 0 made singular."""
+    ell = draw(st.sampled_from([5, 7]))
+    n = draw(st.sampled_from([2, 3]))
+    count = draw(st.integers(1, 3))
+    family = draw(st.sampled_from(["group_frame", "own_frames", "random", "prime_to_l"]))
+    dens = draw(st.sampled_from([(1,), (1, 2, 3, 4, 6)]))
+
+    def frame():
+        ks = [draw(st.integers(0, 4)) for _ in range(n)]
+        return _qmul(_unimodular(draw, n, dens), [[F(ell ** ks[i]) if i == j else F(0)
+                                                   for j in range(n)] for i in range(n)])
+
+    def conjugate(f):
+        return _qmul(_qmul(_qinv(f), _integer_matrix(draw, n, ell)), f)
+
+    if family == "group_frame":
+        f = frame()
+        gens = [conjugate(f) for _ in range(count)]
+    elif family == "own_frames":
+        gens = [conjugate(frame()) for _ in range(count)]
+    else:
+        pool = ([ell ** k for k in range(3)] if family == "random"
+                else [b * ell ** k for b in (1, 2, 3, 11) for k in range(2)])
+        gens = [[[F(draw(st.integers(-ell ** 2, ell ** 2)), draw(st.sampled_from(pool)))
+                  for _ in range(n)] for _ in range(n)] for _ in range(count)]
+    if draw(st.integers(0, 9)) == 0:
+        # generator 0 singular: its last row a multiple of its first
+        gens[0][-1] = [x * draw(st.integers(-2, 2)) for x in gens[0][0]]
+    return ell, gens, draw(st.sampled_from([1, 2, 50]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_integral_model_cases())
+def test_integral_model_matches_fraction_reference(case):
+    ell, gens, cap = case
+    want = fraction_integral_model(gens, ell, cap)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("wittlift.matlin.SATURATION_ROUNDS", cap)
+        try:
+            got = "ok", _values(integral_model([_at(cr.make_witt_ring(ell, 1, 30), g)
+                                                for g in gens]))
+        except (InvalidQuery, UnboundedGroup, Undecided, DoesNotSpan) as exc:
+            got = type(exc).__name__, str(exc)
+    assert got == want

@@ -9,17 +9,22 @@ Times, over W(F_{5^d})/5^m with m the tower level of degree d
 * one element product (WittElem * WittElem) at each of those d;
 * witt_frobenius, in_subring(x, d/2) and embed from degree d/2 to d for
   d in {8, 32, 128, 512}, with x the embedding of a random element of degree
-  d/2 (so in_subring answers True).
+  d/2 (so in_subring answers True);
+* integral_model over the 45 groups of the finite benchmark workload for
+  SEED (2 x 2 over W(F_5)/5^30, 1 to 3 generators, denominators 5^k with
+  k <= 2), one call for the whole batch.
 
 Every timed call gets random operands drawn from SEED, with a unit
 determinant, so the numbers of two checkouts compare the same work.  Each
-case runs its call repeatedly for about BUDGET_S seconds (at least MIN_CALLS
-times) and reports the median and minimum microseconds per call.  A speed
-sample (benchmarks/speed.py) is taken before and after each case, and the
-median is also reported scaled by REF_CHUNK_S over their mean, as the
-benchmark scales its wall times, so that a loaded host does not read as slow
-code.  Standard library only; the library is imported from the src/
-directory next to this script.
+case runs its call repeatedly for about BUDGET_S seconds of call time (at
+least MIN_CALLS times) and reports the median and minimum microseconds per
+call.  A speed sample (benchmarks/speed.py) is taken before the first call,
+after the last, and between calls whenever SAMPLE_EVERY_S has passed since
+the previous one; each call's time is scaled by REF_CHUNK_S over the mean of
+the two samples around it, as the benchmark scales its wall times, so that a
+loaded host does not read as slow code, and the median of the scaled times
+is reported too.  Standard library only; the library is imported from the
+src/ directory next to this script.
 
     python tools/bench_kernel.py                  # writes BENCH_kernel.json
     python tools/bench_kernel.py --out other.json
@@ -46,7 +51,8 @@ sys.path.insert(0, str(ROOT / "benchmarks"))
 
 import speed  # noqa: E402
 import wittlift.coeffring as cr  # noqa: E402
-from wittlift.matlin import Mat  # noqa: E402
+from wittlift.matlin import Mat, integral_model, kelem_from_rational  # noqa: E402
+from workloads import Finite  # noqa: E402
 
 ELL = 5
 DEGREES = (1, 2, 16, 128, 512, 2048)
@@ -54,6 +60,7 @@ FROBENIUS_DEGREES = (8, 32, 128, 512)
 SIZES = (2, 3)
 BUDGET_S = 0.3
 MIN_CALLS = 5
+SAMPLE_EVERY_S = 0.05
 SEED = 1
 
 
@@ -74,20 +81,33 @@ def random_invertible(ring, n, rng):
             return g
 
 
+def integral_groups():
+    """The finite workload's integral_model groups for SEED, as KElem rows."""
+    ring = cr.make_witt_ring(ELL, 1, Finite.INTEGRAL_PRECISION)
+    return [[[[kelem_from_rational(ring, v, ELL ** grp["k"]) for v in row] for row in g]
+             for g in grp["gens"]] for grp in Finite.spec(SEED)["integral"]]
+
+
 def time_calls(fn):
-    """Microseconds per call of fn(), one sample per call, with the median
-    also scaled by the speed samples taken around the case."""
-    samples = []
-    before = speed.sample()
-    start = time.perf_counter()
-    while len(samples) < MIN_CALLS or time.perf_counter() - start < BUDGET_S:
+    """Microseconds per call of fn(), one sample per call, each also scaled
+    by the mean of the speed samples taken just before and just after it."""
+    calls, chunks = [], [speed.sample()]
+    spent = since_sample = 0.0
+    while len(calls) < MIN_CALLS or spent < BUDGET_S:
         t0 = time.perf_counter()
         fn()
-        samples.append((time.perf_counter() - t0) * 1e6)
-    chunk_s = (before + speed.sample()) / 2
-    median = statistics.median(samples)
-    return {"us_median": median, "us_median_scaled": median * speed.REF_CHUNK_S / chunk_s,
-            "us_min": min(samples), "chunk_ms": chunk_s * 1e3, "calls": len(samples)}
+        dt = time.perf_counter() - t0
+        calls.append((dt * 1e6, len(chunks)))
+        spent, since_sample = spent + dt, since_sample + dt
+        if since_sample >= SAMPLE_EVERY_S:
+            chunks.append(speed.sample())
+            since_sample = 0.0
+    chunks.append(speed.sample())
+    us = [t for t, _ in calls]
+    scaled = [t * speed.REF_CHUNK_S * 2 / (chunks[k - 1] + chunks[k]) for t, k in calls]
+    return {"us_median": statistics.median(us), "us_median_scaled": statistics.median(scaled),
+            "us_min": min(us), "chunk_ms": statistics.median(chunks) * 1e3,
+            "speed_samples": len(chunks), "calls": len(calls)}
 
 
 def git(*args, check=True):
@@ -153,8 +173,14 @@ def main(argv=None):
         cases.append({"op": "embed", "d": d, "d_small": d // 2, "m": ring.m,
                       **time_calls(lambda: cr.embed(half, d))})
         print(json.dumps(cases[-3:]), file=sys.stderr)
+    groups = integral_groups()
+    cases.append({"op": "integral_model", "n": 2, "m": Finite.INTEGRAL_PRECISION,
+                  "groups": len(groups),
+                  **time_calls(lambda: [integral_model(g) for g in groups])})
+    print(json.dumps(cases[-1:]), file=sys.stderr)
     report = {"benchmark": "kernel", "ell": ELL, "seed": SEED,
-              "budget_s": BUDGET_S, "ref_chunk_ms": speed.REF_CHUNK_S * 1e3,
+              "budget_s": BUDGET_S, "sample_every_s": SAMPLE_EVERY_S,
+              "ref_chunk_ms": speed.REF_CHUNK_S * 1e3,
               "machine": machine(), "cases": cases}
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
