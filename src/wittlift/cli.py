@@ -96,6 +96,9 @@ def _parse_matrix(text):
     if n * n != len(entries):
         raise SchemaError("matrix entry count is not a perfect square")
     ring = entries[0].ring
+    for x in entries:
+        if x.ring != ring:
+            raise SchemaError(f"matrix entries are over both {ring} and {x.ring}")
     rows = [entries[i * n:(i + 1) * n] for i in range(n)]
     return Mat.from_rows(ring, rows)
 
@@ -110,12 +113,17 @@ def _cmd_tower_build(args):
         raise SchemaError("unsupported or missing schema_version")
     group = ModelGroup.from_json_dict(data["group"])
     rhobar = deformation_from_json_dict(data["residual"], group)
+    locked, escape = data.get("locked", []), data.get("escape", True)
+    if not isinstance(locked, list) or not all(isinstance(x, str) for x in locked):
+        raise SchemaError(f"locked: {locked!r} is not a list of place labels")
+    if not isinstance(escape, bool):
+        raise SchemaError(f"escape: {escape!r} is not a JSON boolean")
     plan = TowerPlan(
         rhobar,
         int(data["max_level"]),
         {int(k): v for k, v in data["r_labels"].items()},
-        tuple(data.get("locked", ())),
-        bool(data.get("escape", True)),
+        tuple(locked),
+        escape,
     )
     tower, cert = build_tower(plan)
     _report(args, {"tower": tower_to_json_dict(tower), "certificate": cert},

@@ -4,7 +4,9 @@ The coefficient modules are the trace-zero adjoint of a residual
 representation (basis e12, h, e21), its scalar extensions, and the twisted
 contragredient dual.  Cocycles are stored by their values on generators and
 extended to words by f(gh) = f(g) + g.f(h); relator constraints become an
-explicit linear system, so Z^1 is a nullspace and B^1 an image.
+explicit linear system, so Z^1 is a nullspace and B^1 an image.  Every such
+system comes from two maps memoised per word on the module, the Fox Jacobian
+and the rows of A_w - I, and is eliminated once.
 """
 
 from __future__ import annotations
@@ -33,12 +35,14 @@ class GModule:
     dim: int
     action: dict  # generator name -> Mat over field (dim x dim)
     epsilon: dict  # generator name -> integer (needed for the dual pairing)
-    # memo tables, filled on first use: generator name -> inverse action, and
-    # (generators, word) -> Fox Jacobian rows
+    # memo tables, filled on first use: generator name -> inverse action,
+    # (generators, word) -> Fox Jacobian rows, and word -> rows of A_w - I
     _inverses: dict = dataclasses.field(default_factory=dict, init=False,
                                         repr=False, compare=False)
     _fox: dict = dataclasses.field(default_factory=dict, init=False,
                                    repr=False, compare=False)
+    _delta: dict = dataclasses.field(default_factory=dict, init=False,
+                                     repr=False, compare=False)
 
     def act_gen(self, name, e=1):
         if name not in self.action:
@@ -55,6 +59,14 @@ class GModule:
         for name, e in word:
             acc = acc * self.act_gen(name, e)
         return acc
+
+    def delta(self, word):
+        """The rows of A_w - I, A_w the action of the word; memoised per word."""
+        rows = self._delta.get(word)
+        if rows is None:
+            ident = Mat.identity(self.field, self.dim)
+            rows = self._delta[word] = (self.word_matrix(word) - ident).rows
+        return rows
 
 
 def vec_add(a, b):
@@ -121,10 +133,10 @@ def build_module(rhobar, d, twist="adjoint"):
     return GModule(field, 3, action, eps)
 
 
-def module_from_action(field, action, epsilon=None):
+def module_from_action(field, action):
     """Wrap explicit generator action matrices (used for test modules)."""
     dim = next(iter(action.values())).n if action else 0
-    return GModule(field, dim, dict(action), dict(epsilon or {}))
+    return GModule(field, dim, dict(action), {})
 
 
 def _contragredient(a, eps):
@@ -158,9 +170,6 @@ class Cocycle:
 
     def __call__(self, word):
         return cocycle_eval(self.module, self.values, word)
-
-    def is_zero(self):
-        return all(vec_is_zero(v) for v in self.values.values())
 
 
 def cocycle_eval(module, values, word):
@@ -252,18 +261,18 @@ def coboundary_of(group, module, m_elem):
     return Cocycle(module, values)
 
 
+def _coboundary_basis(group, module):
+    """Echelonized B^1: the unit vectors' coboundaries are the columns of the
+    A_g - I stacked over the generators, and one rref of them gives it."""
+    stacked = [r for name in group.generators for r in module.delta(((name, 1),))]
+    red, pivots = linalg.rref([list(col) for col in zip(*stacked)])
+    return red[:len(pivots)]
+
+
 def cocycle_space(group, module):
     """(Z^1 basis, B^1 basis, h^1) as echelonized flat vectors over F_{l^d}."""
-    field, dim = module.field, module.dim
-    z1 = linalg.nullspace(relator_system(group, module), field)
-    b_raw = []
-    for ci in range(dim):
-        m_elem = [cr.ff_zero(field)] * dim
-        m_elem[ci] = cr.ff_one(field)
-        cob = coboundary_of(group, module, tuple(m_elem))
-        b_raw.append([x for name in group.generators for x in cob.values[name]])
-    b1, _ = linalg.rref(b_raw)
-    b1 = b1[:linalg.rank(b_raw)]
+    z1 = linalg.nullspace(relator_system(group, module), module.field)
+    b1 = _coboundary_basis(group, module)
     h1 = len(z1) - len(b1)
     return z1, b1, h1
 
@@ -294,20 +303,14 @@ def restrict_and_classify(f, place):
     are pairs ((A_sigma - I)m, (A_tau - I)m).
     """
     module = f.module
-    field, dim = module.field, module.dim
-    a_sig = module.word_matrix(place.sigma)
-    a_tau = module.word_matrix(place.tau)
     fs = f(place.sigma)
     ft = f(place.tau)
-    ident = Mat.identity(field, dim)
-    ds = a_sig - ident
-    dt = a_tau - ident
     # stacked system: does some m give both components as coboundaries?
-    tau_rows = [list(r) for r in dt.rows]
-    stacked = [list(r) for r in ds.rows] + tau_rows
-    if linalg.solve(stacked, list(fs) + list(ft), field) is not None:
+    tau_rows = [list(r) for r in module.delta(place.tau)]
+    stacked = [list(r) for r in module.delta(place.sigma)] + tau_rows
+    if linalg.solve(stacked, list(fs) + list(ft), module.field) is not None:
         return "zero_class"
-    if linalg.solve(tau_rows, list(ft), field) is not None:
+    if linalg.solve(tau_rows, list(ft), module.field) is not None:
         return "unramified_nonzero"
     return "ramified"
 
@@ -320,20 +323,17 @@ def sha_kernel(group, module, places):
     zero = cr.ff_zero(field)
     pad = [zero] * (len(places) * dim)
     rows = [r + pad for r in relator_system(group, module)]
-    ident = Mat.identity(field, dim)
     for pi, place in enumerate(places):
         for word in (place.sigma, place.tau):
-            delta = (module.word_matrix(word) - ident).rows
             # f(word) - (A - I) m_v = 0, with f(word) the Fox Jacobian times f
-            for i, fox_row in enumerate(fox_jacobian(group, module, word)):
+            for fox_row, delta_row in zip(fox_jacobian(group, module, word),
+                                          module.delta(word)):
                 row = list(fox_row) + pad
-                for j in range(dim):
-                    row[ncoc + pi * dim + j] = -delta[i][j]
+                row[ncoc + pi * dim:ncoc + (pi + 1) * dim] = [-x for x in delta_row]
                 rows.append(row)
     sols = linalg.nullspace(rows, field)
-    proj = [s[:ncoc] for s in sols]
-    _, b1, _ = cocycle_space(group, module)
-    return linalg.independent_complement(b1, proj, field)
+    return linalg.independent_complement(_coboundary_basis(group, module),
+                                         [s[:ncoc] for s in sols], field)
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +417,9 @@ def lift_solve(group, module, defects):
     the lifts' coefficient degree.  On success the assignment c satisfies
     (Fox system) . c = -z, so (I + l^m c(g)) lift(g) kills every defect.
     """
-    field, dim = module.field, module.dim
-    if not group.relators:
-        return LiftSolveResult(True, {name: vec_zero(field, dim)
-                                      for name in group.generators})
     rows = relator_system(group, module)
     rhs = [-x for z in defects for x in z]
-    sol = linalg.solve(rows, rhs, field)
+    sol = linalg.solve(rows, rhs, module.field)
     if sol is None:
         return LiftSolveResult(False, None, tuple(rhs))
     return LiftSolveResult(True, _vec_to_values(group, module, sol))

@@ -50,6 +50,8 @@ class TubeQuery:
 
     def __post_init__(self):
         cr.check_ell(self.ell)
+        if self.n < 1:
+            raise InvalidQuery(f"matrix size n = {self.n} must be >= 1")
         if self.m < 1:
             raise InvalidQuery("precision level must be >= 1")
         if self.alpha > self.m or self.alpha < 0:
@@ -59,6 +61,8 @@ class TubeQuery:
             if len(mono.exps) != self.n * self.n:
                 raise InvalidQuery(f"monomial arity {len(mono.exps)} != "
                                    f"n^2 = {self.n * self.n}")
+            if any(e < 0 for e in mono.exps):
+                raise InvalidQuery(f"monomial exponents {list(mono.exps)} must be >= 0")
         for i, g in enumerate(self.generators):
             if len(g) != self.n or any(len(r) != self.n for r in g):
                 raise InvalidQuery(f"generator {i} is not {self.n} x {self.n}")
@@ -245,6 +249,8 @@ def frobenius_scan(rho, places, monomials, alpha, seed=0):
     for mono in monomials:
         if len(mono.exps) != 4:
             raise InvalidQuery(f"monomial arity {len(mono.exps)} != n^2 = 4")
+        if any(e < 0 for e in mono.exps):
+            raise InvalidQuery(f"monomial exponents {list(mono.exps)} must be >= 0")
     rng = random.Random(seed)
     _check_conjugation_invariant(monomials, ring, 2, rng)
     hits = 0

@@ -214,9 +214,9 @@ class ValidationReport:
         return self.failures[0] if self.failures else None
 
 
-def validate_deformation(rho, group=None):
+def validate_deformation(rho):
     """Check relators map to I and det = epsilon; report the ramified places."""
-    group = group or rho.group
+    group = rho.group
     failures = []
     for w in group.relators:
         if not evaluate_word(rho, w).is_identity():
@@ -291,8 +291,15 @@ def deformation_from_json_dict(data, group):
     if data.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError("unsupported or missing schema_version")
     ring = cr.make_witt_ring(int(data["ell"]), int(data["d"]), int(data["m"]))
+    if sorted(data["images"]) != sorted(group.generators):
+        raise SchemaError(f"images: keys {sorted(data['images'])} are not the generators")
     images = {}
     for name, rows in data["images"].items():
-        images[name] = Mat.from_rows(
-            ring, [[cr.witt_from_str(s) for s in row] for row in rows])
+        if len(rows) != 2 or any(len(row) != 2 for row in rows):
+            raise SchemaError(f"images: {name!r} is not 2 x 2")
+        entries = [[cr.witt_from_str(s) for s in row] for row in rows]
+        for x in entries[0] + entries[1]:
+            if x.ring != ring:
+                raise SchemaError(f"images: {name!r} has an entry over {x.ring}, not {ring}")
+        images[name] = Mat.from_rows(ring, entries)
     return Deformation(group, ring, images)

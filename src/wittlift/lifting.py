@@ -17,10 +17,13 @@ from . import coeffring as cr
 from . import linalg
 from .cohomology import (
     Cocycle,
+    _coboundary_basis,
     adjoint_step,
     apply_adjustment,
     build_module,
     cocycle_eval,
+    cocycle_flat,
+    cocycle_space,
     fox_jacobian,
     lift_solve,
     normalize_det,
@@ -229,26 +232,16 @@ def oracle_find_places(pool, rho_m, constraints=OracleConstraints(),
 
 
 def _check_pattern_independence(group, patterns):
-    from .cohomology import cocycle_space, cocycle_flat
     if not patterns:
         return
-    module = patterns[0][0].module
-    _, b1, _ = cocycle_space(group, module)
+    b1 = _coboundary_basis(group, patterns[0][0].module)
     vecs = [cocycle_flat(group, coc) for coc, _ in patterns]
-    stacked = [list(r) for r in b1] + [list(v) for v in vecs]
-    if linalg.rank(stacked) != len(b1) + len(vecs):
+    if linalg.rank(b1 + vecs) != len(b1) + len(vecs):
         raise ParamMismatch("constraint classes are dependent in H^1")
 
 
 # ---------------------------------------------------------------------------
 # auxiliary-set selection
-
-
-def _local_coker_dim(module, place):
-    ident = Mat.identity(module.field, module.dim)
-    delta = module.word_matrix(place.sigma) - ident
-    rows = [list(r) for r in delta.rows]
-    return module.dim - linalg.rank(rows)
 
 
 def _localization_ranks(group, module, dmodule, s_r_places, q_places):
@@ -258,34 +251,27 @@ def _localization_ranks(group, module, dmodule, s_r_places, q_places):
     all_places = list(s_r_places) + list(q_places)
     inj1 = len(sha_kernel(group, module, all_places)) == 0
     inj2 = len(sha_kernel(group, dmodule, all_places)) == 0
-    from .cohomology import cocycle_space
-    z1, b1, _ = cocycle_space(group, module)
-    want = sum(_local_coker_dim(module, p) for p in q_places)
-    if want == 0:
-        surj = True
-        got = 0
-    else:
-        ident = Mat.identity(module.field, module.dim)
-        zero = cr.ff_zero(module.field)
+    dim = module.dim
+    deltas = [module.delta(p.sigma) for p in q_places]
+    want = sum(dim - linalg.rank(delta) for delta in deltas)
+    got = 0
+    if want:
+        z1, _, _ = cocycle_space(group, module)
         fox_rows = [r for p in q_places
                     for r in fox_jacobian(group, module, p.sigma)]
         # each Z^1 vector's values at the sigma words
-        rows = [[sum((a * b for a, b in zip(r, z)), zero) for r in fox_rows]
-                for z in z1]
-        # rank of the composed map = rank of restrictions modulo im(delta)
+        rows = elem_matmul(module.field, z1, list(zip(*fox_rows)))
+        # rank of the restrictions modulo im(delta): the columns of the
+        # block-diagonal A_sigma - I, whose rank is dim * |Q| - want
         im_rows = []
-        for p_i, p in enumerate(q_places):
-            delta = (module.word_matrix(p.sigma) - ident).rows
-            for col in range(module.dim):
-                vec = [cr.ff_zero(module.field)] * (module.dim * len(q_places))
-                for i in range(module.dim):
-                    vec[p_i * module.dim + i] = delta[i][col]
+        for p_i, delta in enumerate(deltas):
+            for col in zip(*delta):
+                vec = [cr.ff_zero(module.field)] * (dim * len(q_places))
+                vec[p_i * dim:(p_i + 1) * dim] = col
                 im_rows.append(vec)
-        base = linalg.rank(im_rows)
-        got = linalg.rank(im_rows + rows) - base
-        surj = got == want
+        got = linalg.rank(im_rows + rows) - (len(im_rows) - want)
     return {"inj_module": inj1, "inj_dual": inj2,
-            "surj_unramified": surj, "coker_target": want, "coker_rank": got}
+            "surj_unramified": got == want, "coker_target": want, "coker_rank": got}
 
 
 def select_auxiliary(rho_m, module, s_r_places, pool):
@@ -332,6 +318,13 @@ class TowerPlan:
     r_labels: dict  # level (>= 2) -> place label
     locked_labels: tuple = ()
     escape: bool = True  # False gives the Frobenius-fixed negative control
+
+    def __post_init__(self):
+        if self.max_level < 1:
+            raise SchemaError(f"max_level = {self.max_level} must be >= 1")
+        missing = [k for k in range(2, self.max_level + 1) if k not in self.r_labels]
+        if missing:
+            raise SchemaError(f"r_labels: no place for levels {missing}")
 
     def place_for(self, level):
         return self.rhobar.group.place(self.r_labels[level])
@@ -511,11 +504,18 @@ def verify_tower_dict(data):
         raise SchemaError("unsupported or missing schema_version")
     group = ModelGroup.from_json_dict(data["group"])
     failures = []
+    levels, top = data["levels"], data["max_level"]
+    if len(levels) != top:
+        failures.append(f"level {min(len(levels), top) + 1}: {len(levels)} levels, max_level {top}")
     prev = None
-    for i, lvl in enumerate(data["levels"], start=1):
+    for i, lvl in enumerate(levels, start=1):
         rho = deformation_from_json_dict(lvl["deformation"], group)
         if rho.ring.m != i:
             failures.append(f"level {i}: wrong precision {rho.ring.m}")
+        if rho.ring.d != 2 ** (i - 1):
+            failures.append(f"level {i}: degree {rho.ring.d}, want {2 ** (i - 1)}")
+        if i >= 2 and lvl["r_label"] != data["r_labels"].get(str(i)):
+            failures.append(f"level {i}: r_label {lvl['r_label']!r} is not r_labels[{i}]")
         rep = validate_deformation(rho)
         if not rep.ok:
             failures.append(f"level {i}: {rep.failures}")

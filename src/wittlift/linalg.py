@@ -89,15 +89,9 @@ def solve(rows, rhs, params):
 
 
 def independent_complement(sub_rows, all_rows, params):
-    """Vectors from all_rows extending a basis of span(sub_rows), reduced."""
-    stack = [list(r) for r in sub_rows]
-    base_rank = rank(stack) if stack else 0
-    out = []
-    for v in all_rows:
-        trial = stack + [list(v)]
-        r = rank(trial)
-        if r > base_rank:
-            stack = trial
-            base_rank = r
-            out.append(list(v))
-    return out
+    """Vectors from all_rows extending a basis of span(sub_rows), each taken
+    in order when it is outside the span of those before it.  With every
+    vector as a column, these are the pivot columns after sub_rows."""
+    vecs = list(sub_rows) + list(all_rows)
+    _, pivots = rref([list(col) for col in zip(*vecs)])
+    return [list(vecs[c]) for c in pivots if c >= len(sub_rows)]

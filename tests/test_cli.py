@@ -355,3 +355,117 @@ def test_tame_check_refuses_n_4(capsys):
     err = json.loads(captured.err)  # one JSON object, no traceback
     assert err["kind"] == "input"
     assert "n = 4" in err["error"]
+
+
+# ---------------------------------------------------------------------------
+# plan, deformation, matrix and tube input errors name their field
+
+
+def _lit(ring, v):
+    return cr.witt_to_str(cr.witt_from_int(ring, v))
+
+
+def _missing_image(plan):
+    del plan["residual"]["images"]["s"]
+
+
+def _image_1x1(plan):
+    images = plan["residual"]["images"]
+    images["s"] = [[images["s"][0][0]]]
+
+
+def _image_3x3(plan):
+    one = _lit(cr.make_witt_ring(5, 1, 1), 1)
+    plan["residual"]["images"]["s"] = [[one] * 3] * 3
+
+
+def _literal_over_another_ring(plan):
+    plan["residual"]["images"]["s"][0][1] = _lit(cr.make_witt_ring(5, 1, 2), 0)
+
+
+def _r_labels_missing_level(plan):
+    plan["max_level"] = 4
+    del plan["r_labels"]["3"]
+
+
+@pytest.mark.parametrize("mutate, field, reason", [
+    (_missing_image, "images", "are not the generators"),
+    (_image_1x1, "images", "'s' is not 2 x 2"),
+    (_image_3x3, "images", "'s' is not 2 x 2"),
+    (_literal_over_another_ring, "images",
+     "entry over W(GF(5^1))/5^2, not W(GF(5^1))/5^1"),
+    (lambda plan: plan.update(max_level=0), "max_level", "max_level = 0 must be >= 1"),
+    (_r_labels_missing_level, "r_labels", "no place for levels [3]"),
+    (lambda plan: plan.update(escape="no"), "escape", "is not a JSON boolean"),
+    (lambda plan: plan.update(locked="p01"), "locked", "is not a list of place labels"),
+    (lambda plan: plan.update(locked=[1]), "locked", "is not a list of place labels"),
+], ids=["missing_image", "image_1x1", "image_3x3", "literal_ring", "max_level_0",
+        "r_labels_gap", "escape_string", "locked_string", "locked_int"])
+def test_tower_build_plan_error_names_the_field(tmp_path, capsys, mutate, field,
+                                                reason):
+    plan = plan_dict()
+    mutate(plan)
+    path = write_json(tmp_path / "plan.json", plan)
+    assert main(["tower", "build", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)  # one JSON object, no traceback
+    assert err["kind"] == "input"
+    assert err["error"].startswith(field) and reason in err["error"]
+
+
+def test_tame_check_refuses_entries_over_two_rings(capsys):
+    x = "5^1:1:[1];5^2:1:[0];5^1:1:[0];5^1:1:[1]"
+    assert main(["tame-check", x, "5^1:1:[1];5^1:1:[1];5^1:1:[0];5^1:1:[1]", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)  # one JSON object, no traceback
+    assert err["kind"] == "input"
+    assert "W(GF(5^1))/5^1" in err["error"] and "W(GF(5^1))/5^2" in err["error"]
+
+
+@pytest.mark.parametrize("fields, reason", [
+    ({"n": 0, "monomials": []}, "matrix size n = 0 must be >= 1"),
+    ({"m": 2, "alpha": 1, "monomials": [{"coeff": 1, "exps": [-2, 0, 0, 0]}]},
+     "monomial exponents [-2, 0, 0, 0] must be >= 0"),
+], ids=["n_0", "negative_exponent"])
+def test_density_refuses_empty_matrices_and_negative_exponents(tmp_path, capsys,
+                                                               fields, reason):
+    path = write_json(tmp_path / "q.json", _density_query(**fields))
+    assert main(["density", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)  # one JSON object, no traceback
+    assert err == {"error": reason, "kind": "input"}
+
+
+@pytest.fixture(scope="module")
+def built_tower(tmp_path_factory):
+    """The report of `tower build` on plan_dict(), as a dict."""
+    tmp = tmp_path_factory.mktemp("tower")
+    plan = write_json(tmp / "plan.json", plan_dict())
+    out = tmp / "tower.json"
+    assert main(["--out", str(out), "tower", "build", plan]) == 0
+    return read_json(out)
+
+
+def _swap_r_labels(tower):
+    labels = tower["r_labels"]
+    labels["2"], labels["3"] = labels["3"], labels["2"]
+
+
+@pytest.mark.parametrize("mutate, failure", [
+    (lambda tower: tower.update(levels=[]), "level 1: 0 levels, max_level 3"),
+    (lambda tower: tower["levels"].pop(), "level 3: 2 levels, max_level 3"),
+    (_swap_r_labels, "level 2: r_label 'p01' is not r_labels[2]"),
+], ids=["no_levels", "top_level_dropped", "r_labels_swapped"])
+def test_tower_verify_checks_shape_against_header(tmp_path, capsys, built_tower,
+                                                  mutate, failure):
+    report = json.loads(json.dumps(built_tower))
+    mutate(report["tower"])
+    path = write_json(tmp_path / "t.json", report)
+    out = tmp_path / "verify.json"
+    assert main(["--out", str(out), "tower", "verify", path]) == 2
+    verdict = read_json(out)
+    assert verdict["ok"] is False
+    assert failure in verdict["failures"]

@@ -487,3 +487,130 @@ def test_check_cocycle_raises_on_junk():
     bad = {g: (one, zero, zero) for g in group.generators}
     with pytest.raises(NotACocycle):
         check_cocycle(group, module, bad)
+
+
+# ---------------------------------------------------------------------------
+# the per-word maps and one elimination per system
+
+
+def _greedy_complement(sub_rows, all_rows):
+    """Oracle: keep each vector of all_rows that raises the rank of
+    sub_rows and the vectors kept before it."""
+    from wittlift import linalg
+    stack = [list(r) for r in sub_rows]
+    out = []
+    for v in all_rows:
+        if linalg.rank(stack + [list(v)]) > linalg.rank(stack):
+            stack.append(list(v))
+            out.append(list(v))
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_independent_complement_matches_greedy_rank_loop(data):
+    from wittlift import linalg
+    field = cr.make_field(5, data.draw(st.sampled_from((1, 2))))
+    length = data.draw(st.integers(1, 5))
+    elem = st.builds(lambda cs: cr.FFElem(field, tuple(cs)),
+                     st.lists(st.integers(0, 4), min_size=field.d, max_size=field.d))
+    fresh = st.lists(elem, min_size=length, max_size=length)
+    pool = data.draw(st.lists(fresh, min_size=1, max_size=4))
+    zero = [cr.ff_zero(field)] * length
+
+    def vectors(max_size):
+        # fresh vectors, pool repeats, zero vectors and sums of pool vectors
+        one = st.one_of(fresh, st.sampled_from(pool), st.just(zero),
+                        st.tuples(st.sampled_from(pool), st.sampled_from(pool)).map(
+                            lambda ab: [x + y for x, y in zip(*ab)]))
+        return st.lists(one, max_size=max_size)
+
+    sub_rows = data.draw(vectors(4))
+    all_rows = data.draw(vectors(6))
+    want = _greedy_complement(sub_rows, all_rows)
+    assert linalg.independent_complement(sub_rows, all_rows, field) == want
+
+
+H1_LAYER_SHA256 = "5b186446124552b979d6120186c7c12ee4afc320defb350b566e364f9564de8f"
+
+
+def test_h1_layer_outputs_are_pinned():
+    """Z^1, B^1, h^1 and dim M^G over the finite suite; for the tame module
+    and its dual at d = 1, 2, 4, the cocycle space, sha_kernel on every
+    prefix of the places and every Z^1 vector's class at every place; and
+    two localization rank checks.  Recorded while B^1 still came from
+    coboundary_of and independent_complement ran one rank per vector."""
+    import hashlib
+    from wittlift.cohomology import _vec_to_values
+    from wittlift.lifting import _localization_ranks
+
+    def vecs(rows):
+        return [tuple(tuple(x.coeffs) for x in r) for r in rows]
+
+    lines = []
+    for gname, group, images, _ in finite_groups():
+        for mname, module in module_suite(group, images):
+            z1, b1, h1 = cocycle_space(group, module)
+            lines.append(repr((gname, mname, vecs(z1), vecs(b1), h1,
+                               invariants_dim(group, module))))
+    rhobar = residual_tame()
+    group = rhobar.group
+    for d in (1, 2, 4):
+        module = build_module(rhobar, d)
+        for mod in (module, dual_module(module)):
+            z1, b1, h1 = cocycle_space(group, mod)
+            lines.append(repr((d, vecs(z1), vecs(b1), h1)))
+            for k in range(len(group.places) + 1):
+                lines.append(repr(vecs(sha_kernel(group, mod, group.places[:k]))))
+            for z in z1:
+                f = Cocycle(mod, _vec_to_values(group, mod, z))
+                lines.append(repr([restrict_and_classify(f, p) for p in group.places]))
+    rho = deformation_tame(2)
+    module = build_module(rho.reduce(1), 1)
+    s_r = (group.place("q01"), group.place("q02"))
+    for labels in (("q08",), ("q03", "q06")):
+        ranks = _localization_ranks(group, module, dual_module(module), s_r,
+                                    [group.place(q) for q in labels])
+        lines.append(repr(sorted(ranks.items())))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == H1_LAYER_SHA256
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(1) or fn(*a))
+    return calls
+
+
+def test_cocycle_space_eliminates_twice(monkeypatch):
+    from wittlift import linalg
+    rref = _count_calls(monkeypatch, linalg, "rref")
+    for name, group, images, _ in finite_groups():
+        for mod_name, module in module_suite(group, images):
+            rref.clear()
+            cocycle_space(group, module)
+            assert len(rref) == 2, (name, mod_name)  # Z^1 and B^1, once each
+
+
+def test_sha_kernel_eliminates_its_system_once(monkeypatch):
+    import wittlift.cohomology as co
+    from wittlift import linalg
+    rho = residual_tame()
+    group = rho.group
+    for d in (1, 2):
+        module = build_module(rho, d)
+        with monkeypatch.context() as mp:
+            nullspace = _count_calls(mp, linalg, "nullspace")
+            spaces = _count_calls(mp, co, "cocycle_space")
+            sha_kernel(group, module, group.places)
+        assert (len(nullspace), len(spaces)) == (1, 0), d
+
+
+def test_delta_is_memoised_per_word():
+    for label, group, module in _fox_cases():
+        ident = Mat.identity(module.field, module.dim)
+        for word in [((g, e),) for g in group.generators for e in (1, -2)] + [()]:
+            rows = module.delta(word)
+            assert module.delta(word) is rows, label
+            assert rows == (module.word_matrix(word) - ident).rows, label

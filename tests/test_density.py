@@ -432,3 +432,19 @@ def test_frobenius_scan_rejects_non_invariant():
     with pytest.raises(NotConjugationInvariant):
         frobenius_scan(rho, rho.group.places,
                        (Monomial(1, (0, 1, 0, 0)),), 0)  # a single off-diagonal
+
+
+def test_tube_query_refuses_n_below_one():
+    # n = 0 used to be accepted, and tube_measure then died with an IndexError
+    with pytest.raises(InvalidQuery, match="matrix size n = 0 must be >= 1"):
+        TubeQuery(5, 0, 1, 0, ())
+
+
+@pytest.mark.parametrize("exps", [(-2, 0, 0, 0), (-5, 0, 0, 0)])
+def test_negative_exponents_are_refused(exps):
+    # both used to measure 1/30, the tube of x itself: e < 1 was read as 1
+    with pytest.raises(InvalidQuery, match=r"monomial exponents \[-\d, 0, 0, 0\] must be >= 0"):
+        TubeQuery(5, 2, 2, 1, (Monomial(1, exps),))
+    rho = deformation_tame(2)
+    with pytest.raises(InvalidQuery, match="must be >= 0"):
+        frobenius_scan(rho, rho.group.places, (Monomial(1, exps),), 0)

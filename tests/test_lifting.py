@@ -25,6 +25,7 @@ from wittlift.errors import (
     NotACocycle,
     OracleNotFound,
     ParamMismatch,
+    SchemaError,
     Unreachable,
 )
 from wittlift.galois_model import evaluate_word
@@ -377,6 +378,15 @@ def test_localization_coker_ranks():
 
 
 PLAN = TowerPlan(residual_free(), 4, {2: "p01", 3: "p03", 4: "p07"})
+
+
+def test_tower_plan_refuses_level_0_and_missing_labels():
+    # max_level 0 used to fail in make_certificate on a float d_top, and a
+    # missing label with a bare KeyError
+    with pytest.raises(SchemaError, match="max_level = 0 must be >= 1"):
+        TowerPlan(residual_free(), 0, {})
+    with pytest.raises(SchemaError, match=r"r_labels: no place for levels \[3, 4\]"):
+        TowerPlan(residual_free(), 4, {2: "p01"})
 
 
 def test_build_tower_free_surrogate():

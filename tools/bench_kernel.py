@@ -1,4 +1,4 @@
-"""Per-layer timings of the coefficient kernel under Mat: writes BENCH_kernel.json.
+"""Per-layer timings of the coefficient kernel under Mat and of the H^1 layer: writes BENCH_kernel.json.
 
 Times, over W(F_{5^d})/5^m with m the tower level of degree d
 (d = 2^(m-1), and m = 1 at d = 1):
@@ -12,7 +12,11 @@ Times, over W(F_{5^d})/5^m with m the tower level of degree d
   d/2 (so in_subring answers True);
 * integral_model over the 45 groups of the finite benchmark workload for
   SEED (2 x 2 over W(F_5)/5^30, 1 to 3 generators, denominators 5^k with
-  k <= 2), one call for the whole batch.
+  k <= 2), one call for the whole batch;
+* the H^1 layer: cocycle_space over the finite suite (every finite group
+  with every module of its suite, one call for the batch), and sha_kernel
+  over all places of the tame module at d in {1, 2, 4}.  Each call builds
+  its modules, so their memo tables start empty.
 
 Every timed call gets random operands drawn from SEED, with a unit
 determinant, so the numbers of two checkouts compare the same work.  Each
@@ -51,12 +55,15 @@ sys.path.insert(0, str(ROOT / "benchmarks"))
 
 import speed  # noqa: E402
 import wittlift.coeffring as cr  # noqa: E402
+from wittlift.cohomology import build_module, cocycle_space, sha_kernel  # noqa: E402
 from wittlift.matlin import Mat, integral_model, kelem_from_rational  # noqa: E402
+from wittlift.presets import finite_groups, module_suite, residual_tame  # noqa: E402
 from workloads import Finite  # noqa: E402
 
 ELL = 5
 DEGREES = (1, 2, 16, 128, 512, 2048)
 FROBENIUS_DEGREES = (8, 32, 128, 512)
+SHA_DEGREES = (1, 2, 4)
 SIZES = (2, 3)
 BUDGET_S = 0.3
 MIN_CALLS = 5
@@ -178,6 +185,19 @@ def main(argv=None):
                   "groups": len(groups),
                   **time_calls(lambda: [integral_model(g) for g in groups])})
     print(json.dumps(cases[-1:]), file=sys.stderr)
+    groups = finite_groups(ELL)
+    cases.append({"op": "cocycle_space", "suite": "finite",
+                  "pairs": sum(len(module_suite(g, im, ELL)) for _, g, im, _ in groups),
+                  **time_calls(lambda: [cocycle_space(g, mo) for _, g, im, _ in groups
+                                        for _, mo in module_suite(g, im, ELL)])})
+    rhobar = residual_tame(ELL)
+    places = rhobar.group.places
+    for d in SHA_DEGREES:
+        cases.append({"op": "sha_kernel", "module": "tame adjoint", "d": d,
+                      "places": len(places),
+                      **time_calls(lambda: sha_kernel(rhobar.group, build_module(rhobar, d),
+                                                      places))})
+    print(json.dumps(cases[-1 - len(SHA_DEGREES):]), file=sys.stderr)
     report = {"benchmark": "kernel", "ell": ELL, "seed": SEED,
               "budget_s": BUDGET_S, "sample_every_s": SAMPLE_EVERY_S,
               "ref_chunk_ms": speed.REF_CHUNK_S * 1e3,
