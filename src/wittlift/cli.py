@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from . import coeffring as cr
 from .certcheck import check_certificate
-from .cohomology import build_module, cocycle_space, module_from_action
+from .cohomology import build_module, cocycle_space, dual_module, module_from_action
 from .density import (
     ENUM_LIMIT,
     Monomial,
@@ -35,6 +35,7 @@ from .galois_model import (
     SCHEMA_VERSION,
     ModelGroup,
     deformation_from_json_dict,
+    json_object,
 )
 from .lifting import (
     TowerPlan,
@@ -112,16 +113,21 @@ def _cmd_tower_build(args):
     if data.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError("unsupported or missing schema_version")
     group = ModelGroup.from_json_dict(data["group"])
-    rhobar = deformation_from_json_dict(data["residual"], group)
+    rhobar = deformation_from_json_dict(json_object(data["residual"], "residual"), group)
     locked, escape = data.get("locked", []), data.get("escape", True)
     if not isinstance(locked, list) or not all(isinstance(x, str) for x in locked):
         raise SchemaError(f"locked: {locked!r} is not a list of place labels")
     if not isinstance(escape, bool):
         raise SchemaError(f"escape: {escape!r} is not a JSON boolean")
+    if type(data["max_level"]) is not int:
+        raise SchemaError(f"max_level: {data['max_level']!r} is not a JSON integer")
+    r_labels = json_object(data["r_labels"], "r_labels")
+    if not all(k.isdecimal() and k.isascii() for k in r_labels):
+        raise SchemaError(f"r_labels: keys {sorted(r_labels)} are not all level numbers")
     plan = TowerPlan(
         rhobar,
-        int(data["max_level"]),
-        {int(k): v for k, v in data["r_labels"].items()},
+        data["max_level"],
+        {int(k): v for k, v in r_labels.items()},
         tuple(locked),
         escape,
     )
@@ -148,6 +154,8 @@ def _cmd_h1(args):
     spec = args.module.split(":")
     if spec[0] == "trivial":
         dim = int(spec[1])
+        if dim < 1:
+            raise SchemaError(f"module: trivial dimension {dim} must be >= 1")
         ell = int(spec[2]) if len(spec) > 2 else 5
         f = cr.make_field(ell, 1)
         module = module_from_action(
@@ -155,7 +163,9 @@ def _cmd_h1(args):
     elif spec[0] in ("adjoint", "cartier_dual"):
         d = int(spec[1]) if len(spec) > 1 else 1
         rhobar = deformation_from_json_dict(data["residual"], group)
-        module = build_module(rhobar, d, spec[0])
+        module = build_module(rhobar, d)
+        if spec[0] == "cartier_dual":
+            module = dual_module(module)
     else:
         raise SchemaError(f"unknown module spec {args.module!r}")
     z1, b1, h1 = cocycle_space(group, module)

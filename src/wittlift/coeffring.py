@@ -3,10 +3,13 @@
 The Witt ring W(F_{l^d})/l^m is realized as (Z/l^m)[x]/(f~) where f~ is the
 coefficient-wise trivial lift of the monic irreducible modulus f of F_{l^d}.
 Elements of both rings are stored as length-d coefficient tuples (ascending
-powers of the class of x).  All values are immutable; the module-level caches
-are write-once and idempotent: on a binomial modulus X^D + a (l not dividing
-D) the per-ring Frobenius^k tables and the embedding shifts, on other moduli
-the Frobenius generator images, residual roots and embedding powers.
+powers of the class of x).  All values are immutable.  The module's caches
+are functools.lru_cache functions, write-once and idempotent: the field and
+ring parameters and the Kronecker plans; on a binomial modulus X^D + a (l not
+dividing D) the per-ring Frobenius^k tables and the embedding shifts; on
+other moduli the powers of the generator's Frobenius image and of its
+embedding images (one Hensel substitution serves both), and the residual
+roots.  witt_digit reads the l-adic digits of an element.
 
 Canonical text form of a Witt element: ``l^m:d:[c0,...,c_{d-1}]``.
 """
@@ -572,6 +575,13 @@ def witt_scale(x, k):
     return WittElem(x.ring, tuple(c * k % q for c in x.coeffs))
 
 
+def witt_digit(x, k):
+    """The k-th l-adic digit of x, an element of the residue field: the
+    coefficients (c // l^k) mod l."""
+    ell, lk = x.ring.ell, x.ring.ell ** k
+    return FFElem(x.ring.residue_field, tuple((c // lk) % ell for c in x.coeffs))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -648,41 +658,43 @@ def _scatter(coeffs, perm, mult, ring):
     return WittElem(ring, tuple(out))
 
 
-_FROB_CACHE = {}
+def _lifted_root(small, big, rbar):
+    """The root in big of small's lifted modulus congruent to rbar (Hensel)."""
+    return hensel_root([witt_from_int(big, c) for c in small.lifted_modulus], rbar)
 
 
-def _frobenius_gen_powers(ring):
-    """Powers 1, g, g^2, ... of the Frobenius image g of the ring generator."""
-    cached = _FROB_CACHE.get(ring)
-    if cached is not None:
-        return cached
-    if ring.d == 1:
-        powers = None  # Frobenius is the identity
-    else:
-        # residual image of the generator under a -> a^l, Hensel-lifted to a
-        # root of the lifted modulus
-        fp = ring.residue_field
-        gbar = ff_gen(fp) ** ring.ell
-        poly = [witt_from_int(ring, c) for c in ring.lifted_modulus]
-        g = hensel_root(poly, gbar)
-        powers = [witt_one(ring)]
-        for _ in range(ring.d - 1):
-            powers.append(powers[-1] * g)
-    _FROB_CACHE[ring] = powers
-    return powers
+def _powers(g, n):
+    """1, g, g^2, ..., g^(n-1), as a tuple: the caches share it."""
+    powers = [witt_one(g.ring)]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * g)
+    return tuple(powers)
+
+
+def _substitute(x, powers, big):
+    """The image sum c_i g^i in big of x = sum c_i X^i, given the powers of g."""
+    acc = witt_zero(big)
+    for c, p in zip(x.coeffs, powers):
+        acc = acc + witt_scale(p, c)
+    return acc
+
+
+@functools.lru_cache(maxsize=None)
+def _frobenius_powers(ring):
+    """Powers of the Frobenius image of the ring generator: the residual
+    image of the generator under a -> a^l, Hensel-lifted to a root of the
+    lifted modulus."""
+    gbar = ff_gen(ring.residue_field) ** ring.ell
+    return _powers(_lifted_root(ring, ring, gbar), ring.d)
 
 
 def hensel_frobenius(x):
     """The canonical Frobenius lift through the Hensel-lifted generator image,
     on any modulus; witt_frobenius_power takes it where no monomial table
     exists."""
-    powers = _frobenius_gen_powers(x.ring)
-    if powers is None:
-        return x
-    acc = witt_zero(x.ring)
-    for c, p in zip(x.coeffs, powers):
-        acc = acc + witt_scale(p, c)
-    return acc
+    if x.ring.d == 1:
+        return x  # Frobenius is the identity
+    return _substitute(x, _frobenius_powers(x.ring), x.ring)
 
 
 def witt_frobenius(x):
@@ -964,40 +976,22 @@ def ff_roots(poly):
 # embeddings and subring membership
 
 
-_EMBED_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _embedding_powers(small, big):
     """Powers of the image of the small ring generator inside the big ring.
 
     Base pairs choose the Hensel lift of the lexicographically smallest
-    residual root of the small modulus; composite degree jumps factor through
-    the largest intermediate divisor so that 2-power chains compose exactly.
+    residual root of the small modulus; composite degree jumps lift it into
+    the largest intermediate ring and substitute that through the
+    intermediate generator's powers, so that 2-power chains compose exactly.
     """
-    key = (small, big)
-    cached = _EMBED_CACHE.get(key)
-    if cached is not None:
-        return cached
     intermediates = [e for e in range(small.d + 1, big.d)
                      if e % small.d == 0 and big.d % e == 0]
+    mid = make_witt_ring(small.ell, max(intermediates), small.m) if intermediates else big
+    g = _lifted_root(small, mid, _residual_root(small.ell, small.d, mid.d))
     if intermediates:
-        mid = make_witt_ring(small.ell, max(intermediates), small.m)
-        g = _hensel_embed(_embed_gen(small, mid), big)
-    else:
-        g = _embed_gen(small, big)
-    powers = [witt_one(big)]
-    for _ in range(small.d - 1):
-        powers.append(powers[-1] * g)
-    _EMBED_CACHE[key] = powers
-    return powers
-
-
-def _hensel_embed(x, big):
-    """embed through the Hensel-lifted generator image, on any moduli."""
-    acc = witt_zero(big)
-    for c, p in zip(x.coeffs, _embedding_powers(x.ring, big)):
-        acc = acc + witt_scale(p, c)
-    return acc
+        g = _substitute(g, _embedding_powers(mid, big), big)
+    return _powers(g, small.d)
 
 
 def _orbit_shift(ell, d, d_big):
@@ -1036,13 +1030,6 @@ def _embed_shift(ell, d, d_big):
     e = max(mids)
     j1, j2 = _orbit_shift(ell, d, e), _embed_shift(ell, e, d_big)
     return None if None in (j1, j2) else (j1 + j2) % d
-
-
-def _embed_gen(small, big):
-    """Direct image of the small generator: smallest residual root, lifted."""
-    rbar = _residual_root(small.ell, small.d, big.d)
-    poly = [witt_from_int(big, c) for c in small.lifted_modulus]
-    return hensel_root(poly, rbar)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1087,7 +1074,7 @@ def embed(x, d_big):
         return WittElem(big, (x.coeffs[0] % big.q,) + (0,) * (d_big - 1))
     j = _embed_shift(small.ell, small.d, d_big)
     if j is None:
-        return _hensel_embed(x, big)
+        return _substitute(x, _embedding_powers(small, big), big)
     perm, mult = _monomial_table(big.ell, d_big, big.m, j)
     step = d_big // small.d
     return _scatter(x.coeffs, perm[::step], mult[::step], big)

@@ -101,11 +101,9 @@ def adjoint_from_coords(ring, coords):
     return Mat.from_rows(ring, [[a, b], [c, -a]])
 
 
-def build_module(rhobar, d, twist="adjoint"):
-    """The trace-zero conjugation module of a level-1 deformation, over F_{l^d}.
-
-    twist "cartier_dual" gives the contragredient multiplied by epsilon.
-    """
+def build_module(rhobar, d):
+    """The trace-zero conjugation module of a level-1 deformation, over F_{l^d};
+    dual_module gives its Cartier dual."""
     if rhobar.ring.m != 1:
         raise ParamMismatch("build_module expects a level-1 deformation")
     base = rhobar.ring.residue_field
@@ -118,19 +116,13 @@ def build_module(rhobar, d, twist="adjoint"):
         Mat.from_ints(base, [[0, 0], [1, 0]]),   # e21
     ]
     action = {}
-    eps = dict(rhobar.group.epsilon)
     for name in rhobar.group.generators:
         g = rhobar.image(name).residue()
         ginv = g.inverse()
         cols = [adjoint_coords(g * x * ginv) for x in basis]
         rows = [[cr.ff_embed(cols[j][i], d) for j in range(3)] for i in range(3)]
-        a = Mat.from_rows(field, rows)
-        if twist == "cartier_dual":
-            a = _contragredient(a, eps[name])
-        elif twist != "adjoint":
-            raise ParamMismatch(f"unknown twist {twist!r}")
-        action[name] = a
-    return GModule(field, 3, action, eps)
+        action[name] = Mat.from_rows(field, rows)
+    return GModule(field, 3, action, dict(rhobar.group.epsilon))
 
 
 def module_from_action(field, action):
@@ -139,14 +131,11 @@ def module_from_action(field, action):
     return GModule(field, dim, dict(action), {})
 
 
-def _contragredient(a, eps):
-    """eps times the inverse transpose of the action matrix a."""
-    return a.inverse().transpose().scale(cr.ff_from_int(a.ring, eps))
-
-
 def dual_module(module):
-    """Contragredient twisted by epsilon, for any module with epsilon data."""
-    action = {name: _contragredient(a, module.epsilon.get(name, 1))
+    """Contragredient twisted by epsilon, for any module with epsilon data:
+    each action matrix a becomes epsilon times its inverse transpose."""
+    action = {name: a.inverse().transpose().scale(
+                  cr.ff_from_int(a.ring, module.epsilon.get(name, 1)))
               for name, a in module.action.items()}
     return GModule(module.field, module.dim, action, module.epsilon)
 
@@ -356,35 +345,23 @@ def normalize_det(group, name, lift):
     diff = cr.witt_scale(det - want, -pow(group.epsilon[name], -1, ring.q))
     if diff.valuation() < m1 - 1:
         raise DetNotEpsilon(f"det discrepancy at {name} is not 1 mod l^{m1 - 1}")
-    lm = ell ** (m1 - 1)
-    w = tuple((c // lm) % ell for c in diff.coeffs)
-    inv2 = pow(2, -1, ell)
-    s = cr.witt_one(ring) + cr.WittElem(ring, tuple(lm * (c * inv2 % ell)
-                                                    for c in w))
+    # diff = l^(m1-1) w, so the square root 1 + l^(m1-1) w/2 is 1 + diff/2
+    s = cr.witt_one(ring) + cr.witt_scale(diff, pow(2, -1, ell))
     out = lift.scale(s)
     if out.det() != want:
         raise DetNotEpsilon(f"determinant normalization failed at {name}")
     return out
 
 
-def _defect_coords(e_mat, m, field):
+def _defect_coords(e_mat, m):
     """Extract z with e_mat = I + l^m z, as adjoint coordinates over F_{l^d}."""
-    ring = e_mat.ring
-    ell = ring.ell
-    lm = ell ** m
-    ident = Mat.identity(ring, 2)
-    diff = (e_mat - ident).rows
-    entries = {}
-    for i in range(2):
-        for j in range(2):
-            x = diff[i][j]
-            if any(c % lm for c in x.coeffs):
-                raise LiftsDoNotReduce("relator image is not I mod l^m")
-            entries[(i, j)] = cr.FFElem(field,
-                                        tuple((c // lm) % ell for c in x.coeffs))
-    if not (entries[(0, 0)] + entries[(1, 1)]).is_zero():
+    diff = (e_mat - Mat.identity(e_mat.ring, 2)).rows
+    if any(x.valuation() < m for row in diff for x in row):
+        raise LiftsDoNotReduce("relator image is not I mod l^m")
+    (a, b), (c, a2) = [[cr.witt_digit(x, m) for x in row] for row in diff]
+    if not (a + a2).is_zero():
         raise DetNotEpsilon("relator defect has nonzero trace; normalize det first")
-    return (entries[(0, 1)], entries[(0, 0)], entries[(1, 0)])
+    return (b, a, c)
 
 
 def relator_defects(rho_m, lifts):
@@ -399,8 +376,7 @@ def relator_defects(rho_m, lifts):
         if lifts[name].reduce(m) != rho_m.image(name):
             raise LiftsDoNotReduce(f"lift at {name} does not reduce to rho_m")
     lifted = Deformation(group, ring1, lifts)
-    return [_defect_coords(evaluate_word(lifted, rel), m, ring1.residue_field)
-            for rel in group.relators]
+    return [_defect_coords(evaluate_word(lifted, rel), m) for rel in group.relators]
 
 
 @dataclass(frozen=True)
@@ -428,9 +404,8 @@ def lift_solve(group, module, defects):
 def adjoint_step(ring, coords, k):
     """I + l^k [[a, b], [c, -a]] over the Witt ring ring, for adjoint
     coordinates (b, a, c) over its residue field."""
-    lk, ell = ring.ell ** k, ring.ell
     add = adjoint_from_coords(ring, tuple(
-        cr.WittElem(ring, tuple(lk * (c % ell) for c in x.coeffs)) for x in coords))
+        cr.witt_scale(cr.lift_trivial(x, ring.m), ring.ell ** k) for x in coords))
     return Mat.identity(ring, 2) + add
 
 

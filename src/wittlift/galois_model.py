@@ -23,6 +23,13 @@ SCHEMA_VERSION = 1
 _TOKEN_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?\d+))?$")
 
 
+def json_object(value, field):
+    """value, when it is a JSON object; else a SchemaError naming the field."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"{field}: {value!r} is not a JSON object")
+    return value
+
+
 def parse_word(text):
     """Parse 'a b^3 c^-1' (or 'a*b^3*c^-1') into ((name, exponent), ...)."""
     text = text.strip()
@@ -113,7 +120,7 @@ class ModelGroup:
 
     @classmethod
     def from_json_dict(cls, data):
-        if data.get("schema_version") != SCHEMA_VERSION:
+        if json_object(data, "group").get("schema_version") != SCHEMA_VERSION:
             raise SchemaError("unsupported or missing schema_version")
         try:
             places = tuple(
@@ -123,7 +130,7 @@ class ModelGroup:
             return cls(tuple(data["generators"]),
                        tuple(parse_word(r) for r in data["relators"]),
                        places,
-                       {k: int(v) for k, v in data["epsilon"].items()})
+                       {k: int(v) for k, v in json_object(data["epsilon"], "epsilon").items()})
         except KeyError as exc:
             raise SchemaError(f"missing field {exc}") from exc
 
@@ -155,14 +162,6 @@ class Deformation:
             if eps % self.ring.ell == 0:
                 raise SchemaError(f"epsilon of generator {name!r} is {eps}, "
                                   f"not a unit mod l = {self.ring.ell}")
-
-    @property
-    def m(self):
-        return self.ring.m
-
-    @property
-    def d(self):
-        return self.ring.d
 
     def image(self, name):
         if name not in self.images:
@@ -288,13 +287,14 @@ def deformation_to_json_dict(rho):
 
 
 def deformation_from_json_dict(data, group):
-    if data.get("schema_version") != SCHEMA_VERSION:
+    if json_object(data, "deformation").get("schema_version") != SCHEMA_VERSION:
         raise SchemaError("unsupported or missing schema_version")
     ring = cr.make_witt_ring(int(data["ell"]), int(data["d"]), int(data["m"]))
-    if sorted(data["images"]) != sorted(group.generators):
-        raise SchemaError(f"images: keys {sorted(data['images'])} are not the generators")
+    given = json_object(data["images"], "images")
+    if sorted(given) != sorted(group.generators):
+        raise SchemaError(f"images: keys {sorted(given)} are not the generators")
     images = {}
-    for name, rows in data["images"].items():
+    for name, rows in given.items():
         if len(rows) != 2 or any(len(row) != 2 for row in rows):
             raise SchemaError(f"images: {name!r} is not 2 x 2")
         entries = [[cr.witt_from_str(s) for s in row] for row in rows]

@@ -93,14 +93,6 @@ def trace_delta_digit(rho, f, word):
 # trace targeting
 
 
-def _digit_of(x, k):
-    """The k-th l-adic digit of a WittElem, as an element of the residue field."""
-    ell = x.ring.ell
-    lk = ell ** k
-    return cr.FFElem(x.ring.residue_field,
-                     tuple((c // lk) % ell for c in x.coeffs))
-
-
 def _trace_weights(rres):
     """w with tr([[a, b], [c, -a]] rres) = w . (b, a, c): the residual
     entries (r10, r00 - r11, r01)."""
@@ -145,7 +137,7 @@ def solve_trace_targets(rho, module, targets, locked_places=()):
             raise Inconsistent(
                 f"target at {place.label} differs from the current trace "
                 f"below the top digit")
-        u = _digit_of(diff, m - 1)
+        u = cr.witt_digit(diff, m - 1)
         rres = image.residue()
         row = _trace_row(group, module, place.sigma, rres)
         if not u.is_zero() and all(x.is_zero() for x in row):
@@ -369,9 +361,8 @@ def tower_step(rho_m, plan, level):
     place = plan.place_for(level)
     cur = evaluate_word(candidate, place.sigma).trace()
     if plan.escape:
-        gen_digit = cr.ff_gen(ring1.residue_field)
-        target = cur + cr.WittElem(
-            ring1, tuple(ring1.ell ** m * c for c in gen_digit.coeffs))
+        gen = cr.lift_trivial(cr.ff_gen(ring1.residue_field), m + 1)
+        target = cur + cr.witt_scale(gen, ring1.ell ** m)
         prev_degree = 2 ** (m - 1)
         if cr.in_subring(target, prev_degree):
             raise ParamMismatch("constructed target fails the escape invariant")

@@ -299,12 +299,9 @@ class Mat:
         return Mat(ring2, self.n, _mod_entries(self.entries, ring2.q))
 
     def embed(self, d_big):
-        if _is_field(self.ring):
-            ring, fn = cr.make_field(self.ring.ell, d_big), cr.ff_embed
-        else:
-            ring = cr.make_witt_ring(self.ring.ell, d_big, self.ring.m)
-            fn = cr.embed
-        return Mat.from_rows(ring, [[fn(a, d_big) for a in r] for r in self.rows])
+        """The entrywise embed into W(F_{l^d_big})/l^m of a Witt-ring matrix."""
+        ring = cr.make_witt_ring(self.ring.ell, d_big, self.ring.m)
+        return Mat.from_rows(ring, [[cr.embed(a, d_big) for a in r] for r in self.rows])
 
     def lift_trivial(self, m):
         ring = cr.make_witt_ring(self.ring.ell, self.ring.d, m)

@@ -20,6 +20,17 @@ from .galois_model import Deformation, ModelGroup, Place, parse_word
 from .matlin import Mat
 
 
+def _images(ell, m):
+    """W(F_l)/l^m and the integer generator images both surrogates share."""
+    ring = cr.make_witt_ring(ell, 1, m)
+    return ring, {
+        "s": Mat.from_ints(ring, [[2, 0], [0, 1]]),
+        "t": Mat.from_ints(ring, [[1, 1], [0, 1]]),
+        "u": Mat.from_ints(ring, [[1, 0], [1, 1]]),
+        "w": Mat.from_ints(ring, [[1, 0], [0, 2]]),
+    }
+
+
 # ---------------------------------------------------------------------------
 # surrogate (a): free group, every obstruction vanishes
 
@@ -41,15 +52,7 @@ def surrogate_free():
 
 def residual_free(ell=5):
     """Surjective residual representation of surrogate (a) with det = epsilon."""
-    group = surrogate_free()
-    ring = cr.make_witt_ring(ell, 1, 1)
-    images = {
-        "s": Mat.from_ints(ring, [[2, 0], [0, 1]]),
-        "t": Mat.from_ints(ring, [[1, 1], [0, 1]]),
-        "u": Mat.from_ints(ring, [[1, 0], [1, 1]]),
-        "w": Mat.from_ints(ring, [[1, 0], [0, 2]]),
-    }
-    return Deformation(group, ring, images)
+    return Deformation(surrogate_free(), *_images(ell, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -79,28 +82,12 @@ def surrogate_tame():
 
 
 def residual_tame(ell=5):
-    group = surrogate_tame()
-    ring = cr.make_witt_ring(ell, 1, 1)
-    images = {
-        "s": Mat.from_ints(ring, [[2, 0], [0, 1]]),
-        "t": Mat.from_ints(ring, [[1, 1], [0, 1]]),
-        "u": Mat.from_ints(ring, [[1, 0], [1, 1]]),
-        "w": Mat.from_ints(ring, [[1, 0], [0, 2]]),
-    }
-    return Deformation(group, ring, images)
+    return deformation_tame(1, ell)
 
 
 def deformation_tame(m, ell=5):
     """The integer-matrix deformation of surrogate (b) at any level m."""
-    group = surrogate_tame()
-    ring = cr.make_witt_ring(ell, 1, m)
-    images = {
-        "s": Mat.from_ints(ring, [[2, 0], [0, 1]]),
-        "t": Mat.from_ints(ring, [[1, 1], [0, 1]]),
-        "u": Mat.from_ints(ring, [[1, 0], [1, 1]]),
-        "w": Mat.from_ints(ring, [[1, 0], [0, 2]]),
-    }
-    return Deformation(group, ring, images)
+    return Deformation(surrogate_tame(), *_images(ell, m))
 
 
 # ---------------------------------------------------------------------------

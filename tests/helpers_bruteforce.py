@@ -2,17 +2,18 @@
 integral_model's conjugates in plain integers, matrix orders, and a
 reference integral-model decision on exact Fractions.
 
-The cohomology oracle is independent of the Fox-derivative machinery: group
-elements are enumerated through a faithful matrix realization, and every
-assignment of generator values is tested directly against the
-crossed-homomorphism rule on all (element, generator) edges.
+The cohomology oracle shares no arithmetic with the library: it reads the
+faithful realization and the module action once as integers, enumerates the
+group elements on integer matrices mod l, and tests every assignment of
+generator values directly against the crossed-homomorphism rule on all
+(element, generator) edges, with numpy.
 """
 
 import itertools
 from fractions import Fraction
 
-import wittlift.coeffring as cr
-from wittlift.cohomology import vec_add
+import numpy as np
+
 from wittlift.errors import Singular
 from wittlift.matlin import Mat
 
@@ -28,93 +29,83 @@ def matrix_order(y, cap=10 ** 7):
     raise Singular("order exceeds cap (matrix not of finite order?)")
 
 
-def enumerate_elements(group, images, module):
-    """BFS over the faithful realization; returns (elements, edges).
+def _int_action(mat):
+    """The entries of a d = 1 Mat as an n x n integer array."""
+    return np.array([c for (c,) in mat.entries], dtype=np.int64).reshape(mat.n, mat.n)
 
-    elements: list of dicts with the faithful key and the module action of
-    the element; edges: (element index, generator name, product index).
+
+def enumerate_elements(images, action, ell):
+    """BFS over the faithful realization on integer matrices mod ell.
+
+    Returns (acts, edges): acts[i] is the module action of element i
+    (element 0 the identity), edges the (element, generator index, product)
+    triples for every element and generator, in discovery order.
     """
-    ident_f = Mat.identity(images[group.generators[0]].ring,
-                           images[group.generators[0]].n)
-    ident_a = Mat.identity(module.field, module.dim)
-    elements = [{"act": ident_a}]
-    index = {ident_f.entries: 0}
-    mats = [ident_f]
+    n = images[0].shape[0]
+    mats = [np.eye(n, dtype=np.int64)]
+    acts = [np.eye(action[0].shape[0], dtype=np.int64)]
+    index = {mats[0].tobytes(): 0}
     edges = []
     frontier = [0]
     while frontier:
         nxt = []
         for ei in frontier:
-            for name in group.generators:
-                prod = mats[ei] * images[name]
-                key = prod.entries
+            for gi, image in enumerate(images):
+                prod = mats[ei] @ image % ell
+                key = prod.tobytes()
                 if key not in index:
-                    index[key] = len(elements)
+                    index[key] = len(mats)
                     mats.append(prod)
-                    elements.append(
-                        {"act": elements[ei]["act"] * module.act_gen(name)})
+                    acts.append(acts[ei] @ action[gi] % ell)
                     nxt.append(index[key])
-                edges.append((ei, name, index[key]))
+                edges.append((ei, gi, index[key]))
         frontier = nxt
-    return elements, edges
+    return acts, edges
+
+
+def _log(n, ell):
+    k = 0
+    while n > 1:
+        assert n % ell == 0, n
+        n //= ell
+        k += 1
+    return k
 
 
 def brute_force_h1(group, images, module):
-    """(dim Z^1, dim B^1, h^1) by exhaustive enumeration over F_ell."""
+    """(dim Z^1, dim B^1, h^1) by exhaustive enumeration over F_ell.
+
+    The generator images and the module action are read once as integer
+    arrays; everything after is numpy arithmetic mod ell.  Every assignment
+    of generator values is extended along the BFS spanning tree by
+    f(xg) = f(x) + x.f(g) and tested against that rule on every edge, all
+    assignments at once; B^1 counts the distinct (A_g m - m)_g over m.
+    """
     ell = module.field.ell
     assert module.field.d == 1
-    dim = module.dim
-    elements, edges = enumerate_elements(group, images, module)
-    vectors = [tuple(cr.ff_from_int(module.field, c) for c in combo)
-               for combo in itertools.product(range(ell), repeat=dim)]
-    zero = vectors[0]
+    dim, ngen = module.dim, len(group.generators)
+    action = [_int_action(module.action[name]) for name in group.generators]
+    acts, edges = enumerate_elements(
+        [_int_action(images[name]) for name in group.generators], action, ell)
 
-    # spanning-tree fill order: re-run the BFS once to learn discovery edges
-    discovery = {0: None}
-    for ei, name, ti in edges:
-        if ti not in discovery:
-            discovery[ti] = (ei, name)
-    order = sorted(discovery, key=lambda i: -1 if discovery[i] is None else i)
+    # every assignment: f[a, g] is the value at generator g, a in F_ell^(ngen*dim)
+    flat = np.array(list(itertools.product(range(ell), repeat=ngen * dim)), dtype=np.int64)
+    f = flat.reshape(-1, ngen, dim)
+    values = np.zeros((len(flat), len(acts), dim), dtype=np.int64)
+    seen = {0}
+    for ei, gi, ti in edges:  # discovery edges in BFS order fill the tree
+        if ti not in seen:
+            seen.add(ti)
+            values[:, ti] = (values[:, ei] + f[:, gi] @ acts[ei].T) % ell
+    ok = np.ones(len(flat), dtype=bool)
+    for ei, gi, ti in edges:
+        want = (values[:, ei] + f[:, gi] @ acts[ei].T) % ell
+        ok &= (want == values[:, ti]).all(axis=1)
+    dim_z = _log(int(ok.sum()), ell)
 
-    z_count = 0
-    ngen = len(group.generators)
-    for combo in itertools.product(range(len(vectors)), repeat=ngen):
-        f = {name: vectors[ci] for name, ci in zip(group.generators, combo)}
-        values = [None] * len(elements)
-        values[0] = zero
-        for ti in order:
-            if discovery[ti] is None:
-                continue
-            ei, name = discovery[ti]
-            values[ti] = vec_add(values[ei],
-                                 elements[ei]["act"].apply(f[name]))
-        ok = True
-        for ei, name, ti in edges:
-            want = vec_add(values[ei], elements[ei]["act"].apply(f[name]))
-            if want != values[ti]:
-                ok = False
-                break
-        if ok:
-            z_count += 1
-
-    cob = set()
-    for m in vectors:
-        key = tuple(vec_add(module.act_gen(name).apply(m),
-                            tuple(-x for x in m))
-                    for name in group.generators)
-        cob.add(key)
-    b_count = len(cob)
-
-    def log_ell(n):
-        k = 0
-        while n > 1:
-            assert n % ell == 0, n
-            n //= ell
-            k += 1
-        return k
-
-    dim_z = log_ell(z_count)
-    dim_b = log_ell(b_count)
+    ms = np.array(list(itertools.product(range(ell), repeat=dim)), dtype=np.int64)
+    cob = np.concatenate([(ms @ a.T - ms) % ell for a in action], axis=1)
+    dim_b = _log(len(np.unique(cob, axis=0)), ell)
     return dim_z, dim_b, dim_z - dim_b
 
 

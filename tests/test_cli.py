@@ -99,10 +99,35 @@ def test_h1_adjoint_module(tmp_path, capsys):
     assert (report["dim_z1"], report["dim_b1"], report["h1"]) == (6, 3, 3)
 
 
+def test_h1_cartier_dual_module(tmp_path, capsys):
+    from wittlift.cohomology import build_module, cocycle_space, dual_module
+    rho = residual_tame()
+    group = write_json(tmp_path / "g.json", {
+        "group": rho.group.to_json_dict(),
+        "residual": deformation_to_json_dict(rho),
+    })
+    assert main(["h1", group, "cartier_dual:2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    z1, b1, h1 = cocycle_space(rho.group, dual_module(build_module(rho, 2)))
+    assert (report["dim_z1"], report["dim_b1"], report["h1"]) == (len(z1), len(b1), h1)
+
+
 def test_h1_unknown_module_spec(tmp_path):
     group = write_json(tmp_path / "g.json",
                        {"group": surrogate_free().to_json_dict()})
     assert main(["h1", group, "bogus"]) == 4
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_h1_trivial_dimension_below_1_is_input_error(tmp_path, capsys, dim):
+    group = write_json(tmp_path / "g.json",
+                       {"group": surrogate_free().to_json_dict()})
+    assert main(["h1", group, f"trivial:{dim}"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)  # one JSON object, no traceback
+    assert err == {"error": f"module: trivial dimension {dim} must be >= 1",
+                   "kind": "input"}
 
 
 def test_nice_scan(tmp_path, capsys):
@@ -388,6 +413,10 @@ def _r_labels_missing_level(plan):
     del plan["r_labels"]["3"]
 
 
+def _images_as_names(plan):
+    plan["residual"]["images"] = sorted(plan["residual"]["images"])
+
+
 @pytest.mark.parametrize("mutate, field, reason", [
     (_missing_image, "images", "are not the generators"),
     (_image_1x1, "images", "'s' is not 2 x 2"),
@@ -399,8 +428,22 @@ def _r_labels_missing_level(plan):
     (lambda plan: plan.update(escape="no"), "escape", "is not a JSON boolean"),
     (lambda plan: plan.update(locked="p01"), "locked", "is not a list of place labels"),
     (lambda plan: plan.update(locked=[1]), "locked", "is not a list of place labels"),
+    (lambda plan: plan.update(group=[plan["group"]]), "group", "is not a JSON object"),
+    (lambda plan: plan["group"].update(epsilon=[2, 1, 1, 2]), "epsilon",
+     "is not a JSON object"),
+    (lambda plan: plan.update(residual=[plan["residual"]]), "residual",
+     "is not a JSON object"),
+    (_images_as_names, "images", "['s', 't', 'u', 'w'] is not a JSON object"),
+    (lambda plan: plan.update(r_labels=["p01", "p03"]), "r_labels", "is not a JSON object"),
+    (lambda plan: plan["r_labels"].update(two="p01"), "r_labels",
+     "are not all level numbers"),
+    (lambda plan: plan.update(max_level=2.5), "max_level", "2.5 is not a JSON integer"),
+    (lambda plan: plan.update(max_level=True), "max_level", "True is not a JSON integer"),
+    (lambda plan: plan.update(max_level="3"), "max_level", "'3' is not a JSON integer"),
 ], ids=["missing_image", "image_1x1", "image_3x3", "literal_ring", "max_level_0",
-        "r_labels_gap", "escape_string", "locked_string", "locked_int"])
+        "r_labels_gap", "escape_string", "locked_string", "locked_int", "group_list",
+        "epsilon_list", "residual_list", "images_list", "r_labels_list", "r_labels_key",
+        "max_level_float", "max_level_bool", "max_level_string"])
 def test_tower_build_plan_error_names_the_field(tmp_path, capsys, mutate, field,
                                                 reason):
     plan = plan_dict()

@@ -348,7 +348,7 @@ def test_monomial_frobenius_matches_hensel_path(case):
     # embed against the Hensel-lifted generator powers, and as a ring map
     e = cr.embed(xs, D)
     if 1 < d < D:
-        assert e == cr._hensel_embed(xs, ring)
+        assert e == cr._substitute(xs, cr._embedding_powers(xs.ring, ring), ring)
     assert cr.embed(xs * ys, D) == e * cr.embed(ys, D)
     # in_subring against Frobenius^d0-fixedness on the generic path
     assert cr.in_subring(e, d)
@@ -357,12 +357,63 @@ def test_monomial_frobenius_matches_hensel_path(case):
             assert cr.in_subring(z, d0) == (_hensel_power(z, d0 % D) == z)
 
 
+# (l, d, d_big) pairs whose big modulus has no monomial Frobenius table, so
+# embed, Frobenius and in_subring all take the Hensel path; 2 -> 8 at l = 7
+# composes through degree 4
+HENSEL_PATH_CASES = ((7, 1, 4), (7, 2, 4), (7, 2, 8), (7, 4, 8),
+                     (5, 1, 3), (5, 2, 6), (5, 3, 6), (11, 4, 8))
+# sha256 of _hensel_path_lines(), recorded while Frobenius and embed each
+# carried their own Hensel substitution and cache
+HENSEL_PATH_SHA256 = "d14c1bb2a1376449a1337bc298de978e6faa10fcbafdd73d64f777c210b735c8"
+
+
+def _hensel_path_lines():
+    """embed, hensel_frobenius, witt_frobenius_power(., 2) and in_subring on
+    seeded elements of every HENSEL_PATH_CASES pair at m = 1 and m = 3."""
+    rng = random.Random(19)
+    lines = []
+    for ell, d, d_big in HENSEL_PATH_CASES:
+        for m in (1, 3):
+            small, big = cr.make_witt_ring(ell, d, m), cr.make_witt_ring(ell, d_big, m)
+            assert cr._monomial_table(ell, d_big, m, 1) is None
+            for _ in range(3):
+                xs = cr.WittElem(small, tuple(rng.randrange(small.q) for _ in range(d)))
+                x = cr.WittElem(big, tuple(rng.randrange(big.q) for _ in range(d_big)))
+                e = cr.embed(xs, d_big)
+                lines.append(repr((e, cr.hensel_frobenius(xs), cr.hensel_frobenius(x),
+                                   cr.witt_frobenius_power(x, 2),
+                                   cr.witt_frobenius_power(e, 2))))
+                lines.append(repr([(cr.in_subring(z, d0), d0) for z in (x, e)
+                                   for d0 in range(1, d_big + 1) if d_big % d0 == 0]))
+    return lines
+
+
+def test_hensel_path_outputs_are_pinned():
+    import hashlib
+    digest = hashlib.sha256("\n".join(_hensel_path_lines()).encode()).hexdigest()
+    assert digest == HENSEL_PATH_SHA256
+
+
 def test_teichmuller_naturality_under_embedding():
     f2 = cr.make_field(5, 2)
     a = cr.ff_gen(f2)
     t_small = cr.teichmuller(a, 3)
     t_big = cr.teichmuller(cr.ff_embed(a, 4), 3)
     assert cr.embed(t_small, 4) == t_big
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from((5, 7)), st.sampled_from((1, 2, 4)), st.integers(1, 4), st.data())
+def test_witt_digits_rebuild_the_element(ell, d, m, data):
+    ring = cr.make_witt_ring(ell, d, m)
+    x = cr.WittElem(ring, tuple(data.draw(st.integers(0, ring.q - 1)) for _ in range(d)))
+    acc = cr.witt_zero(ring)
+    for k in range(m):
+        digit = cr.witt_digit(x, k)
+        assert digit.params == ring.residue_field
+        assert digit.coeffs == tuple((c // ell ** k) % ell for c in x.coeffs)
+        acc = acc + cr.witt_scale(cr.lift_trivial(digit, m), ell ** k)
+    assert acc == x
 
 
 def test_valuation():

@@ -33,7 +33,6 @@ from wittlift.matlin import Mat, check_tame_relation, hensel_diagonalize
 from wittlift.lifting import (
     OracleConstraints,
     TowerPlan,
-    _digit_of,
     _localization_ranks,
     build_tower,
     field_of_definition,
@@ -125,7 +124,7 @@ def test_trace_delta_digit_identity():
             new = evaluate_word(rho2, w).trace()
             diff = new - old
             assert diff.valuation() >= 2
-            assert _digit_of(diff, 2) == trace_delta_digit(rho, f, w)
+            assert cr.witt_digit(diff, 2) == trace_delta_digit(rho, f, w)
 
 
 def test_twist_rejects_non_cocycle():
@@ -447,9 +446,8 @@ def cold_tame_tower_5():
     calls = []
     factorize = cr.ff_factorize
     with pytest.MonkeyPatch.context() as mp:
-        for cache in ("_EMBED_CACHE", "_FROB_CACHE"):
-            mp.setattr(cr, cache, {})
-        for cached in (cr._residual_root, cr._monomial_table, cr._embed_shift):
+        for cached in (cr._embedding_powers, cr._frobenius_powers, cr._residual_root,
+                       cr._monomial_table, cr._embed_shift):
             cached.cache_clear()
         mp.setattr(cr, "ff_factorize",
                    lambda poly: calls.append(1) or factorize(poly))

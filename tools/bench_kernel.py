@@ -1,6 +1,6 @@
 """Per-layer timings of the coefficient kernel under Mat and of the H^1 layer: writes BENCH_kernel.json.
 
-Times, over W(F_{5^d})/5^m with m the tower level of degree d
+Times, over W(F_{5^d})/5^m (unless said otherwise) with m the tower level of degree d
 (d = 2^(m-1), and m = 1 at d = 1):
 
 * one Mat product and one Mat inverse for n in {2, 3} and
@@ -9,7 +9,10 @@ Times, over W(F_{5^d})/5^m with m the tower level of degree d
 * one element product (WittElem * WittElem) at each of those d;
 * witt_frobenius, in_subring(x, d/2) and embed from degree d/2 to d for
   d in {8, 32, 128, 512}, with x the embedding of a random element of degree
-  d/2 (so in_subring answers True);
+  d/2 (so in_subring answers True); the same three over W(F_{7^d})/7^m for
+  d in {4, 8, 16}, whose moduli are not binomials, so that Frobenius and
+  embed take the Hensel substitution (each row's "ell" says which; its
+  caches are filled before the timed calls);
 * integral_model over the 45 groups of the finite benchmark workload for
   SEED (2 x 2 over W(F_5)/5^30, 1 to 3 generators, denominators 5^k with
   k <= 2), one call for the whole batch;
@@ -62,7 +65,8 @@ from workloads import Finite  # noqa: E402
 
 ELL = 5
 DEGREES = (1, 2, 16, 128, 512, 2048)
-FROBENIUS_DEGREES = (8, 32, 128, 512)
+# (l, d): binomial moduli at l = 5; at l = 7 = 3 mod 4, 4 | d, none exist
+FROBENIUS_CASES = ((5, 8), (5, 32), (5, 128), (5, 512), (7, 4), (7, 8), (7, 16))
 SHA_DEGREES = (1, 2, 4)
 SIZES = (2, 3)
 BUDGET_S = 0.3
@@ -169,15 +173,16 @@ def main(argv=None):
             cases.append({"op": "mat_inverse", "n": n, "d": d, "m": ring.m,
                           **time_calls(a.inverse)})
         print(json.dumps(cases[-5:]), file=sys.stderr)
-    for d in FROBENIUS_DEGREES:
-        ring = cr.make_witt_ring(ELL, d, level(d))
-        half = random_elem(cr.make_witt_ring(ELL, d // 2, ring.m), rng)
+    for ell, d in FROBENIUS_CASES:
+        ring = cr.make_witt_ring(ell, d, level(d))
+        half = random_elem(cr.make_witt_ring(ell, d // 2, ring.m), rng)
         x = cr.embed(half, d)
-        cases.append({"op": "witt_frobenius", "d": d, "m": ring.m,
+        cr.witt_frobenius(x)
+        cases.append({"op": "witt_frobenius", "ell": ell, "d": d, "m": ring.m,
                       **time_calls(lambda: cr.witt_frobenius(x))})
-        cases.append({"op": "in_subring", "d": d, "d0": d // 2, "m": ring.m,
+        cases.append({"op": "in_subring", "ell": ell, "d": d, "d0": d // 2, "m": ring.m,
                       **time_calls(lambda: cr.in_subring(x, d // 2))})
-        cases.append({"op": "embed", "d": d, "d_small": d // 2, "m": ring.m,
+        cases.append({"op": "embed", "ell": ell, "d": d, "d_small": d // 2, "m": ring.m,
                       **time_calls(lambda: cr.embed(half, d))})
         print(json.dumps(cases[-3:]), file=sys.stderr)
     groups = integral_groups()
