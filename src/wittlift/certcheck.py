@@ -10,9 +10,10 @@ monomial fast path that the tower and its certificate were built with.
 from __future__ import annotations
 
 import math
+import reprlib
 
 from .coeffring import WittElem, hensel_frobenius, witt_from_str
-from .errors import InputError
+from .errors import InputError, SchemaError
 
 SCHEMA_VERSION = 1
 
@@ -51,7 +52,12 @@ def check_certificate(cert):
     if cert.get("schema_version") != SCHEMA_VERSION:
         return ["unsupported or missing schema_version"]
     seen = set()
-    for entry in cert.get("entries", []):
+    entries = cert.get("entries", [])
+    if not isinstance(entries, list):
+        raise SchemaError("entries: not a JSON list")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise SchemaError(f"entries[{i}]: {reprlib.repr(entry)} is not a JSON object")
         d = entry.get("d")
         if not isinstance(d, int) or d < 1:
             problems.append(f"bad degree field in {entry}")

@@ -139,11 +139,10 @@ def _cmd_tower_build(args):
 
 def _cmd_tower_verify(args):
     data = _load_json(args.tower)
-    body = data.get("tower", data)
-    failures = verify_tower_dict(body)
+    failures = verify_tower_dict(json_object(data.get("tower", data), "tower"))
     cert = data.get("certificate")
     if cert is not None:
-        failures += check_certificate(cert)
+        failures += check_certificate(json_object(cert, "certificate"))
     _report(args, {"ok": not failures, "failures": failures}, [args.tower])
     return EXIT_OK if not failures else EXIT_VERIFY
 

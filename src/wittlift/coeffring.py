@@ -594,7 +594,7 @@ def witt_to_str(x):
 
 
 def witt_from_str(s):
-    mo = _WITT_RE.match(s.strip())
+    mo = _WITT_RE.match(s.strip()) if isinstance(s, str) else None
     if not mo:
         raise InvalidQuery(f"bad witt element literal: {s!r}")
     ell, m, d = int(mo.group(1)), int(mo.group(2)), int(mo.group(3))

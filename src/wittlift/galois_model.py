@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import reprlib
 from dataclasses import dataclass
 
 from . import coeffring as cr
@@ -26,12 +27,14 @@ _TOKEN_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?\d+))?$")
 def json_object(value, field):
     """value, when it is a JSON object; else a SchemaError naming the field."""
     if not isinstance(value, dict):
-        raise SchemaError(f"{field}: {value!r} is not a JSON object")
+        raise SchemaError(f"{field}: {reprlib.repr(value)} is not a JSON object")
     return value
 
 
 def parse_word(text):
     """Parse 'a b^3 c^-1' (or 'a*b^3*c^-1') into ((name, exponent), ...)."""
+    if not isinstance(text, str):
+        raise SchemaError(f"word {text!r} is not a string")
     text = text.strip()
     if not text:
         return ()

@@ -55,6 +55,7 @@ from .galois_model import (
     deformation_to_json_dict,
     evaluate_word,
     is_unramified_at,
+    json_object,
     validate_deformation,
     check_running_hypotheses,
 )
@@ -176,10 +177,11 @@ def is_nice(place, rhobar):
 
 
 def is_rho_m_nice(place, rho_m):
-    """is_nice residually, plus exact unramifiedness and exact Hensel-lifted
-    eigenvalue ratio q in W/l^m."""
-    rhobar = rho_m.reduce(1)
-    if not is_nice(place, rhobar):
+    """q not +-1 mod l, tau exactly unramified, and Hensel-lifted Frobenius
+    eigenvalues in W/l^m with ratio q.  Each implies its residual form, so
+    this is is_nice residually, in one eigenvalue pass."""
+    ell = rho_m.ring.ell
+    if place.q % ell in (1, ell - 1, 0):
         return False
     if not is_unramified_at(rho_m, place)[0]:
         return False
@@ -404,58 +406,46 @@ def build_tower(plan):
 
 
 def logged_traces(tower):
-    """(place label, level, trace) for every targeted place, at native rings."""
-    out = []
-    for i, lvl in enumerate(tower.levels[1:], start=2):
-        place = tower.plan.rhobar.group.place(lvl.r_label)
-        tr = evaluate_word(lvl.rho, place.sigma).trace()
-        out.append((lvl.r_label, i, tr))
-    return out
+    """(place label, level, trace) for every targeted place, at native rings:
+    each level's target, which tower_step's twist hits exactly."""
+    return [(lvl.r_label, i, lvl.target_trace)
+            for i, lvl in enumerate(tower.levels[1:], start=2)]
+
+
+def _witness(traces, d):
+    """The certificate entry showing that degree d cannot define every
+    logged (label, level, trace), or None when d defines them all.
+
+    A "frobenius" witness is a trace not fixed by Frobenius^gcd(d, ambient);
+    a "degree" witness is a trace whose ambient degree d does not divide.
+    """
+    for label, level, tr in traces:
+        g = math.gcd(d, tr.ring.d)
+        if not cr.in_subring(tr, g):
+            return {"d": d, "kind": "frobenius", "place": label,
+                    "level": level, "check_degree": g,
+                    "trace": cr.witt_to_str(tr)}
+    for label, level, tr in traces:
+        if tr.ring.d % d != 0:
+            return {"d": d, "kind": "degree", "place": label,
+                    "level": level, "trace": cr.witt_to_str(tr)}
+    return None
 
 
 def field_of_definition(traces, d_max):
     """Minimal d <= d_max dividing every trace's ambient degree with all
-    traces Frobenius^d-fixed, or None."""
-    for d in range(1, d_max + 1):
-        ok = True
-        for tr in traces:
-            amb = tr.ring.d
-            if amb % d != 0 or not cr.in_subring(tr, d):
-                ok = False
-                break
-        if ok:
-            return d
-    return None
+    traces Frobenius^d-fixed, or None: the first d without a _witness."""
+    logged = [(None, None, tr) for tr in traces]
+    return next((d for d in range(1, d_max + 1)
+                 if _witness(logged, d) is None), None)
 
 
 def make_certificate(tower, d_top):
-    """Per degree d <= d_top, a witness that d cannot define all traces.
-
-    A "frobenius" witness is a trace not fixed by Frobenius^gcd(d, ambient);
-    a "degree" witness is a trace whose ambient degree d does not divide.
-    Degrees with neither kind of witness are reported as uncovered.
-    """
+    """Per degree d <= d_top, the _witness that d cannot define all traces;
+    degrees without one are reported as uncovered."""
     traces = logged_traces(tower)
-    entries = []
-    for d in range(1, d_top + 1):
-        found = None
-        for label, level, tr in traces:
-            amb = tr.ring.d
-            g = math.gcd(d, amb)
-            if not cr.in_subring(tr, g):
-                found = {"d": d, "kind": "frobenius", "place": label,
-                         "level": level, "check_degree": g,
-                         "trace": cr.witt_to_str(tr)}
-                break
-        if found is None:
-            for label, level, tr in traces:
-                if tr.ring.d % d != 0:
-                    found = {"d": d, "kind": "degree", "place": label,
-                             "level": level, "trace": cr.witt_to_str(tr)}
-                    break
-        if found is None:
-            found = {"d": d, "kind": "uncovered"}
-        entries.append(found)
+    entries = [_witness(traces, d) or {"d": d, "kind": "uncovered"}
+               for d in range(1, d_top + 1)]
     return {"schema_version": SCHEMA_VERSION, "d_top": d_top,
             "entries": entries}
 
@@ -496,6 +486,13 @@ def verify_tower_dict(data):
     group = ModelGroup.from_json_dict(data["group"])
     failures = []
     levels, top = data["levels"], data["max_level"]
+    r_labels = json_object(data["r_labels"], "r_labels")
+    if not isinstance(levels, list):
+        raise SchemaError("levels: not a JSON list")
+    for i, lvl in enumerate(levels):
+        json_object(lvl, f"levels[{i}]")
+    if type(top) is not int:
+        raise SchemaError(f"max_level: {top!r} is not a JSON integer")
     if len(levels) != top:
         failures.append(f"level {min(len(levels), top) + 1}: {len(levels)} levels, max_level {top}")
     prev = None
@@ -505,7 +502,7 @@ def verify_tower_dict(data):
             failures.append(f"level {i}: wrong precision {rho.ring.m}")
         if rho.ring.d != 2 ** (i - 1):
             failures.append(f"level {i}: degree {rho.ring.d}, want {2 ** (i - 1)}")
-        if i >= 2 and lvl["r_label"] != data["r_labels"].get(str(i)):
+        if i >= 2 and lvl["r_label"] != r_labels.get(str(i)):
             failures.append(f"level {i}: r_label {lvl['r_label']!r} is not r_labels[{i}]")
         rep = validate_deformation(rho)
         if not rep.ok:

@@ -378,15 +378,13 @@ def lifted_eigenvalues(g):
 # Hensel diagonalization (2x2 over a truncated Witt ring)
 
 
-def hensel_diagonalize(g):
-    """(P, D) with P*D*P^{-1} = g exactly, for distinct residual eigenvalues.
+def _diagonalize(g, lams):
+    """(P, D) with D = diag(lams) and P*D*P^{-1} = g exactly, for the 2x2
+    matrix g and its eigenvalues lams, whose residues are distinct.
 
-    Eigenvalues are ordered by the canonical serialization of their residues,
-    so the output is deterministic.
+    P's columns are the eigenvectors with a unit coordinate set to 1, one
+    per eigenline, so every matrix with g's eigenlines gets the same P.
     """
-    if g.n != 2:
-        raise ParamMismatch("hensel_diagonalize is 2x2 only")
-    lams = lifted_eigenvalues(g)
     ring = g.ring
     cols = []
     for lam in lams:
@@ -410,6 +408,17 @@ def hensel_diagonalize(g):
     if p * d * p.inverse() != g:
         raise RepeatedResidualEigenvalues("diagonalization failed to reconstruct")
     return p, d
+
+
+def hensel_diagonalize(g):
+    """(P, D) with P*D*P^{-1} = g exactly, for distinct residual eigenvalues.
+
+    Eigenvalues are ordered by the canonical serialization of their residues,
+    so the output is deterministic.
+    """
+    if g.n != 2:
+        raise ParamMismatch("hensel_diagonalize is 2x2 only")
+    return _diagonalize(g, lifted_eigenvalues(g))
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +555,8 @@ def find_split_diagonal(gens):
 
     gens generate a subgroup of GL_2(W(F_{l^d})/l^m) whose mod-l reduction
     must be all of GL_2(F_l).  Returns (C, D) with C * D * C^{-1} equal to the
-    l^(m-1) power of a word in the generators, and D = diag(a, 1) exactly.
+    l^(m-1) power of a word in the generators, and D = diag(a, 1) exactly,
+    a the Teichmuller lift of the word's residual eigenvalue abar.
     """
     ring = gens[0].ring
     ell, m = ring.ell, ring.m
@@ -569,21 +579,10 @@ def find_split_diagonal(gens):
     g = Mat.identity(ring, 2)
     for gi in closure_word(closure, res, ell, x):
         g = g * gens[gi]
-    p, d = hensel_diagonalize(g)
-    power = ell ** (m - 1)
-    (d00, _), (_, d11) = d.rows
-    lam = [d00 ** power, d11 ** power]
-    one = cr.witt_one(ring)
-    if lam[1] != one:
-        lam = [lam[1], lam[0]]
-        # swap the eigenbasis columns to match
-        (p00, p01), (p10, p11) = p.rows
-        p = Mat.from_rows(ring, [[p01, p00], [p11, p10]])
-    assert lam[1] == one
-    a = lam[0]
-    assert cr.in_subring(a, 1)
-    dd = Mat.from_rows(ring, [[a, cr.witt_zero(ring)], [cr.witt_zero(ring), one]])
-    return p, dd
+    # g = diag(abar, 1) mod l, so its l^(m-1) power has g's eigenlines and
+    # the eigenvalues teichmuller(abar) and 1 exactly
+    omega = cr.teichmuller(cr.ff_from_int(ring.residue_field, x[0]), m)
+    return _diagonalize(g ** ell ** (m - 1), [omega, cr.witt_one(ring)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Brute-force oracles: cohomology of small finite groups, integrality of
 integral_model's conjugates in plain integers, matrix orders, and a
-reference integral-model decision on exact Fractions.
+reference integral-model decision on exact Fractions.  None of them
+multiplies through Mat.
 
 The cohomology oracle shares no arithmetic with the library: it reads the
 faithful realization and the module action once as integers, enumerates the
@@ -15,17 +16,43 @@ from fractions import Fraction
 import numpy as np
 
 from wittlift.errors import Singular
-from wittlift.matlin import Mat
 
 
 def matrix_order(y, cap=10 ** 7):
-    """The least k >= 1 with y^k = 1, by repeated products; Singular past cap."""
-    acc = y
-    ident = Mat.identity(y.ring, y.n)
+    """The least k >= 1 with y^k = 1, by repeated products on y's entries,
+    read once: on integers mod q at d = 1, and with a schoolbook polynomial
+    product mod the ring's modulus at d > 1.  Singular past cap."""
+    ring, n = y.ring, y.n
+    modulus = getattr(ring, "lifted_modulus", None) or ring.modulus
+    q, d = getattr(ring, "q", ring.ell), len(modulus) - 1
+    if d == 1:
+        entries = [c for (c,) in y.entries]
+        ident = [int(i == j) for i in range(n) for j in range(n)]
+
+        def dot(row, col):
+            return sum(a * b for a, b in zip(row, col)) % q
+    else:
+        entries = list(y.entries)
+        ident = [tuple(int(i == j and k == 0) for k in range(d))
+                 for i in range(n) for j in range(n)]
+
+        def dot(row, col):
+            prod = [0] * (2 * d - 1)
+            for a, b in zip(row, col):
+                for i, ai in enumerate(a):
+                    for j, bj in enumerate(b):
+                        prod[i + j] += ai * bj
+            # x^d = -(modulus[0] + ... + modulus[d-1] x^(d-1))
+            for top in range(2 * d - 2, d - 1, -1):
+                for j in range(d):
+                    prod[top - d + j] -= prod[top] * modulus[j]
+            return tuple(c % q for c in prod[:d])
+    cols = [entries[j::n] for j in range(n)]
+    acc = entries
     for k in range(1, cap + 1):
         if acc == ident:
             return k
-        acc = acc * y
+        acc = [dot(acc[i * n:(i + 1) * n], col) for i in range(n) for col in cols]
     raise Singular("order exceeds cap (matrix not of finite order?)")
 
 

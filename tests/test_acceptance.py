@@ -1,11 +1,14 @@
 """Acceptance suite: exhaustive finite-level counts and property checks
 with explicit runtime budgets."""
 
+import hashlib
 import itertools
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wittlift.coeffring as cr
@@ -142,45 +145,46 @@ def test_acceptance_2_matrix_toolkit():
     # jordan_decompose uniqueness, exhaustive over GL_2(F_5)
     gl2 = _all_gl2_f5()
     assert len(gl2) == 480
-    orders = {}
-    inverses = {}
-    for g in gl2:
-        orders[g.entries] = matrix_order(g)
-        inverses[g.entries] = g.inverse()
-    for y in gl2:
+    orders = {g.entries: matrix_order(g) for g in gl2}
+    # on integer arrays: matrix i is ints[i], and [i, j] below is (y_i, a_j)
+    ints = np.array([[c for (c,) in g.entries] for g in gl2]).reshape(-1, 2, 2)
+    index = np.zeros(5 ** 4, dtype=int)
+    index[ints.reshape(-1, 4) @ 5 ** np.arange(4)] = np.arange(len(gl2))
+    inv = np.array([[c for (c,) in g.inverse().entries] for g in gl2]).reshape(-1, 2, 2)
+    b = inv[None, :] @ ints[:, None] % 5  # a^-1 y
+    b_index = index[b.reshape(len(gl2), len(gl2), 4) @ 5 ** np.arange(4)]
+    order = np.array([orders[g.entries] for g in gl2])
+    commuting = (ints[None, :] @ b % 5 == b @ ints[None, :] % 5).all(axis=(2, 3))
+    # no other commuting (semisimple, 5-power-order) pair
+    unique = (order[None, :] % 5 != 0) & np.isin(order[b_index], (1, 5)) & commuting
+    for i, y in enumerate(gl2):
         y_s, y_u = jordan_decompose(y)
         assert y_s * y_u == y and y_u * y_s == y
         assert orders[_find_key(y_s, orders)] % 5 != 0
         assert matrix_order(y_u) in (1, 5)
-        # uniqueness: no other commuting (semisimple, 5-power-order) pair
-        matches = 0
-        for a in gl2:
-            if orders[a.entries] % 5 != 0:
-                b = inverses[a.entries] * y
-                if matrix_order(b) in (1, 5) and a * b == b * a:
-                    matches += 1
-                    assert a == y_s and b == y_u
-        assert matches == 1
+        (j,) = np.flatnonzero(unique[i])
+        assert gl2[j] == y_s and gl2[b_index[i, j]] == y_u
 
-    # tame-relation dichotomy, every satisfying pair with q = 2
-    satisfying = 0
-    squares = {y.entries: y * y for y in gl2}
-    for x in gl2:
-        for y in gl2:
-            if x * y == squares[y.entries] * x:  # x y x^-1 = y^2
-                satisfying += 1
-                branch = check_tame_relation(x, y, 2)
-                assert branch.kind in ("semisimple_finite_order",
-                                       "eigenvalue_ratio")
-                if branch.kind == "semisimple_finite_order":
-                    _, y_u = jordan_decompose(y)
-                    assert y_u.is_identity()
-                    assert matrix_order(y) % 5 != 0
-                else:
-                    lam1, lam2 = branch.pair
-                    q = cr.ff_from_int(lam1.params, 2)
-                    assert lam1 == lam2 * q
-    assert satisfying > 0
+    # tame-relation dichotomy, every satisfying pair with q = 2, found on
+    # integer arrays: [i, j] holds x_i y_j and y_j^2 x_i
+    ints = np.array([[c for (c,) in g.entries] for g in gl2]).reshape(-1, 2, 2)
+    xy = ints[:, None] @ ints[None, :] % 5
+    y2x = (ints @ ints % 5)[None, :] @ ints[:, None] % 5
+    pairs = np.argwhere((xy == y2x).all(axis=(2, 3)))  # x y x^-1 = y^2
+    assert len(pairs) > 0
+    for i, j in pairs:
+        x, y = gl2[i], gl2[j]
+        branch = check_tame_relation(x, y, 2)
+        assert branch.kind in ("semisimple_finite_order",
+                               "eigenvalue_ratio")
+        if branch.kind == "semisimple_finite_order":
+            _, y_u = jordan_decompose(y)
+            assert y_u.is_identity()
+            assert orders[y.entries] % 5 != 0
+        else:
+            lam1, lam2 = branch.pair
+            q = cr.ff_from_int(lam1.params, 2)
+            assert lam1 == lam2 * q
     assert time.monotonic() - start < 120.0
 
 
@@ -194,25 +198,22 @@ def _find_key(mat, orders):
 # 3. split diagonal extraction
 
 
-def test_acceptance_3_split_diagonal():
-    # worked instance: trivial lifts of diag(2,1), e12, e21 at m = 2 give a = 7
-    ring2 = cr.make_witt_ring(5, 1, 2)
-    base = [Mat.from_ints(ring2, [[2, 0], [0, 1]]),
-            Mat.from_ints(ring2, [[1, 1], [0, 1]]),
-            Mat.from_ints(ring2, [[1, 0], [1, 1]])]
-    c, d = find_split_diagonal(base)
-    assert d.rows[0][0].coeffs[0] == 7
-    assert d.rows[1][1] == cr.witt_one(ring2)
+def _worked_split_generators(m):
+    """Trivial lifts of diag(2, 1), e12 and e21 to W(F_5)/5^m."""
+    ring = cr.make_witt_ring(5, 1, m)
+    return [Mat.from_ints(ring, [[2, 0], [0, 1]]),
+            Mat.from_ints(ring, [[1, 1], [0, 1]]),
+            Mat.from_ints(ring, [[1, 0], [1, 1]])]
 
-    # 200 random configurations at m in {2, 3}
+
+def _split_configurations():
+    """200 random configurations at m in {2, 3}: the worked generators
+    conjugated by a random unit, each perturbed by I + 5 * (random)."""
     rng = random.Random(99)
     for trial in range(200):
         m = rng.choice([2, 3])
         ring = cr.make_witt_ring(5, 1, m)
-        gens = [Mat.from_ints(ring, [[2, 0], [0, 1]]),
-                Mat.from_ints(ring, [[1, 1], [0, 1]]),
-                Mat.from_ints(ring, [[1, 0], [1, 1]])]
-        # conjugate by a random unit and perturb each by I + 5 * (random)
+        gens = _worked_split_generators(m)
         while True:
             cmat = Mat.from_ints(ring, [[rng.randrange(5 ** m)
                                          for _ in range(2)]
@@ -226,12 +227,46 @@ def test_acceptance_3_split_diagonal():
                                          [5 * rng.randrange(5 ** (m - 1)),
                                           1 + 5 * rng.randrange(5 ** (m - 1))]])
             perturbed.append(cmat * (noise * g) * cmat.inverse())
+        yield ring, perturbed
+
+
+def test_acceptance_3_split_diagonal():
+    # worked instance: trivial lifts of diag(2,1), e12, e21 at m = 2 give a = 7
+    ring2 = cr.make_witt_ring(5, 1, 2)
+    c, d = find_split_diagonal(_worked_split_generators(2))
+    assert d.rows[0][0].coeffs[0] == 7
+    assert d.rows[1][1] == cr.witt_one(ring2)
+
+    for ring, perturbed in _split_configurations():
         _, diag = find_split_diagonal(perturbed)
         a = diag.rows[0][0]
         assert diag.rows[1][0].is_zero() and diag.rows[0][1].is_zero()
         assert diag.rows[1][1] == cr.witt_one(ring)
         assert cr.in_subring(a, 1)
         assert a.residue().coeffs[0] not in (0, 1, 4)
+
+
+# sha256 over the C and D entries of find_split_diagonal on the finite
+# benchmark workload's split trials for seeds 1-10, the 200 configurations
+# above and the worked generators at m = 1 and m = 4, recorded while the
+# eigenvalues still came from Hensel diagonalization of the word itself
+SPLIT_DIAGONAL_SHA256 = "4008d46f626713fb2b67d397356a8fde7879c4d30175b1b4506a1414c11465fd"
+
+
+def test_split_diagonal_outputs_are_pinned(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    from workloads import Finite
+
+    cases = [[Mat.from_ints(cr.make_witt_ring(5, 1, trial["m"]), [list(r) for r in g])
+              for g in trial["gens"]]
+             for seed in range(1, 11) for trial in Finite.spec(seed)["split"]]
+    cases += [gens for _, gens in _split_configurations()]
+    cases += [_worked_split_generators(m) for m in (1, 4)]
+    digest = hashlib.sha256()
+    for gens in cases:
+        c, d = find_split_diagonal(gens)
+        digest.update(repr((c.entries, d.entries)).encode())
+    assert digest.hexdigest() == SPLIT_DIAGONAL_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import wittlift.coeffring as cr
 from wittlift.cli import main
@@ -512,3 +516,98 @@ def test_tower_verify_checks_shape_against_header(tmp_path, capsys, built_tower,
     verdict = read_json(out)
     assert verdict["ok"] is False
     assert failure in verdict["failures"]
+
+
+def _set(path, value):
+    def mutate(report):
+        node = report
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (_set(("tower", "r_labels"), ["p01", "p03"]), "r_labels"),
+    (lambda report: report.update(tower=[report["tower"]]), "tower"),
+    (lambda report: report.update(certificate=[report["certificate"]]), "certificate"),
+    (lambda report: report["certificate"].update(
+        entries={str(e["d"]): e for e in report["certificate"]["entries"]}), "entries"),
+    (_set(("certificate", "entries", 2), 7), "entries[2]"),
+    (lambda report: report["tower"].update(
+        levels={str(i): lvl for i, lvl in enumerate(report["tower"]["levels"])}), "levels"),
+    (_set(("tower", "levels"), [1, 2, 3]), "levels[0]"),
+    (_set(("tower", "max_level"), "3"), "max_level"),
+], ids=["r_labels_list", "tower_list", "certificate_list", "entries_object",
+        "entry_not_object", "levels_object", "levels_not_objects", "max_level_string"])
+def test_tower_verify_malformed_report_names_the_field(tmp_path, capsys, built_tower,
+                                                       mutate, field):
+    report = json.loads(json.dumps(built_tower))
+    mutate(report)
+    path = write_json(tmp_path / "t.json", report)
+    assert main(["tower", "verify", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)  # one JSON object, no traceback
+    assert err["kind"] == "input"
+    assert err["error"].startswith(f"{field}: ")
+
+
+def _json_paths(value, path=()):
+    """The path of every field and list item below value."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+_JSON_VALUES = (None, True, 0, 3, -1, 2.5, "", "p01", [], [1], ["x"], {}, {"d": 1})
+
+
+class _Report:
+    """A `tower build` report and the paths of its tower and certificate
+    fields, with a short repr for hypothesis' failure reports."""
+
+    def __init__(self, data):
+        self.data = data
+        self.paths = tuple(p for p in _json_paths(data) if p[0] in ("tower", "certificate"))
+
+    def __repr__(self):
+        return f"<report with {len(self.paths)} fields>"
+
+
+@pytest.fixture(scope="module")
+def free_report_4(tmp_path_factory):
+    """The report of `tower build` on plan_dict(4)."""
+    tmp = tmp_path_factory.mktemp("tower4")
+    out = tmp / "tower.json"
+    assert main(["--out", str(out), "tower", "build",
+                 write_json(tmp / "plan.json", plan_dict(4))]) == 0
+    return _Report(read_json(out))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_tower_verify_never_ends_in_a_traceback(tmp_path, free_report_4, data):
+    # one field of the free level-4 report replaced by a JSON value of
+    # another type
+    path = data.draw(st.sampled_from(free_report_4.paths))
+    node = free_report_4.data
+    for key in path:
+        node = node[key]
+    value = data.draw(st.sampled_from(
+        [v for v in _JSON_VALUES if type(v) is not type(node)]))
+    mutated = json.loads(json.dumps(free_report_4.data))
+    _set(path, value)(mutated)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["tower", "verify", write_json(tmp_path / "t.json", mutated)])
+    assert code in (0, 2, 4)
+    if stderr.getvalue():
+        assert isinstance(json.loads(stderr.getvalue()), dict)

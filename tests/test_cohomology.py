@@ -1,6 +1,7 @@
 """Tests for cocycle spaces, local classification, and obstruction solving."""
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -44,7 +45,7 @@ from wittlift.presets import (
     surrogate_tame,
     module_suite,
 )
-from helpers_bruteforce import brute_force_h1
+from helpers_bruteforce import brute_force_h1, matrix_order
 
 F5 = cr.make_field(5, 1)
 
@@ -148,12 +149,19 @@ def test_fox_h1_matches_brute_force():
 
 def test_brute_force_oracle_does_not_use_the_fox_jacobian(monkeypatch):
     """The oracle shares no code with cocycle_space: neither the Fox system
-    nor Mat, GModule or FFElem arithmetic."""
+    nor Mat, GModule or FFElem arithmetic; nor does matrix_order multiply
+    through Mat."""
     import wittlift.cohomology as co
 
     cases = [(group, images, module, cocycle_space(group, module))
              for _, group, images, _ in finite_groups()
              for _, module in module_suite(group, images)]
+    f5, f25, w25 = cr.make_field(5, 1), cr.make_field(5, 2), cr.make_witt_ring(5, 2, 2)
+    mats = [Mat.from_ints(f5, [[2, 0], [0, 1]]), Mat.from_ints(f25, [[1, 1], [0, 1]]),
+            Mat.from_ints(f25, [[0, 3], [1, 0]]), Mat.from_ints(w25, [[2, 1], [0, 1]]),
+            Mat.from_ints(f5, [[3, 1, 0], [0, 3, 1], [0, 0, 3]])]
+    orders = [(y, next(k for k in itertools.count(1) if (y ** k).is_identity()))
+              for y in mats]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle reached library arithmetic")
@@ -166,6 +174,7 @@ def test_brute_force_oracle_does_not_use_the_fox_jacobian(monkeypatch):
         monkeypatch.setattr(owner, name, refuse)
     for group, images, module, (z1, b1, h1) in cases:
         assert brute_force_h1(group, images, module) == (len(z1), len(b1), h1)
+    assert [matrix_order(y) for y, _ in orders] == [k for _, k in orders]
 
 
 @functools.lru_cache(maxsize=None)

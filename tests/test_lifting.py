@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -242,7 +243,7 @@ def test_eigenvalue_decisions_factor_once(monkeypatch):
     g = Mat.from_ints(cr.make_witt_ring(5, 1, 4), [[2, 1], [0, 3]])
     assert count(lambda: hensel_diagonalize(g)) == 1
     assert count(lambda: is_nice(q03, rhobar)) == 1
-    assert count(lambda: is_rho_m_nice(q03, rho)) == 2
+    assert count(lambda: is_rho_m_nice(q03, rho)) == 1
 
 
 # sha256 over is_nice / is_rho_m_nice at every place of the tame deformations
@@ -606,3 +607,18 @@ def test_make_certificate_small_d_top():
     cert = make_certificate(tower, 3)
     assert cert["d_top"] == 3
     assert check_certificate(cert) == []
+
+
+@pytest.mark.parametrize("plan", [PLAN, TAME_PLAN_5, replace(PLAN, escape=False)],
+                         ids=["free_4", "tame_5", "free_4_no_escape"])
+def test_logged_traces_and_field_of_definition_follow_the_tower(plan):
+    tower, cert = build_tower(plan)
+    group = plan.rhobar.group
+    # the logged trace is each level's target, which the twist hit exactly
+    assert logged_traces(tower) == [
+        (lvl.r_label, i, evaluate_word(lvl.rho, group.place(lvl.r_label).sigma).trace())
+        for i, lvl in enumerate(tower.levels[1:], start=2)]
+    # one witness rule: the field of definition is the first uncovered degree
+    traces = [tr for _, _, tr in logged_traces(tower)]
+    uncovered = [e["d"] for e in cert["entries"] if e["kind"] == "uncovered"]
+    assert field_of_definition(traces, cert["d_top"]) == (uncovered or [None])[0]

@@ -455,6 +455,25 @@ def test_find_split_diagonal_worked_instance():
     assert a.coeffs[0] == 7
 
 
+def test_find_split_diagonal_takes_no_eigenvalue_path(monkeypatch):
+    # the word's residue diag(abar, 1) gives the eigenvalues of its
+    # l^(m-1) power: no characteristic polynomial, factorization or root
+    def refuse(*args):
+        raise AssertionError("an eigenvalue path ran")
+    for name in ("hensel_diagonalize", "lifted_eigenvalues", "char_poly",
+                 "splitting_roots"):
+        monkeypatch.setattr(f"wittlift.matlin.{name}", refuse)
+    monkeypatch.setattr(cr, "ff_factorize", refuse)
+    monkeypatch.setattr(cr, "hensel_root", refuse)
+    ring = cr.make_witt_ring(5, 1, 2)
+    gens = [Mat.from_ints(ring, [[2, 0], [0, 1]]),
+            Mat.from_ints(ring, [[1, 1], [0, 1]]),
+            Mat.from_ints(ring, [[1, 0], [1, 1]])]
+    c, d = find_split_diagonal(gens)
+    assert d == Mat.from_ints(ring, [[7, 0], [0, 1]])
+    assert c * d * c.inverse() == gens[0] ** 5
+
+
 def test_find_split_diagonal_needs_full_image():
     ring = cr.make_witt_ring(5, 1, 2)
     with pytest.raises(ResidualImageTooSmall):

@@ -16,6 +16,9 @@ Times, over W(F_{5^d})/5^m (unless said otherwise) with m the tower level of deg
 * integral_model over the 45 groups of the finite benchmark workload for
   SEED (2 x 2 over W(F_5)/5^30, 1 to 3 generators, denominators 5^k with
   k <= 2), one call for the whole batch;
+* find_split_diagonal over the 10 split trials of the finite benchmark
+  workload for SEED (2 x 2 over W(F_5)/5^m, m in {2, 3}), one call for the
+  whole batch;
 * the H^1 layer: cocycle_space over the finite suite (every finite group
   with every module of its suite, one call for the batch), and sha_kernel
   over all places of the tame module at d in {1, 2, 4}.  Each call builds
@@ -59,7 +62,7 @@ sys.path.insert(0, str(ROOT / "benchmarks"))
 import speed  # noqa: E402
 import wittlift.coeffring as cr  # noqa: E402
 from wittlift.cohomology import build_module, cocycle_space, sha_kernel  # noqa: E402
-from wittlift.matlin import Mat, integral_model, kelem_from_rational  # noqa: E402
+from wittlift.matlin import Mat, find_split_diagonal, integral_model, kelem_from_rational  # noqa: E402
 from wittlift.presets import finite_groups, module_suite, residual_tame  # noqa: E402
 from workloads import Finite  # noqa: E402
 
@@ -97,6 +100,12 @@ def integral_groups():
     ring = cr.make_witt_ring(ELL, 1, Finite.INTEGRAL_PRECISION)
     return [[[[kelem_from_rational(ring, v, ELL ** grp["k"]) for v in row] for row in g]
              for g in grp["gens"]] for grp in Finite.spec(SEED)["integral"]]
+
+
+def split_trials():
+    """The finite workload's find_split_diagonal generators for SEED."""
+    return [[Mat.from_ints(cr.make_witt_ring(ELL, 1, trial["m"]), [list(r) for r in g])
+             for g in trial["gens"]] for trial in Finite.spec(SEED)["split"]]
 
 
 def time_calls(fn):
@@ -189,6 +198,10 @@ def main(argv=None):
     cases.append({"op": "integral_model", "n": 2, "m": Finite.INTEGRAL_PRECISION,
                   "groups": len(groups),
                   **time_calls(lambda: [integral_model(g) for g in groups])})
+    print(json.dumps(cases[-1:]), file=sys.stderr)
+    trials = split_trials()
+    cases.append({"op": "find_split_diagonal", "n": 2, "trials": len(trials),
+                  **time_calls(lambda: [find_split_diagonal(g) for g in trials])})
     print(json.dumps(cases[-1:]), file=sys.stderr)
     groups = finite_groups(ELL)
     cases.append({"op": "cocycle_space", "suite": "finite",
