@@ -167,7 +167,6 @@ def test_acceptance_2_matrix_toolkit():
 
     # tame-relation dichotomy, every satisfying pair with q = 2, found on
     # integer arrays: [i, j] holds x_i y_j and y_j^2 x_i
-    ints = np.array([[c for (c,) in g.entries] for g in gl2]).reshape(-1, 2, 2)
     xy = ints[:, None] @ ints[None, :] % 5
     y2x = (ints @ ints % 5)[None, :] @ ints[:, None] % 5
     pairs = np.argwhere((xy == y2x).all(axis=(2, 3)))  # x y x^-1 = y^2
