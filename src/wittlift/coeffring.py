@@ -6,10 +6,11 @@ Elements of both rings are stored as length-d coefficient tuples (ascending
 powers of the class of x).  All values are immutable.  The module's caches
 are functools.lru_cache functions, write-once and idempotent: the field and
 ring parameters and the Kronecker plans; on a binomial modulus X^D + a (l not
-dividing D) the per-ring Frobenius^k tables and the embedding shifts; on
-other moduli the powers of the generator's Frobenius image and of its
-embedding images (one Hensel substitution serves both), and the residual
-roots.  witt_digit reads the l-adic digits of an element.
+dividing D) the per-ring Frobenius^k tables; per degree pair whether the big
+modulus is the small one composed with x^(D/d), where embed is the scatter
+X -> X^(D/d); on other moduli the powers of the generator's Frobenius image
+and of its embedding images (one Hensel substitution serves both), and the
+residual roots.  witt_digit reads the l-adic digits of an element.
 
 Canonical text form of a Witt element: ``l^m:d:[c0,...,c_{d-1}]``.
 """
@@ -977,16 +978,26 @@ def ff_roots(poly):
 
 
 @functools.lru_cache(maxsize=None)
+def _composed(ell, d, d_big):
+    """True when the degree-d_big modulus is the degree-d one composed with
+    x^(d_big/d): then X -> X^(d_big/d) is a ring map, and embed a scatter.
+    Decided once per (l, d, d_big)."""
+    small, big = make_field(ell, d).modulus, make_field(ell, d_big).modulus
+    k = d_big // d
+    return big[::k] == small and not any(c for i, c in enumerate(big) if i % k)
+
+
+@functools.lru_cache(maxsize=None)
 def _embedding_powers(small, big):
     """Powers of the image of the small ring generator inside the big ring.
 
-    Base pairs choose the Hensel lift of the lexicographically smallest
-    residual root of the small modulus; composite degree jumps lift it into
-    the largest intermediate ring and substitute that through the
-    intermediate generator's powers, so that 2-power chains compose exactly.
+    Composed pairs and base pairs choose the Hensel lift of _residual_root;
+    other composite degree jumps lift it into the largest intermediate ring
+    and substitute that through the intermediate generator's powers, so that
+    chains compose exactly and agree with embed's scatter.
     """
-    intermediates = [e for e in range(small.d + 1, big.d)
-                     if e % small.d == 0 and big.d % e == 0]
+    intermediates = [] if _composed(small.ell, small.d, big.d) else [
+        e for e in range(small.d + 1, big.d) if e % small.d == 0 and big.d % e == 0]
     mid = make_witt_ring(small.ell, max(intermediates), small.m) if intermediates else big
     g = _lifted_root(small, mid, _residual_root(small.ell, small.d, mid.d))
     if intermediates:
@@ -994,65 +1005,16 @@ def _embedding_powers(small, big):
     return _powers(g, small.d)
 
 
-def _orbit_shift(ell, d, d_big):
-    """j with sigma^j(X^(d_big/d)) the smallest residual root of the degree-d
-    modulus y^d + a in the degree-d_big ring, whose modulus is X^d_big + a.
-
-    The roots of y^d + a are that orbit, one monomial each.  None unless both
-    moduli are binomials with the same a and the big one has a monomial table.
-    """
-    table = _monomial_table(ell, d_big, 1, 1)
-    small, big = make_field(ell, d).modulus, make_field(ell, d_big).modulus
-    if table is None or small[0] != big[0] or any(small[1:-1]):
-        return None
-    perm, mult = table
-    p, s, best = d_big // d, 1, None
-    for j in range(d):
-        # the residual root s*X^p; larger p, then smaller s, sorts first
-        if best is None or (-p, s) < best[0]:
-            best = ((-p, s), j)
-        p, s = perm[p], s * mult[p] % ell
-    return best[1]
-
-
-@functools.lru_cache(maxsize=None)
-def _embed_shift(ell, d, d_big):
-    """j with embed's image of the degree-d generator sigma^j(X^(d_big/d)).
-
-    None when no monomial path exists.  The rule is _embedding_powers': a
-    direct pair takes the smallest residual root (_orbit_shift); a composite
-    jump composes the shifts through the largest intermediate degree e, as
-    Frobenius commutes with embed.
-    """
-    mids = [e for e in range(d + 1, d_big) if e % d == 0 and d_big % e == 0]
-    if not mids:
-        return _orbit_shift(ell, d, d_big)
-    e = max(mids)
-    j1, j2 = _orbit_shift(ell, d, e), _embed_shift(ell, e, d_big)
-    return None if None in (j1, j2) else (j1 + j2) % d
-
-
 @functools.lru_cache(maxsize=None)
 def _residual_root(ell, d, d_big):
-    """Smallest root (by sort_key) of the F_{l^d} modulus in F_{l^d_big}.
-
-    The roots of an irreducible f over F_l in an extension are the Frobenius
-    orbit r, r^l, ..., r^(l^(d-1)) of any one of them.  When the big modulus
-    is f composed with x^(d_big/d), the class of x^(d_big/d) is such an r, so
-    no factorization is needed; other moduli fall back to ff_roots.  The root
-    does not depend on the precision m, so it is cached per (l, d, d_big).
+    """A root of the F_{l^d} modulus in F_{l^d_big}: the class of x^(d_big/d)
+    on a _composed pair, else the smallest by sort_key from ff_roots.  The
+    root does not depend on the precision m, so it is cached per (l, d, d_big).
     """
-    small, big = make_field(ell, d), make_field(ell, d_big)
-    k = d_big // d
-    composed = [0] * (d_big + 1)
-    for i, c in enumerate(small.modulus):
-        composed[i * k] = c
-    if tuple(composed) == big.modulus:
-        orbit = [ff_gen(big) ** k]
-        for _ in range(d - 1):
-            orbit.append(orbit[-1] ** ell)
-        return min(orbit, key=FFElem.sort_key)
-    roots = ff_roots([ff_from_int(big, c) for c in small.modulus])
+    big = make_field(ell, d_big)
+    if _composed(ell, d, d_big):
+        return ff_gen(big) ** (d_big // d)
+    roots = ff_roots([ff_from_int(big, c) for c in make_field(ell, d).modulus])
     if not roots:
         raise NonDivisibleDegrees("small modulus has no root in the big field")
     return roots[0][0]
@@ -1061,8 +1023,9 @@ def _residual_root(ell, d, d_big):
 def embed(x, d_big):
     """Injective ring map W(F_{l^d})/l^m -> W(F_{l^d'})/l^m for d | d'.
 
-    A scaled scatter through the Frobenius^j table of the big ring when
-    _embed_shift gives j, else a sum over the Hensel-lifted generator powers.
+    The stride scatter X^i -> X^(i*d'/d) from degree 1 and on _composed
+    pairs (every 2-power pair at l = 5 and 13), else a sum over the
+    Hensel-lifted generator powers.
     """
     small = x.ring
     if d_big % small.d != 0:
@@ -1070,14 +1033,11 @@ def embed(x, d_big):
     if small.d == d_big:
         return x
     big = make_witt_ring(small.ell, d_big, small.m)
-    if small.d == 1:
-        return WittElem(big, (x.coeffs[0] % big.q,) + (0,) * (d_big - 1))
-    j = _embed_shift(small.ell, small.d, d_big)
-    if j is None:
+    if small.d > 1 and not _composed(small.ell, small.d, d_big):
         return _substitute(x, _embedding_powers(small, big), big)
-    perm, mult = _monomial_table(big.ell, d_big, big.m, j)
-    step = d_big // small.d
-    return _scatter(x.coeffs, perm[::step], mult[::step], big)
+    out = [0] * d_big
+    out[::d_big // small.d] = [c % big.q for c in x.coeffs]
+    return WittElem(big, tuple(out))
 
 
 def ff_embed(a, d_big):

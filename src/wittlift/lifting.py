@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import certcheck
 from . import coeffring as cr
 from . import linalg
 from .cohomology import (
@@ -49,7 +50,6 @@ from .errors import (
     Unreachable,
 )
 from .galois_model import (
-    SCHEMA_VERSION,
     Deformation,
     deformation_from_json_dict,
     deformation_to_json_dict,
@@ -60,6 +60,10 @@ from .galois_model import (
     check_running_hypotheses,
 )
 from .matlin import Mat, char_poly, elem_matmul, lifted_eigenvalues, ratio_pair, splitting_roots
+
+# 2: embed sends X to X^(D/d) where the degree-D modulus is the degree-d one
+# composed with x^(D/d); schema 1 took the smallest residual root there
+TOWER_SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +450,7 @@ def make_certificate(tower, d_top):
     traces = logged_traces(tower)
     entries = [_witness(traces, d) or {"d": d, "kind": "uncovered"}
                for d in range(1, d_top + 1)]
-    return {"schema_version": SCHEMA_VERSION, "d_top": d_top,
+    return {"schema_version": certcheck.SCHEMA_VERSION, "d_top": d_top,
             "entries": entries}
 
 
@@ -469,7 +473,7 @@ def tower_to_json_dict(tower):
             "ramified": list(lvl.ramified),
         })
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": TOWER_SCHEMA_VERSION,
         "group": tower.plan.rhobar.group.to_json_dict(),
         "max_level": tower.plan.max_level,
         "r_labels": {str(k): v for k, v in tower.plan.r_labels.items()},
@@ -478,19 +482,32 @@ def tower_to_json_dict(tower):
     }
 
 
+def _field(obj, key, where=""):
+    """obj[key], or a SchemaError naming the missing field."""
+    if key not in obj:
+        raise SchemaError(f"{where}missing field {key!r}")
+    return obj[key]
+
+
 def verify_tower_dict(data):
     """Re-validate a serialized tower; returns a list of failure strings."""
     from .galois_model import ModelGroup
-    if data.get("schema_version") != SCHEMA_VERSION:
+    if data.get("schema_version") == 1:
+        raise SchemaError("tower schema_version 1 predates the embedding X -> X^(D/d) "
+                          "of composed moduli (it took the smallest residual root): "
+                          "rebuild the tower")
+    if data.get("schema_version") != TOWER_SCHEMA_VERSION:
         raise SchemaError("unsupported or missing schema_version")
-    group = ModelGroup.from_json_dict(data["group"])
+    group = ModelGroup.from_json_dict(_field(data, "group"))
     failures = []
-    levels, top = data["levels"], data["max_level"]
-    r_labels = json_object(data["r_labels"], "r_labels")
+    levels, top = _field(data, "levels"), _field(data, "max_level")
+    r_labels = json_object(_field(data, "r_labels"), "r_labels")
     if not isinstance(levels, list):
         raise SchemaError("levels: not a JSON list")
     for i, lvl in enumerate(levels):
         json_object(lvl, f"levels[{i}]")
+        for key in ("deformation", "r_label", "target_trace"):
+            _field(lvl, key, f"levels[{i}]: ")
     if type(top) is not int:
         raise SchemaError(f"max_level: {top!r} is not a JSON integer")
     if len(levels) != top:

@@ -553,6 +553,43 @@ def test_tower_verify_malformed_report_names_the_field(tmp_path, capsys, built_t
     assert err["error"].startswith(f"{field}: ")
 
 
+def _delete(*path):
+    def mutate(report):
+        node = report
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+    return mutate
+
+
+@pytest.mark.parametrize("path", [
+    ("tower", "levels"), ("tower", "max_level"), ("tower", "r_labels"), ("tower", "group"),
+    ("tower", "levels", 1, "deformation"), ("tower", "levels", 1, "r_label"),
+    ("tower", "levels", 2, "target_trace"),
+], ids=lambda path: path[-1])
+def test_tower_verify_names_a_missing_field(tmp_path, capsys, built_tower, path):
+    report = json.loads(json.dumps(built_tower))
+    _delete(*path)(report)
+    assert main(["tower", "verify", write_json(tmp_path / "t.json", report)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["kind"] == "input"
+    assert err["error"].endswith(f"missing field {path[-1]!r}")
+
+
+def test_tower_verify_refuses_tower_schema_1(tmp_path, capsys, built_tower):
+    report = json.loads(json.dumps(built_tower))
+    assert report["tower"]["schema_version"] == 2
+    report["tower"]["schema_version"] = 1
+    assert main(["tower", "verify", write_json(tmp_path / "t.json", report)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["kind"] == "input"
+    assert "schema_version 1" in err["error"] and "X -> X^(D/d)" in err["error"]
+
+
 def _json_paths(value, path=()):
     """The path of every field and list item below value."""
     if isinstance(value, dict):

@@ -230,7 +230,8 @@ def test_embed_is_ring_map_and_chain_compatible():
 
 
 @pytest.mark.parametrize("ell, d, d_big, composed", [
-    (5, 2, 4, True), (5, 4, 8, True), (13, 2, 4, True), (13, 4, 8, True),
+    (5, 2, 4, True), (5, 4, 8, True), (5, 8, 16, True), (13, 2, 4, True),
+    (13, 4, 8, True),
     # x^4 + x + 1 is not x^2 + 1 composed with x^2: factorization fallback
     (7, 2, 4, False),
 ])
@@ -242,12 +243,61 @@ def test_residual_root_matches_factorization(monkeypatch, ell, d, d_big, compose
                         lambda poly: calls.append(1) or factorize(poly))
     root = cr._residual_root(ell, d, d_big)
     assert bool(calls) is not composed
+    assert cr._composed(ell, d, d_big) is composed
     big = cr.make_field(ell, d_big)
     oracle = cr.ff_roots([cr.ff_from_int(big, c)
                           for c in cr.make_field(ell, d).modulus])
     assert len(oracle) == d
-    assert root == oracle[0][0]
+    if composed:  # X^(D/d), one of the roots
+        assert root == cr.ff_gen(big) ** (d_big // d)
+        assert root in [r for r, _ in oracle]
+    else:  # the smallest root
+        assert root == oracle[0][0]
     assert cr._residual_root(ell, d, d_big) is root  # cached per (l, d, D)
+
+
+@pytest.mark.parametrize("ell, d, d_big", [(5, 8, 16), (13, 8, 16), (23, 16, 32)])
+def test_composed_pair_embeds_x_to_its_power(monkeypatch, ell, d, d_big):
+    def refuse(*args):
+        raise AssertionError("embed on a composed pair took a table or a root")
+
+    for name in ("_monomial_table", "_embedding_powers", "_residual_root"):
+        monkeypatch.setattr(cr, name, refuse)
+    for m in (1, 3):
+        x = cr.witt_gen(cr.make_witt_ring(ell, d, m))
+        image = [0] * d_big
+        image[d_big // d] = 1
+        assert cr.embed(x, d_big).coeffs == tuple(image)
+
+
+@st.composite
+def _composed_cases(draw):
+    ell = draw(st.sampled_from((5, 13)))
+    d = draw(st.sampled_from((2, 4, 8, 16)))
+    m = draw(st.integers(1, 4))
+    rings = [cr.make_witt_ring(ell, d * k, m) for k in (1, 2, 4)]
+
+    def elem(r):
+        return cr.WittElem(r, tuple(draw(st.integers(0, r.q - 1)) for _ in range(r.d)))
+
+    return rings, elem(rings[0]), elem(rings[0])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_composed_cases())
+def test_composed_embed_is_a_frobenius_equivariant_ring_map(case):
+    (small, mid, big), x, y = case
+    assert cr._composed(small.ell, small.d, mid.d)
+    assert cr._composed(small.ell, small.d, big.d)
+    for ring in (mid, big):
+        e = cr.embed(x, ring.d)
+        assert cr.embed(x + y, ring.d) == e + cr.embed(y, ring.d)
+        assert cr.embed(x * y, ring.d) == e * cr.embed(y, ring.d)
+        assert cr.embed(cr.witt_one(small), ring.d) == cr.witt_one(ring)
+        assert cr.witt_frobenius(e) == cr.embed(cr.witt_frobenius(x), ring.d)
+        assert e == cr._substitute(x, cr._embedding_powers(small, ring), ring)
+    # d -> 2d -> 4d equals d -> 4d
+    assert cr.embed(cr.embed(x, mid.d), big.d) == cr.embed(x, big.d)
 
 
 def test_embed_from_degree_one_is_coefficientwise():

@@ -436,8 +436,9 @@ def test_build_tower_tame_surrogate():
 
 TAME_PLAN_5 = TowerPlan(residual_tame(), 5,
                         {2: "q03", 3: "q04", 4: "q05", 5: "q03"})
-# sha256 of the level-5 tame tower and certificate, serialized as below
-TAME_5_SHA256 = "d553bae2f1743fcb63b64cb3c21dec653b1a75385d8df5986513b64ac54942a8"
+# sha256 of the level-5 tame tower and certificate, serialized as below,
+# recorded at tower schema 2, when 8 -> 16 began to embed by X -> X^2
+TAME_5_SHA256 = "e687d902ce33e268ae990457d99d010576fa817cd44dd28fedaebed4defd177e"
 
 
 @pytest.fixture(scope="module")
@@ -448,7 +449,7 @@ def cold_tame_tower_5():
     factorize = cr.ff_factorize
     with pytest.MonkeyPatch.context() as mp:
         for cached in (cr._embedding_powers, cr._frobenius_powers, cr._residual_root,
-                       cr._monomial_table, cr._embed_shift):
+                       cr._monomial_table, cr._composed):
             cached.cache_clear()
         mp.setattr(cr, "ff_factorize",
                    lambda poly: calls.append(1) or factorize(poly))
@@ -489,27 +490,25 @@ def _check_pinned_tower(max_level, sha256):
     assert check_certificate(data["certificate"]) == []
 
 
-# sha256 of the level-8 tame tower and certificate, recorded before the Fox
-# Jacobian replaced the per-unit-cocycle column builders
-TAME_8_SHA256 = "2cfe128e902475651b5171151c01fe1f5c0744abc49d271eafa7b5b7e1ab396a"
+# sha256 of the level-8 tame tower and certificate, recorded at tower schema 2
+TAME_8_SHA256 = "41e22aa0fd40c543a45c897add67f0901e5b9065bfff5aa1a2273263baaa9424"
 
 
 def test_tame_tower_level_8():
     _check_pinned_tower(8, TAME_8_SHA256)
 
 
-# sha256 of the level-10 tame tower and certificate, recorded while Frobenius,
-# in_subring and embed still ran through Hensel-lifted generator images
-TAME_10_SHA256 = "ed2df9f6540bdc58b28e80e6e9c65ffc4f133d25750b00bb81513cf038f87efb"
+# sha256 of the level-10 tame tower and certificate, recorded at tower schema 2
+TAME_10_SHA256 = "a38fb6905088c4db01f6640704026280c6ed32385df34269d7283acedd288e98"
 
 
 def test_tame_tower_level_10():
     _check_pinned_tower(10, TAME_10_SHA256)
 
 
-# sha256 of the level-11 tame tower (d = 1024) and certificate, recorded
-# before evaluate_word was memoised and 2 x 2 inverses taken by adjugate
-TAME_11_SHA256 = "36b024eca68ba73dbfc7e210645e7a062e48bdb34b0dd13ed6b4025639e42fa5"
+# sha256 of the level-11 tame tower (d = 1024) and certificate, recorded at
+# tower schema 2
+TAME_11_SHA256 = "5ea135b90253f29bbf245a559e5bd91b0b117cf1194ad344d3f0a333723e4ed4"
 
 
 def test_tame_tower_level_11():
@@ -600,6 +599,25 @@ def test_tower_json_round_trip_and_corruption():
     bad["levels"][1]["deformation"]["images"]["s"][0][0] = cr.witt_to_str(
         cr.witt_from_int(cr.make_witt_ring(5, 2, 2), 4))
     assert verify_tower_dict(bad) != []
+
+
+def test_certificate_carries_the_checkers_schema_version(monkeypatch):
+    import wittlift.certcheck as certcheck
+    tower, _ = build_tower(PLAN)
+    # a bump of the checker's version alone still checks what the tower writes
+    monkeypatch.setattr(certcheck, "SCHEMA_VERSION", certcheck.SCHEMA_VERSION + 1)
+    cert = make_certificate(tower, 8)
+    assert cert["schema_version"] == certcheck.SCHEMA_VERSION
+    assert check_certificate(cert) == []
+
+
+def test_verify_tower_dict_refuses_schema_1():
+    tower, _ = build_tower(PLAN)
+    data = tower_to_json_dict(tower)
+    assert data["schema_version"] == 2
+    data["schema_version"] = 1
+    with pytest.raises(SchemaError, match=r"X -> X\^\(D/d\)"):
+        verify_tower_dict(data)
 
 
 def test_make_certificate_small_d_top():

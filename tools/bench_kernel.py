@@ -9,10 +9,11 @@ Times, over W(F_{5^d})/5^m (unless said otherwise) with m the tower level of deg
 * one element product (WittElem * WittElem) at each of those d;
 * witt_frobenius, in_subring(x, d/2) and embed from degree d/2 to d for
   d in {8, 32, 128, 512}, with x the embedding of a random element of degree
-  d/2 (so in_subring answers True); the same three over W(F_{7^d})/7^m for
-  d in {4, 8, 16}, whose moduli are not binomials, so that Frobenius and
-  embed take the Hensel substitution (each row's "ell" says which; its
-  caches are filled before the timed calls);
+  d/2 (so in_subring answers True; the degree-d modulus X^d + 2 is the
+  degree-d/2 one composed with x^2, so embed is the scatter X -> X^2); the
+  same three over W(F_{7^d})/7^m for d in {4, 8, 16}, whose moduli are not
+  binomials, so that Frobenius and embed take the Hensel substitution (each
+  row's "ell" says which; its caches are filled before the timed calls);
 * integral_model over the 45 groups of the finite benchmark workload for
   SEED (2 x 2 over W(F_5)/5^30, 1 to 3 generators, denominators 5^k with
   k <= 2), one call for the whole batch;
