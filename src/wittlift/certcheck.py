@@ -51,6 +51,9 @@ def check_certificate(cert):
     problems = []
     if cert.get("schema_version") != SCHEMA_VERSION:
         return ["unsupported or missing schema_version"]
+    d_top = cert.get("d_top")
+    if type(d_top) is not int or d_top < 1:
+        raise SchemaError(f"d_top: {d_top!r} is not a JSON integer >= 1")
     seen = set()
     entries = cert.get("entries", [])
     if not isinstance(entries, list):
@@ -91,7 +94,6 @@ def check_certificate(cert):
                                 f"{amb}; witness invalid")
         else:
             problems.append(f"degree {d}: unknown witness kind {kind!r}")
-    d_top = cert.get("d_top", 0)
     missing = [d for d in range(1, d_top + 1) if d not in seen]
     if missing:
         problems.append(f"no entries for degrees {missing}")

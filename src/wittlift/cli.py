@@ -35,6 +35,7 @@ from .galois_model import (
     SCHEMA_VERSION,
     ModelGroup,
     deformation_from_json_dict,
+    json_field,
     json_object,
 )
 from .lifting import (
@@ -112,21 +113,23 @@ def _cmd_tower_build(args):
     data = _load_json(args.plan)
     if data.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError("unsupported or missing schema_version")
-    group = ModelGroup.from_json_dict(data["group"])
-    rhobar = deformation_from_json_dict(json_object(data["residual"], "residual"), group)
+    group = ModelGroup.from_json_dict(json_field(data, "group"))
+    rhobar = deformation_from_json_dict(json_object(json_field(data, "residual"), "residual"),
+                                        group)
     locked, escape = data.get("locked", []), data.get("escape", True)
     if not isinstance(locked, list) or not all(isinstance(x, str) for x in locked):
         raise SchemaError(f"locked: {locked!r} is not a list of place labels")
     if not isinstance(escape, bool):
         raise SchemaError(f"escape: {escape!r} is not a JSON boolean")
-    if type(data["max_level"]) is not int:
-        raise SchemaError(f"max_level: {data['max_level']!r} is not a JSON integer")
-    r_labels = json_object(data["r_labels"], "r_labels")
+    max_level = json_field(data, "max_level")
+    if type(max_level) is not int:
+        raise SchemaError(f"max_level: {max_level!r} is not a JSON integer")
+    r_labels = json_object(json_field(data, "r_labels"), "r_labels")
     if not all(k.isdecimal() and k.isascii() for k in r_labels):
         raise SchemaError(f"r_labels: keys {sorted(r_labels)} are not all level numbers")
     plan = TowerPlan(
         rhobar,
-        data["max_level"],
+        max_level,
         {int(k): v for k, v in r_labels.items()},
         tuple(locked),
         escape,
@@ -219,7 +222,7 @@ def _cmd_tame_check(args):
     if branch.pair is not None:
         payload["pair"] = [list(branch.pair[0].coeffs),
                            list(branch.pair[1].coeffs)]
-        payload["pair_field_degree"] = branch.pair[0].params.d
+        payload["pair_field_degree"] = branch.pair[0].ring.d
     _report(args, payload)
     return EXIT_OK
 

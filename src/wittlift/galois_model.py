@@ -31,6 +31,13 @@ def json_object(value, field):
     return value
 
 
+def json_field(obj, key, where=""):
+    """obj[key], or a SchemaError naming the missing field."""
+    if key not in obj:
+        raise SchemaError(f"{where}missing field {key!r}")
+    return obj[key]
+
+
 def parse_word(text):
     """Parse 'a b^3 c^-1' (or 'a*b^3*c^-1') into ((name, exponent), ...)."""
     if not isinstance(text, str):
@@ -292,8 +299,9 @@ def deformation_to_json_dict(rho):
 def deformation_from_json_dict(data, group):
     if json_object(data, "deformation").get("schema_version") != SCHEMA_VERSION:
         raise SchemaError("unsupported or missing schema_version")
-    ring = cr.make_witt_ring(int(data["ell"]), int(data["d"]), int(data["m"]))
-    given = json_object(data["images"], "images")
+    ell, d, m = [int(json_field(data, key, "deformation: ")) for key in ("ell", "d", "m")]
+    ring = cr.make_witt_ring(ell, d, m)
+    given = json_object(json_field(data, "images", "deformation: "), "images")
     if sorted(given) != sorted(group.generators):
         raise SchemaError(f"images: keys {sorted(given)} are not the generators")
     images = {}

@@ -55,6 +55,7 @@ from .galois_model import (
     deformation_to_json_dict,
     evaluate_word,
     is_unramified_at,
+    json_field,
     json_object,
     validate_deformation,
     check_running_hypotheses,
@@ -482,13 +483,6 @@ def tower_to_json_dict(tower):
     }
 
 
-def _field(obj, key, where=""):
-    """obj[key], or a SchemaError naming the missing field."""
-    if key not in obj:
-        raise SchemaError(f"{where}missing field {key!r}")
-    return obj[key]
-
-
 def verify_tower_dict(data):
     """Re-validate a serialized tower; returns a list of failure strings."""
     from .galois_model import ModelGroup
@@ -498,16 +492,16 @@ def verify_tower_dict(data):
                           "rebuild the tower")
     if data.get("schema_version") != TOWER_SCHEMA_VERSION:
         raise SchemaError("unsupported or missing schema_version")
-    group = ModelGroup.from_json_dict(_field(data, "group"))
+    group = ModelGroup.from_json_dict(json_field(data, "group"))
     failures = []
-    levels, top = _field(data, "levels"), _field(data, "max_level")
-    r_labels = json_object(_field(data, "r_labels"), "r_labels")
+    levels, top = json_field(data, "levels"), json_field(data, "max_level")
+    r_labels = json_object(json_field(data, "r_labels"), "r_labels")
     if not isinstance(levels, list):
         raise SchemaError("levels: not a JSON list")
     for i, lvl in enumerate(levels):
         json_object(lvl, f"levels[{i}]")
         for key in ("deformation", "r_label", "target_trace"):
-            _field(lvl, key, f"levels[{i}]: ")
+            json_field(lvl, key, f"levels[{i}]: ")
     if type(top) is not int:
         raise SchemaError(f"max_level: {top!r} is not a JSON integer")
     if len(levels) != top:

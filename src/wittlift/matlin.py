@@ -2,15 +2,16 @@
 
 Mat holds its entries in the elements' own format, their coefficient
 d-tuples reduced mod q at every d, and multiplies through coeffring._matmul,
-one fused Kronecker dot product per output entry; FFElem/WittElem objects
-appear only at the boundary (Mat.from_rows, Mat.rows, Mat.apply, det, trace
-and elem_matmul).  The module also covers characteristic polynomials and
-eigenvalues, Hensel diagonalization of 2x2 matrices over truncated Witt
-rings, multiplicative Jordan decomposition, the tame-relation branch test,
-the BFS closure of integer matrix groups, split-diagonal extraction from
-subgroups with full residual image, and the integral-model decision
-(witness checks and lattice saturation) on integers; KElem is a (num, den)
-view of an exact rational without arithmetic, used only at the boundary.
+one fused Kronecker dot product per output entry; element objects appear
+only at the boundary (Mat.from_rows, Mat.rows, Mat.apply, det, trace and
+elem_matmul), built through coeffring.element.  The module also covers
+characteristic polynomials and eigenvalues, Hensel diagonalization of 2x2
+matrices over truncated Witt rings, multiplicative Jordan decomposition, the
+tame-relation branch test, the BFS closure of integer matrix groups,
+split-diagonal extraction from subgroups with full residual image, and the
+integral-model decision (witness checks and lattice saturation) on integers;
+KElem is a (num, den) view of an exact rational without arithmetic, used
+only at the boundary.
 """
 
 from __future__ import annotations
@@ -44,27 +45,13 @@ def _is_field(ring):
     return isinstance(ring, cr.FieldParams)
 
 
-def _arith(ring):
-    """(modulus, coefficient modulus q, element type) of a field (q = l) or
-    a Witt ring (q = l^m)."""
-    if isinstance(ring, cr.FieldParams):
-        return ring.modulus, ring.ell, cr.FFElem
-    return ring.lifted_modulus, ring.q, cr.WittElem
-
-
 def _entry_value(ring, x):
-    """The canonical Mat entry of the FFElem/WittElem x over ring: its
-    coefficient tuple reduced mod q."""
-    own = x.params if isinstance(x, cr.FFElem) else x.ring
-    if own is not ring and own != ring:
-        raise ParamMismatch(f"{own} vs {ring}")
-    q = _arith(ring)[1]
+    """The canonical Mat entry of the element x over ring: its coefficient
+    tuple reduced mod q (q = l over a field, l^m over a Witt ring)."""
+    if x.ring is not ring and x.ring != ring:
+        raise ParamMismatch(f"{x.ring} vs {ring}")
+    q = ring.q
     return tuple([c % q for c in x.coeffs])
-
-
-def _entry_elem(ring, v):
-    """The FFElem/WittElem over ring of the canonical Mat entry v."""
-    return _arith(ring)[2](ring, v)
 
 
 def _one_zero(ring):
@@ -100,8 +87,7 @@ def _product(ring, xs):
 
 
 def _unit_inverse(ring, v):
-    modulus, q, _ = _arith(ring)
-    return cr._unit_inverse(v, modulus, ring.ell, q)
+    return cr._unit_inverse(v, ring.lifted_modulus, ring.ell, ring.q)
 
 
 def _imul(v, s, q):
@@ -111,25 +97,24 @@ def _imul(v, s, q):
 
 def _sum(ring, xs):
     """The sum of the entries xs."""
-    q = _arith(ring)[1]
+    q = ring.q
     return tuple([sum(cs) % q for cs in zip(*xs)])
 
 
 def _matmul_entries(ring, a, b, inner, cols):
     """Row-major product of a (len(a) // inner rows, inner columns) and b
     (inner rows, cols columns), both of canonical Mat entries over ring."""
-    modulus, q, _ = _arith(ring)
-    return cr._matmul(a, b, inner, cols, modulus, q)
+    return cr._matmul(a, b, inner, cols, ring.lifted_modulus, ring.q)
 
 
 def elem_matmul(ring, a, b):
     """The product of the matrices a and b (any compatible shapes), each
-    given as a list of rows of FFElem/WittElem entries over ring, as a list
+    given as a list of rows of elements over ring, as a list
     of rows of elements; one fused dot product per output entry."""
     inner, cols = len(b), len(b[0])
     out = _matmul_entries(ring, [_entry_value(ring, x) for r in a for x in r],
                           [_entry_value(ring, x) for r in b for x in r], inner, cols)
-    out = [_entry_elem(ring, v) for v in out]
+    out = [cr.element(ring, v) for v in out]
     return [out[i:i + cols] for i in range(0, len(out), cols)]
 
 
@@ -138,7 +123,7 @@ def _det(ring, a, n):
     Laplace expansion along the first row; each step one fused dot product."""
     if n == 1:
         return a[0]
-    q = _arith(ring)[1]
+    q = ring.q
     if n == 2:
         cof = (a[3], _imul(a[2], -1, q))
     else:
@@ -157,7 +142,7 @@ class Mat:
     over a field and l^m over a Witt ring, at every d.  Every constructor
     reduces, so equal matrices have equal entries.  Products, determinants and inverses
     run on the entries through coeffring._matmul; rows is a view of
-    FFElem/WittElem objects, built on each access.
+    elements, built through coeffring.element on each access.
     """
 
     ring: object
@@ -166,14 +151,14 @@ class Mat:
 
     @classmethod
     def from_rows(cls, ring, rows):
-        """The matrix with rows of FFElem/WittElem entries over ring."""
+        """The matrix with rows of elements over ring."""
         n, xs = _flatten_square(rows)
         return cls(ring, n, tuple([_entry_value(ring, x) for x in xs]))
 
     @classmethod
     def from_ints(cls, ring, rows):
         n, xs = _flatten_square(rows)
-        q, zeros = _arith(ring)[1], (0,) * (ring.d - 1)
+        q, zeros = ring.q, (0,) * (ring.d - 1)
         return cls(ring, n, tuple([(v % q,) + zeros for v in xs]))
 
     @classmethod
@@ -188,10 +173,9 @@ class Mat:
 
     @property
     def rows(self):
-        """The entries as rows of FFElem/WittElem objects."""
+        """The entries as rows of elements, built by coeffring.element."""
         ring, n = self.ring, self.n
-        elem = _arith(ring)[2]
-        return tuple(tuple([elem(ring, v) for v in self.entries[i:i + n]])
+        return tuple(tuple([cr.element(ring, v) for v in self.entries[i:i + n]])
                      for i in range(0, n * n, n))
 
     def _check(self, other):
@@ -202,7 +186,7 @@ class Mat:
 
     def _add(self, other, sign):
         self._check(other)
-        q = _arith(self.ring)[1]
+        q = self.ring.q
         ents = [tuple([(s + sign * t) % q for s, t in zip(x, y)])
                 for x, y in zip(self.entries, other.entries)]
         return Mat(self.ring, self.n, tuple(ents))
@@ -220,27 +204,27 @@ class Mat:
                                                  other.entries, n, n))
 
     def apply(self, vec):
-        """The matrix times the column vector vec of FFElem/WittElem entries,
+        """The matrix times the column vector vec of elements over its ring,
         as a tuple of elements."""
         ring = self.ring
         out = _matmul_entries(ring, self.entries, [_entry_value(ring, x) for x in vec],
                               self.n, 1)
-        return tuple([_entry_elem(ring, v) for v in out])
+        return tuple([cr.element(ring, v) for v in out])
 
     def transpose(self):
         n, a = self.n, self.entries
         return Mat(self.ring, n, tuple([a[j * n + i] for i in range(n) for j in range(n)]))
 
     def scale(self, s):
-        """s times the matrix, for an FFElem/WittElem s over its ring."""
+        """s times the matrix, for an element s over its ring."""
         return Mat(self.ring, self.n, _matmul_entries(
             self.ring, (_entry_value(self.ring, s),), self.entries, 1, self.n ** 2))
 
     def trace(self):
-        return _entry_elem(self.ring, _sum(self.ring, self.entries[::self.n + 1]))
+        return cr.element(self.ring, _sum(self.ring, self.entries[::self.n + 1]))
 
     def det(self):
-        return _entry_elem(self.ring, _det(self.ring, self.entries, self.n))
+        return cr.element(self.ring, _det(self.ring, self.entries, self.n))
 
     def is_identity(self):
         return self.entries == Mat.identity(self.ring, self.n).entries
@@ -255,7 +239,7 @@ class Mat:
         product of all of them, so one unit inverse serves every row.
         Singular unless det is a unit (valid over the local ring)."""
         ring, n = self.ring, self.n
-        q = _arith(ring)[1]
+        q = ring.q
         if n == 2:
             a = self.entries
             det = _det(ring, a, 2)
@@ -323,7 +307,7 @@ def char_poly(g):
     if n >= ring.ell:
         raise InvalidQuery(f"char_poly divides by 1, ..., n, so it needs n < l, "
                            f"got n = {n} over {ring}")
-    q = _arith(ring)[1]
+    q = ring.q
     c, am = [_one_zero(ring)[0]], g
     for k in range(1, n + 1):
         c.append(_imul(_sum(ring, am.entries[::n + 1]), -pow(k, -1, q), q))
@@ -331,7 +315,7 @@ def char_poly(g):
             ents = list(am.entries)
             ents[::n + 1] = [_sum(ring, (x, c[k])) for x in ents[::n + 1]]
             am = g * Mat(ring, n, tuple(ents))
-    return [_entry_elem(ring, v) for v in reversed(c)]
+    return [cr.element(ring, v) for v in reversed(c)]
 
 
 def splitting_roots(poly_ff):
@@ -341,7 +325,7 @@ def splitting_roots(poly_ff):
     One ff_factorize in the base field; when every factor is linear the roots
     are read off, otherwise the whole polynomial is embedded into F_{l^(de)},
     e the lcm of the factor degrees, for one ff_roots there."""
-    base = poly_ff[0].params
+    base = poly_ff[0].ring
     factors = cr.ff_factorize(poly_ff)
     e = math.lcm(*[cr.poly_deg(f) for f, _ in factors])
     if e == 1:

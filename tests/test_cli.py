@@ -578,6 +578,47 @@ def test_tower_verify_names_a_missing_field(tmp_path, capsys, built_tower, path)
     assert err["error"].endswith(f"missing field {path[-1]!r}")
 
 
+def _input_error(capsys):
+    """The error message of a run that exited 4: stdout is empty and stderr
+    holds one JSON object, no traceback."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["kind"] == "input"
+    return err["error"]
+
+
+@pytest.mark.parametrize("field", ["group", "residual", "max_level", "r_labels"])
+def test_tower_build_names_a_missing_field(tmp_path, capsys, field):
+    plan = plan_dict()
+    del plan[field]
+    assert main(["tower", "build", write_json(tmp_path / "plan.json", plan)]) == 4
+    assert _input_error(capsys).endswith(f"missing field {field!r}")
+
+
+@pytest.mark.parametrize("field", ["images", "ell", "d", "m"])
+def test_tower_verify_names_a_missing_deformation_field(tmp_path, capsys, built_tower,
+                                                        field):
+    report = json.loads(json.dumps(built_tower))
+    _delete("tower", "levels", 2, "deformation", field)(report)
+    assert main(["tower", "verify", write_json(tmp_path / "t.json", report)]) == 4
+    assert _input_error(capsys).endswith(f"missing field {field!r}")
+
+
+@pytest.mark.parametrize("mutate", [
+    _delete("certificate", "d_top"), _set(("certificate", "d_top"), "4"),
+    _set(("certificate", "d_top"), 0), _set(("certificate", "d_top"), True),
+], ids=["deleted", "string", "zero", "true"])
+def test_tower_verify_refuses_a_certificate_without_d_top(tmp_path, capsys, built_tower,
+                                                          mutate):
+    """A certificate must say up to which degree it rules fields out: d_top
+    is a JSON integer >= 1, else the report is refused, not accepted."""
+    report = json.loads(json.dumps(built_tower))
+    mutate(report)
+    assert main(["tower", "verify", write_json(tmp_path / "t.json", report)]) == 4
+    assert _input_error(capsys).startswith("d_top: ")
+
+
 def test_tower_verify_refuses_tower_schema_1(tmp_path, capsys, built_tower):
     report = json.loads(json.dumps(built_tower))
     assert report["tower"]["schema_version"] == 2

@@ -1,7 +1,12 @@
 """Tests for the truncated Witt-ring and finite-field arithmetic."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -691,3 +696,73 @@ def test_rref_and_nullspace_match_full_row_update(case):
                 assert vec[c].is_zero()
         for i, pc in enumerate(expect_pivots):
             assert vec[pc].coeffs == (-expect[i][fc]).coeffs
+
+
+# ---------------------------------------------------------------------------
+# one element implementation: FFElem is WittElem over a FieldParams
+
+
+def test_element_picks_the_class_from_the_ring():
+    f, ring = cr.make_field(5, 2), cr.make_witt_ring(5, 2, 3)
+    x, y = cr.element(f, (1, 2)), cr.element(ring, (1, 2))
+    assert type(x) is cr.FFElem and x.ring is f and x.params is f
+    assert type(y) is cr.WittElem and y.ring is ring
+
+
+@pytest.mark.parametrize("make", [cr.witt_zero, cr.witt_one, cr.witt_gen,
+                                  lambda ring: cr.witt_from_int(ring, 7)],
+                         ids=["zero", "one", "gen", "from_int"])
+def test_witt_constructors_over_a_field_build_field_elements(make):
+    for d in (1, 3):
+        f = cr.make_field(5, d)
+        x = make(f)
+        assert type(x) is cr.FFElem and x.ring is f
+        ring = cr.make_witt_ring(5, d, 2)
+        assert type(make(ring)) is cr.WittElem
+
+
+def test_field_constructors_are_the_witt_constructors():
+    assert cr.ff_zero is cr.witt_zero
+    assert cr.ff_one is cr.witt_one
+    assert cr.ff_from_int is cr.witt_from_int
+    assert cr.ff_gen is cr.witt_gen
+
+
+def test_field_and_witt_elements_do_not_combine():
+    x = cr.ff_gen(cr.make_field(5, 2))
+    y = cr.witt_gen(cr.make_witt_ring(5, 2, 1))
+    for op in ("__add__", "__sub__", "__mul__"):
+        with pytest.raises(ParamMismatch):
+            getattr(x, op)(y)
+        with pytest.raises(ParamMismatch):
+            getattr(y, op)(x)
+
+
+_TRACED_ARITHMETIC = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install()
+import wittlift.coeffring as cr
+f, ring = cr.make_field(5, 4), cr.make_witt_ring(5, 4, 2)
+x, y = cr.FFElem(f, (1, 2, 3, 4)), cr.FFElem(f, (0, 1, 0, 2))
+u, v = cr.WittElem(ring, (6, 0, 11, 3)), cr.WittElem(ring, (1, 5, 0, 24))
+x * y, x * x, y * x, x.inverse(), y.inverse()
+u * v, v * u, u.inverse()
+print(json.dumps({f"{agg}.d{d}": calls for (agg, d), (calls, _) in tracer.hot.items()}))
+"""
+
+
+def test_tracer_counts_each_element_product_and_inverse_once():
+    """The benchmark tracer wraps FFElem's and WittElem's own __mul__ and
+    inverse: 3 + 2 field and 2 + 1 Witt-ring operations at d = 4 count as 5
+    products and 3 inverses."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cr.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _TRACED_ARITHMETIC,
+                           str(root / "benchmarks" / "tracing.py")],
+                          capture_output=True, text=True, env=env, check=True)
+    assert json.loads(proc.stdout) == {"mul.d4": 5, "inverse.d4": 3}
