@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import reprlib
 
-from .coeffring import WittElem, hensel_frobenius, witt_from_str
+from .coeffring import element, hensel_frobenius, witt_from_str
 from .errors import InputError, SchemaError
 
 SCHEMA_VERSION = 1
@@ -43,7 +43,7 @@ def frobenius_power(x, k):
     for i, xi in enumerate(x.coeffs):
         e, p = divmod(i * L, D)
         out[p] = xi * pow(ck, i, q) * pow(na, e, q) % q
-    return WittElem(r, tuple(out))
+    return element(r, tuple(out))
 
 
 def check_certificate(cert):

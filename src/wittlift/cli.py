@@ -215,8 +215,7 @@ def _cmd_integral_model(args):
 
 
 def _cmd_tame_check(args):
-    x, y = (a.residue() if a.ring.m == 1 else a
-            for a in (_parse_matrix(args.x), _parse_matrix(args.y)))
+    x, y = _parse_matrix(args.x), _parse_matrix(args.y)
     branch = check_tame_relation(x, y, int(args.q))
     payload = {"branch": branch.kind}
     if branch.pair is not None:

@@ -1,10 +1,12 @@
-"""Exact arithmetic in F_{l^d} and in truncated unramified Witt rings W(F_{l^d})/l^m.
+"""Exact arithmetic in truncated unramified Witt rings W(F_{l^d})/l^m.
 
 The Witt ring W(F_{l^d})/l^m is realized as (Z/l^m)[x]/(f~) where f~ is the
 coefficient-wise trivial lift of the monic irreducible modulus f of F_{l^d}.
-F_{l^d} is that ring at m = 1 (FieldParams reads q = l and lifted_modulus =
-f), so one class, WittElem, does the arithmetic of both: FFElem is WittElem
-over a FieldParams, and element(ring, coeffs) picks the class from the ring.
+One parameter type, WittRingParams, describes every ring: F_{l^d} is
+W(F_{l^d})/l, the object that both make_field(l, d) and make_witt_ring(l, d,
+1) return, so residue() is reduce(1).  One class, WittElem, does the
+arithmetic; element(ring, coeffs) builds every element, an FFElem (a
+WittElem with the field's repr) at m = 1.
 Elements are length-d coefficient tuples (ascending powers of the class of
 x).  All values are immutable.  The module's caches are functools.lru_cache
 functions, write-once and idempotent: the field and ring parameters and the
@@ -70,34 +72,16 @@ def _is_prime(n):
 
 
 @dataclass(frozen=True)
-class FieldParams:
-    """The finite field F_{l^d} with a fixed monic irreducible modulus."""
-
-    ell: int
-    d: int
-    modulus: tuple  # length d+1, ascending, leading coefficient 1
-
-    # F_{l^d} is W(F_{l^d})/l: the names that element arithmetic reads
-    m = 1
-    q = functools.cached_property(attrgetter("ell"))
-    lifted_modulus = functools.cached_property(attrgetter("modulus"))
-
-    @property
-    def order(self):
-        return self.ell ** self.d
-
-    def __repr__(self):
-        return f"GF({self.ell}^{self.d})"
-
-
-@dataclass(frozen=True)
 class WittRingParams:
-    """W(F_{l^d})/l^m as (Z/l^m)[x]/(trivial lift of the field modulus)."""
+    """W(F_{l^d})/l^m as (Z/l^m)[x]/(trivial lift of the field modulus); at
+    m = 1 the field F_{l^d}, whose modulus has the same integers."""
 
     ell: int
     d: int
     m: int
-    lifted_modulus: tuple
+    lifted_modulus: tuple  # length d+1, ascending, leading coefficient 1
+
+    modulus = property(attrgetter("lifted_modulus"))
 
     @functools.cached_property
     def q(self):
@@ -108,6 +92,8 @@ class WittRingParams:
         return make_field(self.ell, self.d)
 
     def __repr__(self):
+        if self.m == 1:
+            return f"GF({self.ell}^{self.d})"
         return f"W(GF({self.ell}^{self.d}))/{self.ell}^{self.m}"
 
 
@@ -298,8 +284,8 @@ def _int_poly_is_irreducible(coeffs, ell):
     """
     d = len(coeffs) - 1
     # F_ell[x]/(f): a field only when f is irreducible, but its arithmetic holds
-    ring = FieldParams(ell, d, tuple(coeffs))
-    x = FFElem(ring, tuple([int(i == 1) for i in range(d)]))
+    ring = WittRingParams(ell, d, 1, tuple(coeffs))
+    x = witt_gen(ring)
     h = x
     for _ in range(d // 2):
         h = h ** ell
@@ -360,17 +346,18 @@ def make_field(ell, d):
         if d == 1 or (coeffs[0] != 0 and (
                 _binomial_is_irreducible(ell, d, k) if k < ell
                 else _int_poly_is_irreducible(tuple(coeffs), ell))):
-            return FieldParams(ell, d, tuple(coeffs))
+            return WittRingParams(ell, d, 1, tuple(coeffs))
     raise RuntimeError("no irreducible modulus found")  # unreachable
 
 
 @functools.lru_cache(maxsize=None)
 def make_witt_ring(ell, d, m):
-    """W(F_{l^d})/l^m with the trivial lift of make_field's modulus."""
+    """W(F_{l^d})/l^m with the trivial lift of make_field's modulus; at m = 1
+    make_field's own object."""
     if m < 1:
         raise InvalidQuery(f"precision level m = {m} must be >= 1")
     fp = make_field(ell, d)
-    return WittRingParams(ell, d, m, fp.modulus)
+    return fp if m == 1 else WittRingParams(ell, d, m, fp.lifted_modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +367,20 @@ def make_witt_ring(ell, d, m):
 @dataclass(frozen=True)
 class WittElem:
     """Element of W(F_{l^d})/l^m, stored as a length-d coefficient tuple mod
-    q = l^m; over a FieldParams (m = 1, q = l) it is an FFElem.  Operators
-    build elements of the operands' own class."""
+    q = l^m.  Equality and hashing read (ring, coeffs) only, so the class
+    (FFElem at m = 1, see element) chooses the repr and nothing else.
+    Operators build elements of the operands' own class."""
 
     ring: WittRingParams
     coeffs: tuple
+
+    def __eq__(self, other):
+        if not isinstance(other, WittElem):
+            return NotImplemented
+        return (self.ring, self.coeffs) == (other.ring, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.ring, self.coeffs))
 
     def _check(self, other):
         if self.ring is not other.ring and self.ring != other.ring:
@@ -452,8 +448,7 @@ class WittElem:
         return best
 
     def residue(self):
-        fp = self.ring.residue_field
-        return FFElem(fp, tuple(c % self.ring.ell for c in self.coeffs))
+        return self.reduce(1)
 
     def reduce(self, m2):
         """Reduction to precision m2 <= m (a ring map)."""
@@ -461,7 +456,7 @@ class WittElem:
             raise ParamMismatch("cannot reduce to higher precision")
         ring2 = make_witt_ring(self.ring.ell, self.ring.d, m2)
         q2 = ring2.q
-        return WittElem(ring2, tuple(c % q2 for c in self.coeffs))
+        return element(ring2, tuple(c % q2 for c in self.coeffs))
 
     def sort_key(self):
         return self.coeffs
@@ -470,11 +465,11 @@ class WittElem:
         return witt_to_str(self)
 
 
-@dataclass(frozen=True)
 class FFElem(WittElem):
-    """Element of F_{l^d}: a WittElem over a FieldParams, with no arithmetic
-    of its own.  The benchmark tracer and the tests read params and wrap each
-    class's own __mul__ and inverse, hence the alias and the two bindings."""
+    """Element of F_{l^d} = W(F_{l^d})/l: a WittElem with the field's repr
+    and no arithmetic of its own.  The benchmark tracer and the tests read
+    params and wrap each class's own __mul__ and inverse, hence the alias
+    and the two bindings."""
 
     @property
     def params(self):
@@ -488,9 +483,9 @@ class FFElem(WittElem):
 
 
 def element(ring, coeffs):
-    """The element of ring with coefficient tuple coeffs: an FFElem over a
-    FieldParams, else a WittElem."""
-    return (FFElem if isinstance(ring, FieldParams) else WittElem)(ring, coeffs)
+    """The element of ring with coefficient tuple coeffs: an FFElem at m = 1,
+    else a WittElem.  Every element is built here or by type(x)."""
+    return (FFElem if ring.m == 1 else WittElem)(ring, coeffs)
 
 
 def witt_zero(ring):
@@ -528,8 +523,7 @@ def witt_elements(ring):
 
 def lift_trivial(a, m):
     """The coefficient-wise (non-multiplicative) lift F_{l^d} -> W(F_{l^d})/l^m."""
-    ring = make_witt_ring(a.ring.ell, a.ring.d, m)
-    return WittElem(ring, a.coeffs)
+    return element(make_witt_ring(a.ring.ell, a.ring.d, m), a.coeffs)
 
 
 def witt_scale(x, k):
@@ -542,7 +536,7 @@ def witt_digit(x, k):
     """The k-th l-adic digit of x, an element of the residue field: the
     coefficients (c // l^k) mod l."""
     ell, lk = x.ring.ell, x.ring.ell ** k
-    return FFElem(x.ring.residue_field, tuple((c // lk) % ell for c in x.coeffs))
+    return element(x.ring.residue_field, tuple((c // lk) % ell for c in x.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +560,7 @@ def witt_from_str(s):
     if len(coeffs) != d:
         raise InvalidQuery(f"expected {d} coefficients in {s!r}")
     ring = make_witt_ring(ell, d, m)
-    return WittElem(ring, tuple(c % ring.q for c in coeffs))
+    return element(ring, tuple(c % ring.q for c in coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +572,7 @@ def teichmuller(a, m):
     if m < 1:
         raise ParamMismatch("precision must be >= 1")
     y = lift_trivial(a, m)
-    e = a.ring.order
+    e = a.ring.ell ** a.ring.d
     for _ in range(m - 1):
         y2 = y ** e
         if y2 == y:
@@ -618,7 +612,7 @@ def _scatter(coeffs, perm, mult, ring):
     q = ring.q
     for c, p, s in zip(coeffs, perm, mult):
         out[p] = c * s % q
-    return WittElem(ring, tuple(out))
+    return element(ring, tuple(out))
 
 
 def _lifted_root(small, big, rbar):
@@ -836,6 +830,7 @@ def ff_factorize(poly):
     if not poly:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     params = poly[0].ring
+    q = params.ell ** params.d
     rng = random.Random(_FACTOR_SEED)
     factors = {}
 
@@ -855,8 +850,7 @@ def ff_factorize(poly):
         df = poly_deriv(f)
         if not df:
             ell = params.ell
-            root_exp = params.order // ell
-            g = [f[i * ell] ** root_exp for i in range(poly_deg(f) // ell + 1)]
+            g = [f[i * ell] ** (q // ell) for i in range(poly_deg(f) // ell + 1)]
             collect_squarefree(g, outer_mult * ell)
             return
         c = poly_gcd(f, df)
@@ -875,7 +869,6 @@ def ff_factorize(poly):
 
     collect_squarefree(poly, 1)
 
-    q = params.order
     for part, mult in yield_list:
         # distinct-degree then equal-degree splitting
         f = part
@@ -904,10 +897,9 @@ def _equal_degree_split(f, k, rng):
     n = poly_deg(f)
     if n == k:
         return [poly_monic(f)]
-    q = params.order
-    e = (q ** k - 1) // 2
+    e = (params.ell ** (params.d * k) - 1) // 2
     while True:
-        r = [FFElem(params, tuple(rng.randrange(params.ell) for _ in range(params.d)))
+        r = [element(params, tuple(rng.randrange(params.ell) for _ in range(params.d)))
              for _ in range(n)]
         r = poly_trim(r)
         if poly_deg(r) < 1:
@@ -999,13 +991,7 @@ def embed(x, d_big):
         return _substitute(x, _embedding_powers(small, big), big)
     out = [0] * d_big
     out[::d_big // small.d] = [c % big.q for c in x.coeffs]
-    return WittElem(big, tuple(out))
-
-
-def ff_embed(a, d_big):
-    """Residual counterpart of embed (runs the Witt machinery at m = 1)."""
-    x = lift_trivial(a, 1)
-    return embed(x, d_big).residue()
+    return element(big, tuple(out))
 
 
 def in_subring(x, d0):

@@ -31,7 +31,7 @@ from .matlin import Mat
 class GModule:
     """A finite-dimensional module: an action matrix per generator."""
 
-    field: object  # FieldParams, F_{l^d}
+    field: object  # F_{l^d}, the ring W(F_{l^d})/l
     dim: int
     action: dict  # generator name -> Mat over field (dim x dim)
     epsilon: dict  # generator name -> integer (needed for the dual pairing)
@@ -106,7 +106,7 @@ def build_module(rhobar, d):
     dual_module gives its Cartier dual."""
     if rhobar.ring.m != 1:
         raise ParamMismatch("build_module expects a level-1 deformation")
-    base = rhobar.ring.residue_field
+    base = rhobar.ring
     if d % base.d != 0:
         raise ParamMismatch("coefficient degree must be a multiple of the residual degree")
     field = cr.make_field(base.ell, d)
@@ -117,10 +117,10 @@ def build_module(rhobar, d):
     ]
     action = {}
     for name in rhobar.group.generators:
-        g = rhobar.image(name).residue()
+        g = rhobar.image(name)
         ginv = g.inverse()
         cols = [adjoint_coords(g * x * ginv) for x in basis]
-        rows = [[cr.ff_embed(cols[j][i], d) for j in range(3)] for i in range(3)]
+        rows = [[cr.embed(cols[j][i], d) for j in range(3)] for i in range(3)]
         action[name] = Mat.from_rows(field, rows)
     return GModule(field, 3, action, dict(rhobar.group.epsilon))
 

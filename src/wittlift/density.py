@@ -225,12 +225,12 @@ def _eval_poly_witt(monomials, mat):
 
 def _check_conjugation_invariant(monomials, ring, n, rng):
     for _ in range(20):
-        g = Mat.from_rows(ring, [[cr.WittElem(ring, tuple(
+        g = Mat.from_rows(ring, [[cr.element(ring, tuple(
             rng.randrange(ring.q) for _ in range(ring.d)))
             for _ in range(n)] for _ in range(n)])
         if not g.det().is_unit():
             continue
-        h = Mat.from_rows(ring, [[cr.WittElem(ring, tuple(
+        h = Mat.from_rows(ring, [[cr.element(ring, tuple(
             rng.randrange(ring.q) for _ in range(ring.d)))
             for _ in range(n)] for _ in range(n)])
         if not h.det().is_unit():

@@ -1,4 +1,5 @@
-"""Matrix algebra over the coefficient rings.
+"""Matrix algebra over the coefficient rings W(F_{l^d})/l^m, F_{l^d} being
+the ring at m = 1.
 
 Mat holds its entries in the elements' own format, their coefficient
 d-tuples reduced mod q at every d, and multiplies through coeffring._matmul,
@@ -41,13 +42,9 @@ _INF = 10 ** 9
 ENUM_LIMIT = 10 ** 7
 
 
-def _is_field(ring):
-    return isinstance(ring, cr.FieldParams)
-
-
 def _entry_value(ring, x):
     """The canonical Mat entry of the element x over ring: its coefficient
-    tuple reduced mod q (q = l over a field, l^m over a Witt ring)."""
+    tuple reduced mod q = l^m."""
     if x.ring is not ring and x.ring != ring:
         raise ParamMismatch(f"{x.ring} vs {ring}")
     q = ring.q
@@ -135,14 +132,14 @@ def _det(ring, a, n):
 
 @dataclass(frozen=True)
 class Mat:
-    """Square n x n matrix over F_{l^d} (FieldParams) or W(F_{l^d})/l^m.
+    """Square n x n matrix over W(F_{l^d})/l^m, the field F_{l^d} at m = 1.
 
     entries holds the n^2 entries row-major as canonical values: the
-    elements' coefficient d-tuples with every coefficient in [0, q), q = l
-    over a field and l^m over a Witt ring, at every d.  Every constructor
-    reduces, so equal matrices have equal entries.  Products, determinants and inverses
-    run on the entries through coeffring._matmul; rows is a view of
-    elements, built through coeffring.element on each access.
+    elements' coefficient d-tuples with every coefficient in [0, q), q = l^m,
+    at every d.  Every constructor reduces, so equal matrices have equal
+    entries.  Products, determinants and inverses run on the entries through
+    coeffring._matmul; rows is a view of elements, built through
+    coeffring.element on each access.
     """
 
     ring: object
@@ -332,7 +329,7 @@ def splitting_roots(poly_ff):
         roots = sorted([(-f[0], mult) for f, mult in factors],
                        key=lambda rm: rm[0].sort_key())
     else:
-        roots = cr.ff_roots([cr.ff_embed(c, base.d * e) for c in poly_ff])
+        roots = cr.ff_roots([cr.embed(c, base.d * e) for c in poly_ff])
     return cr.make_field(base.ell, base.d * e), roots
 
 
@@ -416,7 +413,7 @@ def jordan_decompose(y):
     k <= n of q^k - 1, q = l^d: (y_u - 1)^n = 0 gives y_u^(l^a) = 1, and each
     eigenvalue of y_s lies in some F_{q^k}, so y_s^L = 1.
     """
-    if not (_is_field(y.ring) or y.ring.m == 1):
+    if y.ring.m != 1:
         raise ParamMismatch("jordan_decompose needs a matrix over a field")
     if not _is_unit(y.ring, _det(y.ring, y.entries, y.n)):
         raise Singular("matrix is singular")
@@ -452,8 +449,7 @@ def check_tame_relation(x, y, q):
             raise InvalidQuery(f"{name} is not invertible: det {name} = {a.det()}")
     if x * y * x.inverse() != y ** q:
         return TameBranch("not_conjugate_relation")
-    if not _is_field(x.ring):
-        x, y = x.residue(), y.residue()
+    x, y = x.residue(), y.residue()
     if jordan_decompose(y)[1].is_identity():
         return TameBranch("semisimple_finite_order")
     field, roots = splitting_roots(char_poly(x))

@@ -426,7 +426,7 @@ def _images_as_names(plan):
     (_image_1x1, "images", "'s' is not 2 x 2"),
     (_image_3x3, "images", "'s' is not 2 x 2"),
     (_literal_over_another_ring, "images",
-     "entry over W(GF(5^1))/5^2, not W(GF(5^1))/5^1"),
+     "entry over W(GF(5^1))/5^2, not GF(5^1)"),
     (lambda plan: plan.update(max_level=0), "max_level", "max_level = 0 must be >= 1"),
     (_r_labels_missing_level, "r_labels", "no place for levels [3]"),
     (lambda plan: plan.update(escape="no"), "escape", "is not a JSON boolean"),
@@ -468,7 +468,7 @@ def test_tame_check_refuses_entries_over_two_rings(capsys):
     assert captured.out == ""
     err = json.loads(captured.err)  # one JSON object, no traceback
     assert err["kind"] == "input"
-    assert "W(GF(5^1))/5^1" in err["error"] and "W(GF(5^1))/5^2" in err["error"]
+    assert "over both GF(5^1) and W(GF(5^1))/5^2" in err["error"]
 
 
 @pytest.mark.parametrize("fields, reason", [

@@ -47,7 +47,7 @@ def test_param_mismatch_is_still_detected():
         cr.witt_one(cr.make_witt_ring(5, 2, 2)) * cr.witt_one(cr.make_witt_ring(5, 2, 3))
     # equal but not identical params still combine
     f = cr.make_field(5, 2)
-    twin = cr.FieldParams(f.ell, f.d, f.modulus)
+    twin = cr.WittRingParams(f.ell, f.d, 1, f.modulus)
     assert twin is not f
     assert cr.ff_gen(f) + cr.FFElem(twin, (1, 0)) == cr.FFElem(f, (1, 1))
 
@@ -435,9 +435,9 @@ def _hensel_path_lines():
                 xs = cr.WittElem(small, tuple(rng.randrange(small.q) for _ in range(d)))
                 x = cr.WittElem(big, tuple(rng.randrange(big.q) for _ in range(d_big)))
                 e = cr.embed(xs, d_big)
-                lines.append(repr((e, cr.hensel_frobenius(xs), cr.hensel_frobenius(x),
-                                   cr.witt_frobenius_power(x, 2),
-                                   cr.witt_frobenius_power(e, 2))))
+                lines.append("(" + ", ".join(cr.witt_to_str(z) for z in (
+                    e, cr.hensel_frobenius(xs), cr.hensel_frobenius(x),
+                    cr.witt_frobenius_power(x, 2), cr.witt_frobenius_power(e, 2))) + ")")
                 lines.append(repr([(cr.in_subring(z, d0), d0) for z in (x, e)
                                    for d0 in range(1, d_big + 1) if d_big % d0 == 0]))
     return lines
@@ -453,7 +453,7 @@ def test_teichmuller_naturality_under_embedding():
     f2 = cr.make_field(5, 2)
     a = cr.ff_gen(f2)
     t_small = cr.teichmuller(a, 3)
-    t_big = cr.teichmuller(cr.ff_embed(a, 4), 3)
+    t_big = cr.teichmuller(cr.embed(a, 4), 3)
     assert cr.embed(t_small, 4) == t_big
 
 
@@ -699,7 +699,7 @@ def test_rref_and_nullspace_match_full_row_update(case):
 
 
 # ---------------------------------------------------------------------------
-# one element implementation: FFElem is WittElem over a FieldParams
+# one ring type: F_{l^d} is W(F_{l^d})/l, and FFElem is WittElem at m = 1
 
 
 def test_element_picks_the_class_from_the_ring():
@@ -728,14 +728,60 @@ def test_field_constructors_are_the_witt_constructors():
     assert cr.ff_gen is cr.witt_gen
 
 
-def test_field_and_witt_elements_do_not_combine():
+@pytest.mark.parametrize("ell, d", [(5, 1), (5, 2), (7, 3), (13, 4)])
+def test_the_field_is_the_witt_ring_at_m_1(ell, d):
+    f = cr.make_field(ell, d)
+    assert cr.make_witt_ring(ell, d, 1) is f
+    assert f.m == 1 and f.q == ell and f.modulus == f.lifted_modulus
+    assert repr(f) == f"GF({ell}^{d})"
+    assert cr.make_witt_ring(ell, d, 3).residue_field is f
+
+
+def test_residue_and_reduce_1_of_a_field_element_are_the_element():
+    f = cr.make_field(5, 2)
+    x = cr.ff_gen(f)
+    for y in (x.residue(), x.reduce(1)):
+        assert type(y) is cr.FFElem and y.ring is f and y == x
+
+
+def test_witt_literal_at_m_1_is_a_field_element():
+    x = cr.witt_from_str("5^1:2:[0,1]")
+    assert type(x) is cr.FFElem and x == cr.ff_gen(cr.make_field(5, 2))
+    assert cr.witt_to_str(x) == "5^1:2:[0,1]"
+
+
+def test_element_equality_does_not_depend_on_the_class():
+    f = cr.make_field(5, 2)
+    w, x = cr.WittElem(f, (3, 1)), cr.FFElem(f, (3, 1))
+    assert w == x and x == w and hash(w) == hash(x)
+    assert len({w, x}) == 1
+    assert w != cr.FFElem(f, (3, 2))
+    assert cr.WittElem(cr.make_witt_ring(5, 2, 2), (3, 1)) != x
+    assert x != (3, 1)
+
+
+def test_embed_of_a_field_element_is_embed_at_m_1():
+    rng = random.Random(5)
+    for ell, d, d_big in ((5, 1, 4), (5, 2, 8), (7, 2, 4), (5, 3, 6)):
+        f = cr.make_field(ell, d)
+        for _ in range(4):
+            a = cr.element(f, tuple(rng.randrange(ell) for _ in range(d)))
+            e = cr.embed(a, d_big)
+            assert e == cr.embed(cr.lift_trivial(a, 1), d_big)
+            assert type(e) is cr.FFElem and e.ring is cr.make_field(ell, d_big)
+
+
+def test_field_and_witt_ring_at_m_1_combine_and_other_rings_do_not():
     x = cr.ff_gen(cr.make_field(5, 2))
     y = cr.witt_gen(cr.make_witt_ring(5, 2, 1))
-    for op in ("__add__", "__sub__", "__mul__"):
-        with pytest.raises(ParamMismatch):
-            getattr(x, op)(y)
-        with pytest.raises(ParamMismatch):
-            getattr(y, op)(x)
+    assert x + y == x * cr.ff_from_int(x.ring, 2)
+    assert y * x == x * x and x - y == cr.ff_zero(x.ring)
+    for other in (cr.witt_gen(cr.make_witt_ring(5, 2, 2)), cr.ff_gen(cr.make_field(5, 4))):
+        for op in ("__add__", "__sub__", "__mul__"):
+            with pytest.raises(ParamMismatch):
+                getattr(x, op)(other)
+            with pytest.raises(ParamMismatch):
+                getattr(other, op)(x)
 
 
 _TRACED_ARITHMETIC = """
@@ -751,13 +797,16 @@ x, y = cr.FFElem(f, (1, 2, 3, 4)), cr.FFElem(f, (0, 1, 0, 2))
 u, v = cr.WittElem(ring, (6, 0, 11, 3)), cr.WittElem(ring, (1, 5, 0, 24))
 x * y, x * x, y * x, x.inverse(), y.inverse()
 u * v, v * u, u.inverse()
+w = cr.witt_gen(cr.make_witt_ring(5, 4, 1))
+w * x, w * w
 print(json.dumps({f"{agg}.d{d}": calls for (agg, d), (calls, _) in tracer.hot.items()}))
 """
 
 
 def test_tracer_counts_each_element_product_and_inverse_once():
     """The benchmark tracer wraps FFElem's and WittElem's own __mul__ and
-    inverse: 3 + 2 field and 2 + 1 Witt-ring operations at d = 4 count as 5
+    inverse: 3 + 2 field and 2 + 1 Witt-ring operations at d = 4, and two
+    products over make_witt_ring(5, 4, 1), the field itself, count as 7
     products and 3 inverses."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -765,4 +814,4 @@ def test_tracer_counts_each_element_product_and_inverse_once():
     proc = subprocess.run([sys.executable, "-c", _TRACED_ARITHMETIC,
                            str(root / "benchmarks" / "tracing.py")],
                           capture_output=True, text=True, env=env, check=True)
-    assert json.loads(proc.stdout) == {"mul.d4": 5, "inverse.d4": 3}
+    assert json.loads(proc.stdout) == {"mul.d4": 7, "inverse.d4": 3}

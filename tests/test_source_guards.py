@@ -1,0 +1,66 @@
+"""Source guards over src/wittlift: every element is built by
+coeffring.element (or by type(x) inside an element method), and the names
+of the old field/Witt-ring split do not come back."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "wittlift"
+ELEMENT_CLASSES = {"WittElem", "FFElem"}
+DELETED = {"FieldParams", "ff_embed", "_is_field"}
+
+
+def _identifiers(node):
+    """The names a node binds or reads: variables, attributes, imports,
+    definitions and parameters."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return [node.name, node.asname]
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.arg):
+        return [node.arg]
+    return []
+
+
+def _violations(module, source):
+    """Problems in one module's source, as 'module:line: what' strings."""
+    found = []
+
+    def visit(node, scope):
+        for name in _identifiers(node):
+            if name in DELETED:
+                found.append(f"{module}:{node.lineno}: uses {name}")
+        if isinstance(node, ast.Call):
+            func = node.func
+            callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if callee in ELEMENT_CLASSES and (module, scope) != ("coeffring", ("element",)):
+                found.append(f"{module}:{node.lineno}: calls {callee}( outside "
+                             f"coeffring.element")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_guard_catches_what_it_forbids():
+    assert _violations("matlin", "x = cr.WittElem(ring, (1,))\n")
+    assert _violations("coeffring", "def lift(r, c):\n    return FFElem(r, c)\n")
+    assert _violations("cli", "from .coeffring import ff_embed\n")
+    assert _violations("matlin", "def _is_field(ring):\n    pass\n")
+    assert _violations("coeffring", "ok = isinstance(r, FieldParams)\n")
+    assert not _violations("coeffring", "def element(r, c):\n    return FFElem(r, c)\n")
+    assert _violations("matlin", "def element(r, c):\n    return FFElem(r, c)\n")
+
+
+def test_elements_are_built_only_through_element():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += _violations(path.stem, path.read_text())
+    assert found == []

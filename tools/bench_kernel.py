@@ -85,7 +85,7 @@ def level(d):
 
 
 def random_elem(ring, rng):
-    return cr.WittElem(ring, tuple(rng.randrange(ring.q) for _ in range(ring.d)))
+    return cr.element(ring, tuple(rng.randrange(ring.q) for _ in range(ring.d)))
 
 
 def random_invertible(ring, n, rng):
