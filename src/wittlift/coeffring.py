@@ -164,8 +164,8 @@ def _poly_mulmod(a, b, modulus, q):
     return _kron_reduce(_kron_pack(a, plan) * _kron_pack(b, plan), plan, q)
 
 
-def _matmul(a, b, inner, cols, modulus, q):
-    """Row-major product of matrices of canonical values mod (modulus, q).
+def _matmul(ring, a, b, inner, cols):
+    """Row-major product of matrices of canonical values over ring.
 
     a has len(a) // inner rows and inner columns, b has inner rows and cols
     columns; a value is a d-tuple of ints in [0, q).  Each output entry is one
@@ -174,19 +174,20 @@ def _matmul(a, b, inner, cols, modulus, q):
     unpacked and folded once (Kronecker substitution applied to the whole dot
     product); at d = 1 the 1-tuples are unwrapped, a 2 x 2 product written out.
     """
-    if len(modulus) == 2 and inner == cols == 2 and len(a) == 4:
+    q = ring.q
+    if ring.d == 1 and inner == cols == 2 and len(a) == 4:
         (a0,), (a1,), (a2,), (a3,), (b0,), (b1,), (b2,), (b3,) = *a, *b
         return (((a0 * b0 + a1 * b2) % q,), ((a0 * b1 + a1 * b3) % q,),
                 ((a2 * b0 + a3 * b2) % q,), ((a2 * b1 + a3 * b3) % q,))
-    if len(modulus) == 2:
+    if ring.d == 1:
         a, b = [x for (x,) in a], [y for (y,) in b]
     else:
-        plan = _kronecker_plan(modulus, q, inner)
+        plan = _kronecker_plan(ring.lifted_modulus, q, inner)
         a = [_kron_pack(x, plan) for x in a]
         b = [_kron_pack(y, plan) for y in b]
     rows = [a[i:i + inner] for i in range(0, len(a), inner)]
     columns = [b[j::cols] for j in range(cols)]
-    if len(modulus) == 2:
+    if ring.d == 1:
         return tuple([(sum(map(mul, r, c)) % q,) for r in rows for c in columns])
     return tuple([_kron_reduce(sum(map(mul, r, c)), plan, q)
                   for r in rows for c in columns])
@@ -235,11 +236,11 @@ def _poly_inverse(a, modulus, ell):
     return tuple(inv) + (0,) * (len(a) - len(inv))
 
 
-def _unit_inverse(x, modulus, ell, q):
-    """Inverse mod (modulus, q), q a power of ell, of the unit with
-    coefficients x: pow at d = 1, else the residual inverse lifted by Newton
-    steps (none when q = ell, the field case).  Raises ZeroInverse when x is
-    not a unit."""
+def _unit_inverse(ring, x):
+    """Inverse of the unit with canonical value x over ring (q = l^m): pow
+    at d = 1, else the residual inverse lifted by Newton steps (none when
+    q = l, the field case).  Raises ZeroInverse when x is not a unit."""
+    modulus, ell, q = ring.lifted_modulus, ring.ell, ring.q
     if len(x) == 1:
         if not x[0] % ell:
             raise ZeroInverse("not a unit")
@@ -416,7 +417,7 @@ class WittElem:
         if not self.is_unit():
             raise ZeroInverse("not a unit")
         r = self.ring
-        return type(self)(r, _unit_inverse(self.coeffs, r.lifted_modulus, r.ell, r.q))
+        return type(self)(r, _unit_inverse(r, self.coeffs))
 
     def __truediv__(self, other):
         return self * other.inverse()

@@ -6,7 +6,9 @@ contragredient dual.  Cocycles are stored by their values on generators and
 extended to words by f(gh) = f(g) + g.f(h); relator constraints become an
 explicit linear system, so Z^1 is a nullspace and B^1 an image.  Every such
 system comes from two maps memoised per word on the module, the Fox Jacobian
-and the rows of A_w - I, and is eliminated once.
+and the rows of A_w - I, and is eliminated once.  Systems and their
+solutions hold Mat.entry_rows' canonical values; elements appear only where
+a cocycle's values are built (coeffring.element) or read (_entry_value).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (
     UnknownGenerator,
 )
 from .galois_model import Deformation, evaluate_word
-from .matlin import Mat
+from .matlin import Mat, _entry_value, _imul
 
 
 @dataclass(frozen=True)
@@ -61,11 +63,11 @@ class GModule:
         return acc
 
     def delta(self, word):
-        """The rows of A_w - I, A_w the action of the word; memoised per word."""
+        """The rows of A_w - I as canonical values, A_w the word's action; memoised."""
         rows = self._delta.get(word)
         if rows is None:
             ident = Mat.identity(self.field, self.dim)
-            rows = self._delta[word] = (self.word_matrix(word) - ident).rows
+            rows = self._delta[word] = (self.word_matrix(word) - ident).entry_rows
         return rows
 
 
@@ -192,7 +194,7 @@ def fox_jacobian(group, module, word):
     flat generator values of any cocycle to its value at the word.  One pass
     keeps the prefix action P: a letter g^e with e > 0 adds P, P A, ...,
     P A^(e-1) to g's block (A the action of g); with e < 0 it subtracts
-    P A^-1, ..., P A^e.  Memoised per word on the module; rows are tuples.
+    P A^-1, ..., P A^e.  Memoised on the module; rows are tuples of canonical values.
     """
     memo_key = (group.generators, word)
     rows = module._fox.get(memo_key)
@@ -216,7 +218,7 @@ def fox_jacobian(group, module, word):
             for _ in range(-e):
                 prefix = prefix * ainv
                 blocks[gi] = blocks[gi] - prefix
-    block_rows = [b.rows for b in blocks]
+    block_rows = [b.entry_rows for b in blocks]
     rows = tuple(tuple(x for br in block_rows for x in br[i]) for i in range(dim))
     module._fox[memo_key] = rows
     return rows
@@ -226,18 +228,18 @@ def relator_system(group, module):
     """Rows of the linear map (values on generators) -> (relator evaluations).
 
     Columns index (generator, coordinate); rows index (relator, coordinate):
-    the Fox Jacobians of the relators, stacked.  Without relators the map is
-    zero, given as a single zero row.
+    the Fox Jacobians of the relators, stacked, as canonical values.  Without
+    relators the map is zero, given as a single zero row.
     """
     if not group.relators:
-        return [[cr.ff_zero(module.field)] * (len(group.generators) * module.dim)]
+        return [[(0,) * module.field.d] * (len(group.generators) * module.dim)]
     return [list(row) for rel in group.relators
             for row in fox_jacobian(group, module, rel)]
 
 
 def _vec_to_values(group, module, flat):
     dim = module.dim
-    return {name: tuple(flat[i * dim:(i + 1) * dim])
+    return {name: tuple([cr.element(module.field, v) for v in flat[i * dim:(i + 1) * dim]])
             for i, name in enumerate(group.generators)}
 
 
@@ -254,12 +256,12 @@ def _coboundary_basis(group, module):
     """Echelonized B^1: the unit vectors' coboundaries are the columns of the
     A_g - I stacked over the generators, and one rref of them gives it."""
     stacked = [r for name in group.generators for r in module.delta(((name, 1),))]
-    red, pivots = linalg.rref([list(col) for col in zip(*stacked)])
+    red, pivots = linalg.rref([list(col) for col in zip(*stacked)], module.field)
     return red[:len(pivots)]
 
 
 def cocycle_space(group, module):
-    """(Z^1 basis, B^1 basis, h^1) as echelonized flat vectors over F_{l^d}."""
+    """(Z^1 basis, B^1 basis, h^1), the bases echelonized canonical-value vectors."""
     z1 = linalg.nullspace(relator_system(group, module), module.field)
     b1 = _coboundary_basis(group, module)
     h1 = len(z1) - len(b1)
@@ -273,12 +275,14 @@ def invariants_dim(group, module):
     ident = Mat.identity(field, dim)
     for name in group.generators:
         a = module.act_gen(name) - ident
-        rows.extend([list(r) for r in a.rows])
+        rows.extend([list(r) for r in a.entry_rows])
     return len(linalg.nullspace(rows, field))
 
 
 def cocycle_flat(group, cocycle):
-    return [x for name in group.generators for x in cocycle.values[name]]
+    """The generator values as canonical values, checked by _entry_value."""
+    return [_entry_value(cocycle.module.field, x) for name in group.generators
+            for x in cocycle.values[name]]
 
 
 # ---------------------------------------------------------------------------
@@ -291,26 +295,25 @@ def restrict_and_classify(f, place):
     The local group is generated by the sigma and tau words; its coboundaries
     are pairs ((A_sigma - I)m, (A_tau - I)m).
     """
-    module = f.module
-    fs = f(place.sigma)
-    ft = f(place.tau)
+    module, field = f.module, f.module.field
+    fs = [_entry_value(field, x) for x in f(place.sigma)]
+    ft = [_entry_value(field, x) for x in f(place.tau)]
     # stacked system: does some m give both components as coboundaries?
     tau_rows = [list(r) for r in module.delta(place.tau)]
     stacked = [list(r) for r in module.delta(place.sigma)] + tau_rows
-    if linalg.solve(stacked, list(fs) + list(ft), module.field) is not None:
+    if linalg.solve(stacked, fs + ft, field) is not None:
         return "zero_class"
-    if linalg.solve(tau_rows, list(ft), module.field) is not None:
+    if linalg.solve(tau_rows, ft, field) is not None:
         return "unramified_nonzero"
     return "ramified"
 
 
 def sha_kernel(group, module, places):
-    """Echelonized basis of locally-trivial classes modulo coboundaries."""
-    field, dim = module.field, module.dim
+    """Echelonized locally-trivial classes modulo coboundaries, as canonical-value vectors."""
+    field, dim, q = module.field, module.dim, module.field.q
     ncoc = len(group.generators) * dim  # cocycle coords, then one m_v per place
     places = list(places)
-    zero = cr.ff_zero(field)
-    pad = [zero] * (len(places) * dim)
+    pad = [(0,) * field.d] * (len(places) * dim)
     rows = [r + pad for r in relator_system(group, module)]
     for pi, place in enumerate(places):
         for word in (place.sigma, place.tau):
@@ -318,7 +321,7 @@ def sha_kernel(group, module, places):
             for fox_row, delta_row in zip(fox_jacobian(group, module, word),
                                           module.delta(word)):
                 row = list(fox_row) + pad
-                row[ncoc + pi * dim:ncoc + (pi + 1) * dim] = [-x for x in delta_row]
+                row[ncoc + pi * dim:ncoc + (pi + 1) * dim] = [_imul(x, -1, q) for x in delta_row]
                 rows.append(row)
     sols = linalg.nullspace(rows, field)
     return linalg.independent_complement(_coboundary_basis(group, module),
@@ -395,7 +398,7 @@ def lift_solve(group, module, defects):
     """
     rows = relator_system(group, module)
     rhs = [-x for z in defects for x in z]
-    sol = linalg.solve(rows, rhs, module.field)
+    sol = linalg.solve(rows, [_entry_value(module.field, x) for x in rhs], module.field)
     if sol is None:
         return LiftSolveResult(False, None, tuple(rhs))
     return LiftSolveResult(True, _vec_to_values(group, module, sol))

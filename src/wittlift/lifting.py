@@ -60,7 +60,7 @@ from .galois_model import (
     validate_deformation,
     check_running_hypotheses,
 )
-from .matlin import Mat, char_poly, elem_matmul, lifted_eigenvalues, ratio_pair, splitting_roots
+from .matlin import Mat, _entry_value, char_poly, lifted_eigenvalues, ratio_pair, splitting_roots
 
 # 2: embed sends X to X^(D/d) where the degree-D modulus is the degree-d one
 # composed with x^(D/d); schema 1 took the smallest residual root there
@@ -107,18 +107,19 @@ def _trace_weights(rres):
 
 
 def _trace_row(group, module, word, rres):
-    """Coefficients of the linear map f -> tr(f~(word) rres) on flat cocycle
-    values, where rres is the residual image of the word: the weights times
-    the word's Fox Jacobian, one fused dot product per column."""
-    return elem_matmul(module.field, [_trace_weights(rres)],
-                       fox_jacobian(group, module, word))[0]
+    """Canonical-value coefficients of f -> tr(f~(word) rres) on flat cocycle
+    values, rres the residual image of the word: the weights times the
+    word's Fox Jacobian, one fused dot product per column."""
+    field, jac = module.field, fox_jacobian(group, module, word)
+    return cr._matmul(field, [_entry_value(field, w) for w in _trace_weights(rres)],
+                      [x for r in jac for x in r], len(jac), len(jac[0]))
 
 
 def _locked_rows(group, module, places):
     """Rows forcing a cocycle's extension to vanish at sigma and tau words."""
     rows = [list(r) for place in places for word in (place.sigma, place.tau)
             for r in fox_jacobian(group, module, word)]
-    return rows, [cr.ff_zero(module.field)] * len(rows)
+    return rows, [(0,) * module.field.d] * len(rows)
 
 
 def solve_trace_targets(rho, module, targets, locked_places=()):
@@ -134,7 +135,7 @@ def solve_trace_targets(rho, module, targets, locked_places=()):
     m = ring.m
     field = module.field
     rows = relator_system(group, module)
-    rhs = [cr.ff_zero(field)] * len(rows)
+    rhs = [(0,) * field.d] * len(rows)
     for place, want in targets:
         image = evaluate_word(rho, place.sigma)
         cur = image.trace()
@@ -146,13 +147,13 @@ def solve_trace_targets(rho, module, targets, locked_places=()):
         u = cr.witt_digit(diff, m - 1)
         rres = image.residue()
         row = _trace_row(group, module, place.sigma, rres)
-        if not u.is_zero() and all(x.is_zero() for x in row):
+        if not u.is_zero() and not any(map(any, row)):
             # tr(f * c I) = c tr f = 0 for every trace-zero f
             scalar = rres == Mat.identity(rres.ring, rres.n).scale(rres.rows[0][0])
             raise Unreachable(f"trace functional at {place.label} vanishes"
                               + (": rhobar(sigma) is scalar" if scalar else ""))
         rows.append(row)
-        rhs.append(u)
+        rhs.append(_entry_value(field, u))
     lrows, lrhs = _locked_rows(group, module, locked_places)
     rows.extend(lrows)
     rhs.extend(lrhs)
@@ -233,9 +234,12 @@ def oracle_find_places(pool, rho_m, constraints=OracleConstraints(),
 def _check_pattern_independence(group, patterns):
     if not patterns:
         return
-    b1 = _coboundary_basis(group, patterns[0][0].module)
+    module = patterns[0][0].module
+    if any(coc.module.field != module.field for coc, _ in patterns):
+        raise ParamMismatch("constraint classes live over different fields")
+    b1 = _coboundary_basis(group, module)
     vecs = [cocycle_flat(group, coc) for coc, _ in patterns]
-    if linalg.rank(b1 + vecs) != len(b1) + len(vecs):
+    if linalg.rank(b1 + vecs, module.field) != len(b1) + len(vecs):
         raise ParamMismatch("constraint classes are dependent in H^1")
 
 
@@ -252,23 +256,22 @@ def _localization_ranks(group, module, dmodule, s_r_places, q_places):
     inj2 = len(sha_kernel(group, dmodule, all_places)) == 0
     dim = module.dim
     deltas = [module.delta(p.sigma) for p in q_places]
-    want = sum(dim - linalg.rank(delta) for delta in deltas)
+    want = sum(dim - linalg.rank(delta, module.field) for delta in deltas)
     got = 0
     if want:
         z1, _, _ = cocycle_space(group, module)
-        fox_rows = [r for p in q_places
-                    for r in fox_jacobian(group, module, p.sigma)]
-        # each Z^1 vector's values at the sigma words
-        rows = elem_matmul(module.field, z1, list(zip(*fox_rows)))
+        fox = [x for p in q_places for r in fox_jacobian(group, module, p.sigma) for x in r]
+        # each Z^1 vector's values at the sigma words, one product each
+        rows = [cr._matmul(module.field, fox, z, len(z), 1) for z in z1]
         # rank of the restrictions modulo im(delta): the columns of the
         # block-diagonal A_sigma - I, whose rank is dim * |Q| - want
         im_rows = []
         for p_i, delta in enumerate(deltas):
             for col in zip(*delta):
-                vec = [cr.ff_zero(module.field)] * (dim * len(q_places))
+                vec = [(0,) * module.field.d] * (dim * len(q_places))
                 vec[p_i * dim:(p_i + 1) * dim] = col
                 im_rows.append(vec)
-        got = linalg.rank(im_rows + rows) - (len(im_rows) - want)
+        got = linalg.rank(im_rows + rows, module.field) - (len(im_rows) - want)
     return {"inj_module": inj1, "inj_dual": inj2,
             "surj_unramified": got == want, "coker_target": want, "coker_rank": got}
 

@@ -1,47 +1,52 @@
-"""Dense exact linear algebra over a field of FFElem values.
+"""Dense exact linear algebra over a field F_{l^d}, on canonical values.
 
-Matrices are lists of row lists.  Echelonization always picks the leftmost
-pivot in the topmost unprocessed row, so every basis this module returns is
-deterministic.
+Matrices are lists of row lists of the values Mat.entries holds: coefficient
+d-tuples with every coefficient in [0, l).  Every function takes the field
+those values live in and computes only through coeffring's two shared
+kernels, _matmul and _unit_inverse; no element object is built or read.
+Echelonization always picks the leftmost pivot in the topmost unprocessed
+row, so every basis this module returns is deterministic.
 """
 
 from __future__ import annotations
 
-from .coeffring import ff_one, ff_zero
+from . import coeffring as cr
+from .matlin import _imul, _one_zero
 
 
-def rref(rows):
+def rref(rows, field):
     """Reduced row echelon form; returns (rref rows, pivot column list).
 
     A normalized pivot row is zero left of its pivot, so its support (the
-    columns where it is nonzero) is recorded once; every other row is then
-    updated in place on those columns only.
+    columns where it is nonzero) is recorded once.  The pivot row is scaled
+    by one 1 x k product there, and every other row is updated in place on
+    those columns only: row - x * pivot row as one 1 x 2 by 2 x k product.
     """
     rows = [list(r) for r in rows]
     if not rows:
         return rows, []
     ncols = len(rows[0])
+    one, q = _one_zero(field)[0], field.q
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                pr = i
-                break
+        pr = next((i for i in range(r, len(rows)) if any(rows[i][c])), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         prow = rows[r]
-        inv = prow[c].inverse()
-        support = [j for j in range(c, ncols) if not prow[j].is_zero()]
-        for j in support:
-            prow[j] = prow[j] * inv
+        support = [j for j in range(c, ncols) if any(prow[j])]
+        pvals = list(cr._matmul(field, (cr._unit_inverse(field, prow[c]),),
+                                [prow[j] for j in support], 1, len(support)))
+        for j, v in zip(support, pvals):
+            prow[j] = v
         for row in rows:
-            f = row[c]
-            if row is not prow and not f.is_zero():
-                for j in support:
-                    row[j] = row[j] - f * prow[j]
+            x = row[c]
+            if row is not prow and any(x):
+                new = cr._matmul(field, (one, _imul(x, -1, q)),
+                                 [row[j] for j in support] + pvals, 2, len(support))
+                for j, v in zip(support, new):
+                    row[j] = v
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -49,49 +54,48 @@ def rref(rows):
     return rows, pivots
 
 
-def rank(rows):
-    return len(rref(rows)[1])
+def rank(rows, field):
+    return len(rref(rows, field)[1])
 
 
-def nullspace(rows, params):
+def nullspace(rows, field):
     """Basis of the right kernel, echelonized (free variables in order)."""
     if not rows:
         return []
     ncols = len(rows[0])
-    red, pivots = rref(rows)
+    red, pivots = rref(rows, field)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    one, zero = ff_one(params), ff_zero(params)
+    one, zero = _one_zero(field)
     for fc in free:
         vec = [zero] * ncols
         vec[fc] = one
         for i, pc in enumerate(pivots):
-            vec[pc] = -red[i][fc]
+            vec[pc] = _imul(red[i][fc], -1, field.q)
         basis.append(vec)
     return basis
 
 
-def solve(rows, rhs, params):
+def solve(rows, rhs, field):
     """One solution of rows * x = rhs, or None if inconsistent."""
     if not rows:
         return []
     ncols = len(rows[0])
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
+    red, pivots = rref(aug, field)
     if ncols in pivots:
         return None
-    zero = ff_zero(params)
-    x = [zero] * ncols
+    x = [_one_zero(field)[1]] * ncols
     for i, pc in enumerate(pivots):
         x[pc] = red[i][-1]
     return x
 
 
-def independent_complement(sub_rows, all_rows, params):
+def independent_complement(sub_rows, all_rows, field):
     """Vectors from all_rows extending a basis of span(sub_rows), each taken
     in order when it is outside the span of those before it.  With every
     vector as a column, these are the pivot columns after sub_rows."""
     vecs = list(sub_rows) + list(all_rows)
-    _, pivots = rref([list(col) for col in zip(*vecs)])
+    _, pivots = rref([list(col) for col in zip(*vecs)], field)
     return [list(vecs[c]) for c in pivots if c >= len(sub_rows)]

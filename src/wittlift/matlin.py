@@ -3,9 +3,11 @@ the ring at m = 1.
 
 Mat holds its entries in the elements' own format, their coefficient
 d-tuples reduced mod q at every d, and multiplies through coeffring._matmul,
-one fused Kronecker dot product per output entry; element objects appear
-only at the boundary (Mat.from_rows, Mat.rows, Mat.apply, det, trace and
-elem_matmul), built through coeffring.element.  The module also covers
+one fused Kronecker dot product per output entry; Mat.entry_rows hands those
+canonical values on to linalg as they are.  Element objects appear only at
+the boundary (Mat.from_rows, Mat.rows, Mat.apply, scale, det and trace),
+built through coeffring.element and read through _entry_value, the one
+checked element -> value conversion.  The module also covers
 characteristic polynomials and eigenvalues, Hensel diagonalization of 2x2
 matrices over truncated Witt rings, multiplicative Jordan decomposition, the
 tame-relation branch test, the BFS closure of integer matrix groups,
@@ -75,16 +77,12 @@ def _is_unit(ring, v):
 
 
 def _mul(ring, x, y):
-    return _matmul_entries(ring, (x,), (y,), 1, 1)[0]
+    return cr._matmul(ring, (x,), (y,), 1, 1)[0]
 
 
 def _product(ring, xs):
     """The product of the entries xs, 1 for none."""
     return functools.reduce(lambda x, y: _mul(ring, x, y), xs) if xs else _one_zero(ring)[0]
-
-
-def _unit_inverse(ring, v):
-    return cr._unit_inverse(v, ring.lifted_modulus, ring.ell, ring.q)
 
 
 def _imul(v, s, q):
@@ -96,23 +94,6 @@ def _sum(ring, xs):
     """The sum of the entries xs."""
     q = ring.q
     return tuple([sum(cs) % q for cs in zip(*xs)])
-
-
-def _matmul_entries(ring, a, b, inner, cols):
-    """Row-major product of a (len(a) // inner rows, inner columns) and b
-    (inner rows, cols columns), both of canonical Mat entries over ring."""
-    return cr._matmul(a, b, inner, cols, ring.lifted_modulus, ring.q)
-
-
-def elem_matmul(ring, a, b):
-    """The product of the matrices a and b (any compatible shapes), each
-    given as a list of rows of elements over ring, as a list
-    of rows of elements; one fused dot product per output entry."""
-    inner, cols = len(b), len(b[0])
-    out = _matmul_entries(ring, [_entry_value(ring, x) for r in a for x in r],
-                          [_entry_value(ring, x) for r in b for x in r], inner, cols)
-    out = [cr.element(ring, v) for v in out]
-    return [out[i:i + cols] for i in range(0, len(out), cols)]
 
 
 def _det(ring, a, n):
@@ -127,7 +108,7 @@ def _det(ring, a, n):
         cof = [_det(ring, [a[r * n + c] for r in range(1, n) for c in range(n) if c != j],
                     n - 1) for j in range(n)]
         cof = [m if j % 2 == 0 else _imul(m, -1, q) for j, m in enumerate(cof)]
-    return _matmul_entries(ring, a[:n], cof, n, 1)[0]
+    return cr._matmul(ring, a[:n], cof, n, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -138,8 +119,8 @@ class Mat:
     elements' coefficient d-tuples with every coefficient in [0, q), q = l^m,
     at every d.  Every constructor reduces, so equal matrices have equal
     entries.  Products, determinants and inverses run on the entries through
-    coeffring._matmul; rows is a view of elements, built through
-    coeffring.element on each access.
+    coeffring._matmul; entry_rows is a view of the entries as rows, and rows
+    one of elements, built through coeffring.element on each access.
     """
 
     ring: object
@@ -169,11 +150,15 @@ class Mat:
         return cls(ring, n, (_one_zero(ring)[1],) * (n * n))
 
     @property
+    def entry_rows(self):
+        """The entries as n rows of canonical values."""
+        return tuple(self.entries[i:i + self.n] for i in range(0, len(self.entries), self.n))
+
+    @property
     def rows(self):
         """The entries as rows of elements, built by coeffring.element."""
-        ring, n = self.ring, self.n
-        return tuple(tuple([cr.element(ring, v) for v in self.entries[i:i + n]])
-                     for i in range(0, n * n, n))
+        ring = self.ring
+        return tuple(tuple([cr.element(ring, v) for v in r]) for r in self.entry_rows)
 
     def _check(self, other):
         if (other.ring is not self.ring and other.ring != self.ring) \
@@ -197,15 +182,13 @@ class Mat:
     def __mul__(self, other):
         self._check(other)
         n = self.n
-        return Mat(self.ring, n, _matmul_entries(self.ring, self.entries,
-                                                 other.entries, n, n))
+        return Mat(self.ring, n, cr._matmul(self.ring, self.entries, other.entries, n, n))
 
     def apply(self, vec):
         """The matrix times the column vector vec of elements over its ring,
         as a tuple of elements."""
         ring = self.ring
-        out = _matmul_entries(ring, self.entries, [_entry_value(ring, x) for x in vec],
-                              self.n, 1)
+        out = cr._matmul(ring, self.entries, [_entry_value(ring, x) for x in vec], self.n, 1)
         return tuple([cr.element(ring, v) for v in out])
 
     def transpose(self):
@@ -214,7 +197,7 @@ class Mat:
 
     def scale(self, s):
         """s times the matrix, for an element s over its ring."""
-        return Mat(self.ring, self.n, _matmul_entries(
+        return Mat(self.ring, self.n, cr._matmul(
             self.ring, (_entry_value(self.ring, s),), self.entries, 1, self.n ** 2))
 
     def trace(self):
@@ -242,8 +225,8 @@ class Mat:
             det = _det(ring, a, 2)
             if not _is_unit(ring, det):
                 raise Singular("matrix is not invertible")
-            return Mat(ring, 2, _matmul_entries(
-                ring, (_unit_inverse(ring, det),),
+            return Mat(ring, 2, cr._matmul(
+                ring, (cr._unit_inverse(ring, det),),
                 (a[3], _imul(a[1], -1, q), _imul(a[2], -1, q), a[0]), 1, 4))
         one, zero = _one_zero(ring)
         rows = [list(self.entries[i * n:(i + 1) * n])
@@ -255,13 +238,13 @@ class Mat:
             rows[c], rows[pr] = rows[pr], rows[c]
             for i in range(n):
                 if i != c and rows[i][c] != zero:
-                    rows[i] = list(_matmul_entries(ring, (rows[c][c], _imul(rows[i][c], -1, q)),
-                                                   rows[i] + rows[c], 2, 2 * n))
+                    rows[i] = list(cr._matmul(ring, (rows[c][c], _imul(rows[i][c], -1, q)),
+                                              rows[i] + rows[c], 2, 2 * n))
         diag = [rows[i][i] for i in range(n)]
         others = [_product(ring, diag[:i] + diag[i + 1:]) for i in range(n)]
-        dinv = _matmul_entries(ring, (_unit_inverse(ring, _mul(ring, others[0], diag[0])),),
-                               others, 1, n)
-        return Mat(ring, n, _matmul_entries(
+        dinv = cr._matmul(ring, (cr._unit_inverse(ring, _mul(ring, others[0], diag[0])),),
+                          others, 1, n)
+        return Mat(ring, n, cr._matmul(
             ring, [dinv[i] if i == j else zero for i in range(n) for j in range(n)],
             [x for r in rows for x in r[n:]], n, n))
 
@@ -269,9 +252,7 @@ class Mat:
         return Mat.identity(self.ring, self.n) if e == 0 else cr._power(self, e)
 
     def residue(self):
-        ring = self.ring
-        return Mat(ring.residue_field, self.n,
-                   _mod_entries(self.entries, ring.ell))
+        return self.reduce(1)
 
     def reduce(self, m2):
         if m2 > self.ring.m:

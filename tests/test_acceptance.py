@@ -381,7 +381,7 @@ def test_acceptance_6_twist_calculus():
     module = build_module(rho.reduce(1), 1)
     rows = relator_system(group, module)
     restricted = [row[:6] for row in rows]
-    expected_valid = 5 ** (6 - linalg.rank(restricted))
+    expected_valid = 5 ** (6 - linalg.rank(restricted, module.field))
     valid = 0
     for combo in itertools.product(range(5), repeat=6):
         vals = {"s": (span[combo[0]], span[combo[1]], span[combo[2]]),
@@ -389,7 +389,7 @@ def test_acceptance_6_twist_calculus():
                 "u": (zero, zero, zero), "w": (zero, zero, zero)}
         flat = [x for gname in group.generators for x in vals[gname]]
         in_z1 = all(
-            sum((r * x for r, x in zip(row, flat)),
+            sum((cr.element(module.field, r) * x for r, x in zip(row, flat)),
                 cr.ff_zero(module.field)).is_zero() for row in rows)
         images = {}
         lm = 5

@@ -1,5 +1,6 @@
 """Tests for the truncated Witt-ring and finite-field arithmetic."""
 
+import functools
 import itertools
 import json
 import os
@@ -20,7 +21,7 @@ from wittlift.errors import (
     ParamMismatch,
     ZeroInverse,
 )
-from wittlift.linalg import nullspace, rref
+from wittlift.linalg import nullspace, rref, solve
 
 
 def test_make_field_rejects_bad_params():
@@ -599,7 +600,7 @@ def test_multiword_slots_match_schoolbook(case):
         for j in range(cols):
             terms = [_oracle_mulmod(a[i + k], b[k * cols + j], modulus, q) for k in range(inner)]
             expect.append(tuple(sum(cs) % q for cs in zip(*terms)))
-    assert list(cr._matmul(a, b, inner, cols, modulus, q)) == expect
+    assert list(cr._matmul(ring, a, b, inner, cols)) == expect
 
 
 def _oracle_is_irreducible(f, ell):
@@ -677,25 +678,53 @@ def _sparse_matrices(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_sparse_matrices())
 def test_rref_and_nullspace_match_full_row_update(case):
+    # linalg runs on canonical values; the oracle stays on elements
     f, rows = case
-    before = [list(r) for r in rows]
-    red, pivots = rref(rows)
+    values = [[x.coeffs for x in r] for r in rows]
+    before = [list(r) for r in values]
+    red, pivots = rref(values, f)
     expect, expect_pivots = _oracle_rref(rows)
-    assert rows == before  # the input is not modified
+    assert values == before  # the input is not modified
     assert pivots == expect_pivots
-    assert [[x.coeffs for x in r] for r in red] == \
-        [[x.coeffs for x in r] for r in expect]
+    assert red == [[x.coeffs for x in r] for r in expect]
     ncols = len(rows[0])
     free = [c for c in range(ncols) if c not in expect_pivots]
-    basis = nullspace(rows, f)
+    basis = nullspace(values, f)
     assert len(basis) == len(free)
     for vec, fc in zip(basis, free):
-        assert vec[fc] == cr.ff_one(f)
+        assert vec[fc] == cr.ff_one(f).coeffs
         for c in free:
             if c != fc:
-                assert vec[c].is_zero()
+                assert not any(vec[c])
         for i, pc in enumerate(expect_pivots):
-            assert vec[pc].coeffs == (-expect[i][fc]).coeffs
+            assert vec[pc] == (-expect[i][fc]).coeffs
+
+
+def _dot(row, x):
+    return functools.reduce(lambda s, t: s + t, [a * b for a, b in zip(row, x)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_sparse_matrices(), st.data())
+def test_solve_matches_oracle_consistency(case, data):
+    # a random rhs, or A x0 for a random x0 (always consistent); checked
+    # with element arithmetic against the oracle's echelon form
+    f, rows = case
+    ncols = len(rows[0])
+    elem = st.lists(st.integers(0, 4), min_size=f.d, max_size=f.d).map(
+        lambda cs: cr.element(f, tuple(cs)))
+    if data.draw(st.booleans()):
+        x0 = data.draw(st.lists(elem, min_size=ncols, max_size=ncols))
+        rhs = [_dot(r, x0) for r in rows]
+    else:
+        rhs = data.draw(st.lists(elem, min_size=len(rows), max_size=len(rows)))
+    _, pivots = _oracle_rref([r + [b] for r, b in zip(rows, rhs)])
+    x = solve([[a.coeffs for a in r] for r in rows], [b.coeffs for b in rhs], f)
+    if ncols in pivots:
+        assert x is None
+        return
+    assert len(x) == ncols and all(0 <= c < 5 for v in x for c in v)
+    assert [_dot(r, [cr.element(f, v) for v in x]) for r in rows] == rhs
 
 
 # ---------------------------------------------------------------------------

@@ -307,6 +307,28 @@ def test_oracle_rejects_dependent_patterns():
                            OracleConstraints(patterns=((cob, True),)))
 
 
+def test_oracle_pattern_of_unreduced_zeros_is_dependent():
+    # ff(5) is the zero of F_5 with an unreduced coefficient; the pattern's
+    # values reach the rank check reduced, so the class counts as zero
+    rho = deformation_tame(2)
+    group = rho.group
+    module = build_module(rho.reduce(1), 1)
+    zero = cr.FFElem(module.field, (5,))
+    coc = Cocycle(module, {g: (zero,) * 3 for g in group.generators})
+    with pytest.raises(ParamMismatch, match="dependent"):
+        oracle_find_places(group.places, rho,
+                           OracleConstraints(patterns=((coc, True),)))
+
+
+def test_oracle_refuses_patterns_over_two_fields():
+    rho = deformation_tame(2)
+    group = rho.group
+    patterns = tuple((_h1_complement_cocycles(group, build_module(rho.reduce(1), d))[0], True)
+                     for d in (1, 2))
+    with pytest.raises(ParamMismatch):
+        oracle_find_places(group.places, rho, OracleConstraints(patterns=patterns))
+
+
 def _h1_complement_cocycles(group, module):
     from wittlift import linalg
     z1, b1, _ = cocycle_space(group, module)

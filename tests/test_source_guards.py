@@ -1,13 +1,16 @@
 """Source guards over src/wittlift: every element is built by
-coeffring.element (or by type(x) inside an element method), and the names
-of the old field/Witt-ring split do not come back."""
+coeffring.element (or by type(x) inside an element method), the names of
+the old field/Witt-ring split and of the element bridges into linalg do not
+come back, and linalg, which runs on canonical values, names no element."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wittlift"
 ELEMENT_CLASSES = {"WittElem", "FFElem"}
-DELETED = {"FieldParams", "ff_embed", "_is_field"}
+DELETED = {"FieldParams", "ff_embed", "_is_field", "elem_matmul", "_matmul_entries"}
+# names that build or read an element; linalg uses none of them
+ELEMENT_NAMES = {"element", "ff_zero", "ff_one", "FFElem", "WittElem", "is_zero", "inverse"}
 
 
 def _identifiers(node):
@@ -34,6 +37,8 @@ def _violations(module, source):
         for name in _identifiers(node):
             if name in DELETED:
                 found.append(f"{module}:{node.lineno}: uses {name}")
+            if module == "linalg" and name in ELEMENT_NAMES:
+                found.append(f"{module}:{node.lineno}: uses the element name {name}")
         if isinstance(node, ast.Call):
             func = node.func
             callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
@@ -57,6 +62,14 @@ def test_guard_catches_what_it_forbids():
     assert _violations("coeffring", "ok = isinstance(r, FieldParams)\n")
     assert not _violations("coeffring", "def element(r, c):\n    return FFElem(r, c)\n")
     assert _violations("matlin", "def element(r, c):\n    return FFElem(r, c)\n")
+    assert _violations("lifting", "from .matlin import elem_matmul\n")
+    assert _violations("matlin", "def _matmul_entries(ring, a, b, inner, cols):\n    pass\n")
+    assert _violations("linalg", "inv = x.inverse()\n")
+    assert _violations("linalg", "if row[c].is_zero():\n    pass\n")
+    assert _violations("linalg", "from .coeffring import ff_one, ff_zero\n")
+    assert _violations("linalg", "v = cr.element(field, (1,))\n")
+    assert not _violations("linalg", "inv = cr._unit_inverse(field, x)\n")
+    assert not _violations("cohomology", "inv = x.inverse()\n")
 
 
 def test_elements_are_built_only_through_element():
