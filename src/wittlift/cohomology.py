@@ -6,14 +6,17 @@ contragredient dual.  Cocycles are stored by their values on generators and
 extended to words by f(gh) = f(g) + g.f(h); relator constraints become an
 explicit linear system, so Z^1 is a nullspace and B^1 an image.  Every such
 system comes from two maps memoised per word on the module, the Fox Jacobian
-and the rows of A_w - I, and is eliminated once.  Systems and their
-solutions hold Mat.entry_rows' canonical values; elements appear only where
-a cocycle's values are built (coeffring.element) or read (_entry_value).
+and the rows of A_w - I, and is eliminated once: over F_l when the module is
+an F_l module extended to F_{l^d} (GModule.base), with one right-hand-side
+column per coefficient over F_l.  Systems and their solutions hold canonical
+values; elements appear only where a cocycle's values are built
+(coeffring.element) or read (_entry_value).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 from . import coeffring as cr
@@ -31,7 +34,10 @@ from .matlin import Mat, _entry_value, _imul
 
 @dataclass(frozen=True)
 class GModule:
-    """A finite-dimensional module: an action matrix per generator."""
+    """A finite-dimensional module: an action matrix per generator.  When every
+    action entry is a constant, this module is M (x) k for the F_l module M = base;
+    as H^1(G, M (x) k) = H^1(G, M) (x) k, linear systems run on base, and act_gen's
+    inverses and word_matrix are base's, padded.  Otherwise base is the module."""
 
     field: object  # F_{l^d}, the ring W(F_{l^d})/l
     dim: int
@@ -46,6 +52,14 @@ class GModule:
     _delta: dict = dataclasses.field(default_factory=dict, init=False,
                                      repr=False, compare=False)
 
+    @functools.cached_property
+    def base(self):
+        if self.field.d == 1 or any(any(x[1:]) for a in self.action.values() for x in a.entries):
+            return self
+        f1 = cr.make_witt_ring(self.field.ell, 1, self.field.m)
+        return GModule(f1, self.dim, {name: Mat(f1, a.n, tuple([x[:1] for x in a.entries]))
+                                      for name, a in self.action.items()}, self.epsilon)
+
     def act_gen(self, name, e=1):
         if name not in self.action:
             raise UnknownGenerator(name)
@@ -53,10 +67,13 @@ class GModule:
             return self.action[name] ** e
         inv = self._inverses.get(name)
         if inv is None:
-            inv = self._inverses[name] = self.action[name].inverse()
+            inv = self._inverses[name] = (self.action[name].inverse() if self.base is self
+                                          else self.base.act_gen(name, -1).embed(self.field.d))
         return inv ** (-e)
 
     def word_matrix(self, word):
+        if self.base is not self:
+            return self.base.word_matrix(word).embed(self.field.d)
         acc = Mat.identity(self.field, self.dim)
         for name, e in word:
             acc = acc * self.act_gen(name, e)
@@ -87,6 +104,12 @@ def vec_is_zero(v):
     return all(x.is_zero() for x in v)
 
 
+def _padded(module, vecs):
+    """Vectors of values over module.base's field as vectors over module's."""
+    zeros = (0,) * (module.field.d - module.base.field.d)
+    return [[x + zeros for x in v] for v in vecs]
+
+
 # ---------------------------------------------------------------------------
 # module construction
 
@@ -105,26 +128,26 @@ def adjoint_from_coords(ring, coords):
 
 def build_module(rhobar, d):
     """The trace-zero conjugation module of a level-1 deformation, over F_{l^d};
-    dual_module gives its Cartier dual."""
+    dual_module gives its Cartier dual.  The conjugations run over F_l when
+    every residual entry is a constant, and the action is then padded."""
     if rhobar.ring.m != 1:
         raise ParamMismatch("build_module expects a level-1 deformation")
-    base = rhobar.ring
-    if d % base.d != 0:
+    if d % rhobar.ring.d != 0:
         raise ParamMismatch("coefficient degree must be a multiple of the residual degree")
-    field = cr.make_field(base.ell, d)
+    gens = rhobar.group.generators
+    std = GModule(rhobar.ring, 2, {name: rhobar.image(name) for name in gens}, {}).base
+    base = std.field
     basis = [
         Mat.from_ints(base, [[0, 1], [0, 0]]),   # e12
         Mat.from_ints(base, [[1, 0], [0, -1]]),  # h
         Mat.from_ints(base, [[0, 0], [1, 0]]),   # e21
     ]
     action = {}
-    for name in rhobar.group.generators:
-        g = rhobar.image(name)
-        ginv = g.inverse()
+    for name in gens:
+        g, ginv = std.act_gen(name), std.act_gen(name, -1)
         cols = [adjoint_coords(g * x * ginv) for x in basis]
-        rows = [[cr.embed(cols[j][i], d) for j in range(3)] for i in range(3)]
-        action[name] = Mat.from_rows(field, rows)
-    return GModule(field, 3, action, dict(rhobar.group.epsilon))
+        action[name] = Mat.from_rows(base, [[c[i] for c in cols] for i in range(3)]).embed(d)
+    return GModule(cr.make_field(base.ell, d), 3, action, dict(rhobar.group.epsilon))
 
 
 def module_from_action(field, action):
@@ -135,10 +158,11 @@ def module_from_action(field, action):
 
 def dual_module(module):
     """Contragredient twisted by epsilon, for any module with epsilon data:
-    each action matrix a becomes epsilon times its inverse transpose."""
-    action = {name: a.inverse().transpose().scale(
-                  cr.ff_from_int(a.ring, module.epsilon.get(name, 1)))
-              for name, a in module.action.items()}
+    each action matrix a becomes epsilon times its inverse transpose, on module.base."""
+    base = module.base
+    action = {name: base.act_gen(name, -1).transpose().scale(
+                  cr.ff_from_int(base.field, module.epsilon.get(name, 1))).embed(module.field.d)
+              for name in module.action}
     return GModule(module.field, module.dim, action, module.epsilon)
 
 
@@ -254,29 +278,28 @@ def coboundary_of(group, module, m_elem):
 
 def _coboundary_basis(group, module):
     """Echelonized B^1: the unit vectors' coboundaries are the columns of the
-    A_g - I stacked over the generators, and one rref of them gives it."""
-    stacked = [r for name in group.generators for r in module.delta(((name, 1),))]
-    red, pivots = linalg.rref([list(col) for col in zip(*stacked)], module.field)
-    return red[:len(pivots)]
+    A_g - I stacked over the generators, and one rref of them over module.base gives it."""
+    base = module.base
+    stacked = [r for name in group.generators for r in base.delta(((name, 1),))]
+    red, pivots = linalg.rref([list(col) for col in zip(*stacked)], base.field)
+    return _padded(module, red[:len(pivots)])
 
 
 def cocycle_space(group, module):
-    """(Z^1 basis, B^1 basis, h^1), the bases echelonized canonical-value vectors."""
-    z1 = linalg.nullspace(relator_system(group, module), module.field)
+    """(Z^1 basis, B^1 basis, h^1), echelonized canonical values, solved over module.base."""
+    base = module.base
+    z1 = linalg.nullspace(relator_system(group, base), base.field)
     b1 = _coboundary_basis(group, module)
-    h1 = len(z1) - len(b1)
-    return z1, b1, h1
+    return _padded(module, z1), b1, len(z1) - len(b1)
 
 
 def invariants_dim(group, module):
     """dim of the G-fixed subspace (common eigenspace for eigenvalue 1)."""
-    field, dim = module.field, module.dim
-    rows = []
-    ident = Mat.identity(field, dim)
-    for name in group.generators:
-        a = module.act_gen(name) - ident
-        rows.extend([list(r) for r in a.entry_rows])
-    return len(linalg.nullspace(rows, field))
+    base = module.base
+    ident = Mat.identity(base.field, base.dim)
+    rows = [list(r) for name in group.generators
+            for r in (base.act_gen(name) - ident).entry_rows]
+    return len(linalg.nullspace(rows, base.field))
 
 
 def cocycle_flat(group, cocycle):
@@ -293,39 +316,40 @@ def restrict_and_classify(f, place):
     """Classify f at a place: zero_class, unramified_nonzero, or ramified.
 
     The local group is generated by the sigma and tau words; its coboundaries
-    are pairs ((A_sigma - I)m, (A_tau - I)m).
+    are pairs ((A_sigma - I)m, (A_tau - I)m), solved over f.module.base.
     """
-    module, field = f.module, f.module.field
+    base, field = f.module.base, f.module.field
     fs = [_entry_value(field, x) for x in f(place.sigma)]
     ft = [_entry_value(field, x) for x in f(place.tau)]
     # stacked system: does some m give both components as coboundaries?
-    tau_rows = [list(r) for r in module.delta(place.tau)]
-    stacked = [list(r) for r in module.delta(place.sigma)] + tau_rows
-    if linalg.solve(stacked, fs + ft, field) is not None:
+    tau_rows = [list(r) for r in base.delta(place.tau)]
+    stacked = [list(r) for r in base.delta(place.sigma)] + tau_rows
+    if linalg.solve(stacked, fs + ft, base.field) is not None:
         return "zero_class"
-    if linalg.solve(tau_rows, ft, field) is not None:
+    if linalg.solve(tau_rows, ft, base.field) is not None:
         return "unramified_nonzero"
     return "ramified"
 
 
 def sha_kernel(group, module, places):
-    """Echelonized locally-trivial classes modulo coboundaries, as canonical-value vectors."""
-    field, dim, q = module.field, module.dim, module.field.q
+    """Echelonized locally-trivial classes modulo coboundaries, solved over module.base."""
+    base = module.base
+    field, dim, q = base.field, base.dim, base.field.q
     ncoc = len(group.generators) * dim  # cocycle coords, then one m_v per place
     places = list(places)
     pad = [(0,) * field.d] * (len(places) * dim)
-    rows = [r + pad for r in relator_system(group, module)]
+    rows = [r + pad for r in relator_system(group, base)]
     for pi, place in enumerate(places):
         for word in (place.sigma, place.tau):
             # f(word) - (A - I) m_v = 0, with f(word) the Fox Jacobian times f
-            for fox_row, delta_row in zip(fox_jacobian(group, module, word),
-                                          module.delta(word)):
+            for fox_row, delta_row in zip(fox_jacobian(group, base, word),
+                                          base.delta(word)):
                 row = list(fox_row) + pad
                 row[ncoc + pi * dim:ncoc + (pi + 1) * dim] = [_imul(x, -1, q) for x in delta_row]
                 rows.append(row)
     sols = linalg.nullspace(rows, field)
-    return linalg.independent_complement(_coboundary_basis(group, module),
-                                         [s[:ncoc] for s in sols], field)
+    return _padded(module, linalg.independent_complement(
+        _coboundary_basis(group, base), [s[:ncoc] for s in sols], field))
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +419,12 @@ def lift_solve(group, module, defects):
     The module must be the adjoint module of the residual representation at
     the lifts' coefficient degree.  On success the assignment c satisfies
     (Fox system) . c = -z, so (I + l^m c(g)) lift(g) kills every defect.
+    The system is module.base's, one right-hand-side column per coefficient over F_l.
     """
-    rows = relator_system(group, module)
+    base = module.base
     rhs = [-x for z in defects for x in z]
-    sol = linalg.solve(rows, [_entry_value(module.field, x) for x in rhs], module.field)
+    values = [_entry_value(module.field, x) for x in rhs]
+    sol = linalg.solve(relator_system(group, base), values or [(0,) * module.field.d], base.field)
     if sol is None:
         return LiftSolveResult(False, None, tuple(rhs))
     return LiftSolveResult(True, _vec_to_values(group, module, sol))

@@ -106,20 +106,14 @@ def _trace_weights(rres):
     return r10, r00 - r11, r01
 
 
-def _trace_row(group, module, word, rres):
+def _trace_row(group, module, word, weights):
     """Canonical-value coefficients of f -> tr(f~(word) rres) on flat cocycle
-    values, rres the residual image of the word: the weights times the
+    values, rres the residual image of the word and weights the values of its
+    _trace_weights (constants when module is over F_l): the weights times the
     word's Fox Jacobian, one fused dot product per column."""
     field, jac = module.field, fox_jacobian(group, module, word)
-    return cr._matmul(field, [_entry_value(field, w) for w in _trace_weights(rres)],
-                      [x for r in jac for x in r], len(jac), len(jac[0]))
-
-
-def _locked_rows(group, module, places):
-    """Rows forcing a cocycle's extension to vanish at sigma and tau words."""
-    rows = [list(r) for place in places for word in (place.sigma, place.tau)
-            for r in fox_jacobian(group, module, word)]
-    return rows, [(0,) * module.field.d] * len(rows)
+    return cr._matmul(field, [w[:field.d] for w in weights], [x for r in jac for x in r],
+                      len(jac), len(jac[0]))
 
 
 def solve_trace_targets(rho, module, targets, locked_places=()):
@@ -129,15 +123,18 @@ def solve_trace_targets(rho, module, targets, locked_places=()):
     Targets must agree with the current traces mod l^(m-1) (Inconsistent
     otherwise); an unsolvable system raises Unreachable, naming the place
     and the cause when a target asks to move a trace no twist can move.
+    The system is module.base's when the trace weights are constants too.
     """
     group = rho.group
     ring = rho.ring
     m = ring.m
     field = module.field
-    rows = relator_system(group, module)
+    images = [evaluate_word(rho, place.sigma) for place, _ in targets]
+    weights = [[_entry_value(field, w) for w in _trace_weights(im.residue())] for im in images]
+    sysmod = module if any(any(w[1:]) for ws in weights for w in ws) else module.base
+    rows = relator_system(group, sysmod)
     rhs = [(0,) * field.d] * len(rows)
-    for place, want in targets:
-        image = evaluate_word(rho, place.sigma)
+    for (place, want), image, ws in zip(targets, images, weights):
         cur = image.trace()
         diff = want - cur
         if diff.valuation() < m - 1:
@@ -145,19 +142,18 @@ def solve_trace_targets(rho, module, targets, locked_places=()):
                 f"target at {place.label} differs from the current trace "
                 f"below the top digit")
         u = cr.witt_digit(diff, m - 1)
-        rres = image.residue()
-        row = _trace_row(group, module, place.sigma, rres)
+        row = _trace_row(group, sysmod, place.sigma, ws)
         if not u.is_zero() and not any(map(any, row)):
             # tr(f * c I) = c tr f = 0 for every trace-zero f
+            rres = image.residue()
             scalar = rres == Mat.identity(rres.ring, rres.n).scale(rres.rows[0][0])
             raise Unreachable(f"trace functional at {place.label} vanishes"
                               + (": rhobar(sigma) is scalar" if scalar else ""))
         rows.append(row)
         rhs.append(_entry_value(field, u))
-    lrows, lrhs = _locked_rows(group, module, locked_places)
-    rows.extend(lrows)
-    rhs.extend(lrhs)
-    sol = linalg.solve(rows, rhs, field)
+    lrows = [list(r) for place in locked_places for word in (place.sigma, place.tau)
+             for r in fox_jacobian(group, sysmod, word)]
+    sol = linalg.solve(rows + lrows, rhs + [(0,) * field.d] * len(lrows), sysmod.field)
     if sol is None:
         raise Unreachable("trace targets are not in the span of the "
                           "twist functionals")
@@ -235,8 +231,8 @@ def _check_pattern_independence(group, patterns):
     if not patterns:
         return
     module = patterns[0][0].module
-    if any(coc.module.field != module.field for coc, _ in patterns):
-        raise ParamMismatch("constraint classes live over different fields")
+    if any(coc.module != module for coc, _ in patterns):
+        raise ParamMismatch("constraint classes live in different modules")
     b1 = _coboundary_basis(group, module)
     vecs = [cocycle_flat(group, coc) for coc, _ in patterns]
     if linalg.rank(b1 + vecs, module.field) != len(b1) + len(vecs):
@@ -254,6 +250,7 @@ def _localization_ranks(group, module, dmodule, s_r_places, q_places):
     all_places = list(s_r_places) + list(q_places)
     inj1 = len(sha_kernel(group, module, all_places)) == 0
     inj2 = len(sha_kernel(group, dmodule, all_places)) == 0
+    module = module.base
     dim = module.dim
     deltas = [module.delta(p.sigma) for p in q_places]
     want = sum(dim - linalg.rank(delta, module.field) for delta in deltas)

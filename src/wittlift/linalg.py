@@ -5,7 +5,8 @@ d-tuples with every coefficient in [0, l).  Every function takes the field
 those values live in and computes only through coeffring's two shared
 kernels, _matmul and _unit_inverse; no element object is built or read.
 Echelonization always picks the leftmost pivot in the topmost unprocessed
-row, so every basis this module returns is deterministic.
+row, so every basis this module returns is deterministic.  solve takes a
+block right-hand side, so that an F_l system solves F_{l^d} right-hand sides.
 """
 
 from __future__ import annotations
@@ -78,17 +79,20 @@ def nullspace(rows, field):
 
 
 def solve(rows, rhs, field):
-    """One solution of rows * x = rhs, or None if inconsistent."""
+    """One solution x of rows * x = rhs, or None if inconsistent.  Each rhs
+    entry is a block of k values over field laid end to end, one per column
+    of a block right-hand side, and so is each entry of x.  Over F_l a value
+    over F_{l^D} is such a block, its coefficients its coordinates over F_l."""
     if not rows:
         return []
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    ncols, w = len(rows[0]), field.d
+    aug = [list(r) + [b[i:i + w] for i in range(0, len(b), w)] for r, b in zip(rows, rhs)]
     red, pivots = rref(aug, field)
-    if ncols in pivots:
+    if pivots and pivots[-1] >= ncols:
         return None
-    x = [_one_zero(field)[1]] * ncols
+    x = [(0,) * len(rhs[0])] * ncols
     for i, pc in enumerate(pivots):
-        x[pc] = red[i][-1]
+        x[pc] = tuple([c for v in red[i][ncols:] for c in v])
     return x
 
 

@@ -111,6 +111,15 @@ def _det(ring, a, n):
     return cr._matmul(ring, a[:n], cof, n, 1)[0]
 
 
+def _mat(ring, n, entries):
+    """The Mat with these fields, filled into its __dict__: the frozen __init__'s
+    three object.__setattr__ calls cost a third of a 2 x 2 product at d = 1."""
+    m = object.__new__(Mat)
+    d = m.__dict__
+    d["ring"], d["n"], d["entries"] = ring, n, entries
+    return m
+
+
 @dataclass(frozen=True)
 class Mat:
     """Square n x n matrix over W(F_{l^d})/l^m, the field F_{l^d} at m = 1.
@@ -142,12 +151,12 @@ class Mat:
     @classmethod
     def identity(cls, ring, n):
         one, zero = _one_zero(ring)
-        return cls(ring, n, tuple([one if i == j else zero
-                                   for i in range(n) for j in range(n)]))
+        return _mat(ring, n, tuple([one if i == j else zero
+                                    for i in range(n) for j in range(n)]))
 
     @classmethod
     def zero(cls, ring, n):
-        return cls(ring, n, (_one_zero(ring)[1],) * (n * n))
+        return _mat(ring, n, (_one_zero(ring)[1],) * (n * n))
 
     @property
     def entry_rows(self):
@@ -171,7 +180,7 @@ class Mat:
         q = self.ring.q
         ents = [tuple([(s + sign * t) % q for s, t in zip(x, y)])
                 for x, y in zip(self.entries, other.entries)]
-        return Mat(self.ring, self.n, tuple(ents))
+        return _mat(self.ring, self.n, tuple(ents))
 
     def __add__(self, other):
         return self._add(other, 1)
@@ -182,7 +191,7 @@ class Mat:
     def __mul__(self, other):
         self._check(other)
         n = self.n
-        return Mat(self.ring, n, cr._matmul(self.ring, self.entries, other.entries, n, n))
+        return _mat(self.ring, n, cr._matmul(self.ring, self.entries, other.entries, n, n))
 
     def apply(self, vec):
         """The matrix times the column vector vec of elements over its ring,
@@ -193,11 +202,11 @@ class Mat:
 
     def transpose(self):
         n, a = self.n, self.entries
-        return Mat(self.ring, n, tuple([a[j * n + i] for i in range(n) for j in range(n)]))
+        return _mat(self.ring, n, tuple([a[j * n + i] for i in range(n) for j in range(n)]))
 
     def scale(self, s):
         """s times the matrix, for an element s over its ring."""
-        return Mat(self.ring, self.n, cr._matmul(
+        return _mat(self.ring, self.n, cr._matmul(
             self.ring, (_entry_value(self.ring, s),), self.entries, 1, self.n ** 2))
 
     def trace(self):
@@ -225,7 +234,7 @@ class Mat:
             det = _det(ring, a, 2)
             if not _is_unit(ring, det):
                 raise Singular("matrix is not invertible")
-            return Mat(ring, 2, cr._matmul(
+            return _mat(ring, 2, cr._matmul(
                 ring, (cr._unit_inverse(ring, det),),
                 (a[3], _imul(a[1], -1, q), _imul(a[2], -1, q), a[0]), 1, 4))
         one, zero = _one_zero(ring)
@@ -244,7 +253,7 @@ class Mat:
         others = [_product(ring, diag[:i] + diag[i + 1:]) for i in range(n)]
         dinv = cr._matmul(ring, (cr._unit_inverse(ring, _mul(ring, others[0], diag[0])),),
                           others, 1, n)
-        return Mat(ring, n, cr._matmul(
+        return _mat(ring, n, cr._matmul(
             ring, [dinv[i] if i == j else zero for i in range(n) for j in range(n)],
             [x for r in rows for x in r[n:]], n, n))
 
@@ -258,16 +267,20 @@ class Mat:
         if m2 > self.ring.m:
             raise ParamMismatch("cannot reduce to higher precision")
         ring2 = cr.make_witt_ring(self.ring.ell, self.ring.d, m2)
-        return Mat(ring2, self.n, _mod_entries(self.entries, ring2.q))
+        return _mat(ring2, self.n, _mod_entries(self.entries, ring2.q))
 
     def embed(self, d_big):
-        """The entrywise embed into W(F_{l^d_big})/l^m of a Witt-ring matrix."""
+        """The entrywise embed into W(F_{l^d_big})/l^m of a Witt-ring matrix; from
+        d = 1, in every modulus, each entry's coefficients padded with zeros."""
         ring = cr.make_witt_ring(self.ring.ell, d_big, self.ring.m)
+        if self.ring.d == 1:
+            zeros = (0,) * (d_big - 1)
+            return _mat(ring, self.n, tuple([x + zeros for x in self.entries]))
         return Mat.from_rows(ring, [[cr.embed(a, d_big) for a in r] for r in self.rows])
 
     def lift_trivial(self, m):
         ring = cr.make_witt_ring(self.ring.ell, self.ring.d, m)
-        return Mat(ring, self.n, _mod_entries(self.entries, ring.q))
+        return _mat(ring, self.n, _mod_entries(self.entries, ring.q))
 
     def __repr__(self):
         return f"Mat({[[list(a.coeffs) for a in r] for r in self.rows]})"
@@ -292,7 +305,7 @@ def char_poly(g):
         if k < n:
             ents = list(am.entries)
             ents[::n + 1] = [_sum(ring, (x, c[k])) for x in ents[::n + 1]]
-            am = g * Mat(ring, n, tuple(ents))
+            am = g * _mat(ring, n, tuple(ents))
     return [cr.element(ring, v) for v in reversed(c)]
 
 

@@ -1,5 +1,6 @@
 """Tests for cocycle spaces, local classification, and obstruction solving."""
 
+import contextlib
 import functools
 import itertools
 import random
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import wittlift.coeffring as cr
 from wittlift.cohomology import (
     Cocycle,
+    GModule,
     apply_adjustment,
     build_module,
     check_cocycle,
@@ -648,3 +650,125 @@ def test_delta_is_memoised_per_word():
             rows = module.delta(word)
             assert module.delta(word) is rows, label
             assert rows == (module.word_matrix(word) - ident).entry_rows, label
+
+
+# ---------------------------------------------------------------------------
+# modules extended from F_l: every system is solved over F_l
+
+
+def _extension_cases():
+    """(label, group, d -> module over F_{5^d}) for the finite suite extended
+    from F_5 and for the tame adjoint module and its dual."""
+    cases = []
+    for name, group, images, _ in finite_groups():
+        for mod_name, module in module_suite(group, images):
+            cases.append((f"{name}/{mod_name}", group, lambda d, m=module: module_from_action(
+                cr.make_field(5, d), {g: a.embed(d) for g, a in m.action.items()})))
+    rho = residual_tame()
+    cases.append(("tame", rho.group, lambda d: build_module(rho, d)))
+    cases.append(("tame dual", rho.group, lambda d: dual_module(build_module(rho, d))))
+    return cases
+
+
+EXTENSION_CASES = _extension_cases()
+
+
+@contextlib.contextmanager
+def _over_the_extension():
+    """A context in which GModule.base is the module itself, so that every
+    system is built and eliminated over F_{5^d} on the padded action."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GModule, "base", property(lambda self: self))
+        yield
+
+
+def _outcome(fn, *args):
+    """fn(*args), or its exception's type and message."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # both sides must fail the same way
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_extended_modules_solve_over_f_ell_as_over_the_extension(data):
+    label, group, make = data.draw(st.sampled_from(EXTENSION_CASES))
+    d = data.draw(st.sampled_from((2, 4, 16)))
+    module = make(d)
+    assert module.base.field == F5, label
+    field = module.field
+    elem = st.lists(st.integers(0, 4), min_size=d, max_size=d).map(
+        lambda cs: cr.element(field, tuple(cs)))
+    places = data.draw(st.lists(st.sampled_from(group.places), max_size=3,
+                                unique_by=lambda p: p.label)) if group.places else []
+    if data.draw(st.booleans()):  # defects of a cocycle's values: solvable
+        values = {g: tuple(data.draw(elem) for _ in range(module.dim))
+                  for g in group.generators}
+        defects = [tuple(-x for x in cocycle_eval(module, values, rel))
+                   for rel in group.relators]
+    else:
+        defects = [tuple(data.draw(elem) for _ in range(module.dim))
+                   for _ in group.relators]
+
+    def run(mod):
+        return (cocycle_space(group, mod), sha_kernel(group, mod, places),
+                _outcome(lift_solve, group, mod, defects), invariants_dim(group, mod))
+
+    got = run(module)
+    with _over_the_extension():
+        assert make(d).base.field == field
+        want = run(make(d))
+    assert got == want, label
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_trace_solves_over_f_ell_match_the_extension(data):
+    from wittlift.lifting import solve_trace_targets
+    d = data.draw(st.sampled_from((2, 4, 16)))
+    rho = deformation_tame(2).embed(d)
+    group, field = rho.group, rho.ring.residue_field
+    if data.draw(st.booleans()):
+        # a scalar 1 + X leaves the adjoint module alone but puts the trace
+        # weights outside F_5: the system then stays over F_{5^d}
+        lam = cr.lift_trivial(cr.element(field, (1, 1) + (0,) * (d - 2)), 2)
+        rho = Deformation(group, rho.ring, {g: a.scale(lam) for g, a in rho.images.items()})
+    dual = data.draw(st.booleans())
+    # q03, q04 and q05 are the places whose traces a twist can move
+    movable = st.sampled_from([p for p in group.places if p.label in ("q03", "q04", "q05")])
+    targets = []
+    for place in data.draw(st.lists(movable, min_size=1, max_size=2, unique_by=lambda p: p.label)):
+        u = cr.element(field, tuple(data.draw(st.lists(st.integers(0, 4), min_size=d,
+                                                        max_size=d))))
+        cur = evaluate_word(rho, place.sigma).trace()
+        targets.append((place, cur + cr.witt_scale(cr.lift_trivial(u, 2), 5)))
+    locked = data.draw(st.lists(st.sampled_from(group.places), max_size=1))
+
+    def run():
+        module = build_module(residual_tame(), d)
+        return _outcome(solve_trace_targets, rho, dual_module(module) if dual else module,
+                        targets, locked)
+
+    got = run()
+    with _over_the_extension():
+        want = run()
+    assert got == want
+
+
+def test_sha_kernel_of_an_extended_module_eliminates_over_f_ell(monkeypatch):
+    rho = residual_tame()
+    module = build_module(rho, 4)
+    want = [sha_kernel(rho.group, mod, rho.group.places) for mod in (module, dual_module(module))]
+    from wittlift import linalg
+    rref = linalg.rref
+
+    def f_ell_rref(rows, field):
+        if field.d > 1:
+            raise AssertionError(f"rref over {field}")
+        return rref(rows, field)
+
+    monkeypatch.setattr(linalg, "rref", f_ell_rref)  # rank, nullspace and solve call it
+    module = build_module(rho, 4)
+    assert [sha_kernel(rho.group, mod, rho.group.places)
+            for mod in (module, dual_module(module))] == want

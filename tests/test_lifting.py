@@ -329,6 +329,18 @@ def test_oracle_refuses_patterns_over_two_fields():
         oracle_find_places(group.places, rho, OracleConstraints(patterns=patterns))
 
 
+def test_oracle_refuses_patterns_from_two_modules():
+    # an H^1 class of the tame adjoint module and one of its dual share the
+    # field, but only classes of one module can be independent in its H^1
+    rho = deformation_tame(2)
+    group = rho.group
+    module = build_module(rho.reduce(1), 1)
+    patterns = tuple((_h1_complement_cocycles(group, mod)[0], True)
+                     for mod in (module, dual_module(module)))
+    with pytest.raises(ParamMismatch, match="different modules"):
+        oracle_find_places(group.places, rho, OracleConstraints(patterns=patterns))
+
+
 def _h1_complement_cocycles(group, module):
     from wittlift import linalg
     z1, b1, _ = cocycle_space(group, module)
@@ -510,6 +522,23 @@ def _check_pinned_tower(max_level, sha256):
     data = json.loads(text)
     assert verify_tower_dict(data["tower"]) == []
     assert check_certificate(data["certificate"]) == []
+
+
+def test_tame_tower_to_level_5_eliminates_only_over_f_ell(monkeypatch):
+    # every system of the tower comes from the tame adjoint module over F_5
+    from wittlift import linalg
+    want = build_tower(_tame_plan(5))
+    rref = linalg.rref
+
+    def f_ell_rref(rows, field):
+        if field.d > 1:
+            raise AssertionError(f"rref over {field}")
+        return rref(rows, field)
+
+    monkeypatch.setattr(linalg, "rref", f_ell_rref)
+    tower, cert = build_tower(_tame_plan(5))
+    assert tower.levels[-1].rho.ring.d == 16
+    assert (tower_to_json_dict(tower), cert) == (tower_to_json_dict(want[0]), want[1])
 
 
 # sha256 of the level-8 tame tower and certificate, recorded at tower schema 2

@@ -23,7 +23,12 @@ Times, over W(F_{5^d})/5^m (unless said otherwise) with m the tower level of deg
 * the H^1 layer: cocycle_space over the finite suite (every finite group
   with every module of its suite, one call for the batch), and sha_kernel
   over all places of the tame module at d in {1, 2, 4}.  Each call builds
-  its modules, so their memo tables start empty.
+  its modules, so their memo tables start empty;
+* a tower step's two solves at d in {16, 128, 512, 2048}: lift_solve of the
+  tame adjoint module over F_{5^d} on solvable defects (those of a random
+  cocycle), and solve_trace_targets of deformation_tame(m) embedded into
+  W(F_{5^d})/5^m with a random top digit of the trace at q03 as the target.
+  Each call builds the module too, as the tower step does.
 
 Every timed call gets random operands drawn from SEED, with a unit
 determinant, so the numbers of two checkouts compare the same work.  Each
@@ -62,9 +67,13 @@ sys.path.insert(0, str(ROOT / "benchmarks"))
 
 import speed  # noqa: E402
 import wittlift.coeffring as cr  # noqa: E402
-from wittlift.cohomology import build_module, cocycle_space, sha_kernel  # noqa: E402
+from wittlift.cohomology import (  # noqa: E402
+    build_module, cocycle_eval, cocycle_space, lift_solve, sha_kernel)
+from wittlift.galois_model import evaluate_word  # noqa: E402
+from wittlift.lifting import solve_trace_targets  # noqa: E402
 from wittlift.matlin import Mat, find_split_diagonal, integral_model, kelem_from_rational  # noqa: E402
-from wittlift.presets import finite_groups, module_suite, residual_tame  # noqa: E402
+from wittlift.presets import (  # noqa: E402
+    deformation_tame, finite_groups, module_suite, residual_tame)
 from workloads import Finite  # noqa: E402
 
 ELL = 5
@@ -72,6 +81,7 @@ DEGREES = (1, 2, 16, 128, 512, 2048)
 # (l, d): binomial moduli at l = 5; at l = 7 = 3 mod 4, 4 | d, none exist
 FROBENIUS_CASES = ((5, 8), (5, 32), (5, 128), (5, 512), (7, 4), (7, 8), (7, 16))
 SHA_DEGREES = (1, 2, 4)
+SOLVE_DEGREES = (16, 128, 512, 2048)
 SIZES = (2, 3)
 BUDGET_S = 0.3
 MIN_CALLS = 5
@@ -217,6 +227,22 @@ def main(argv=None):
                       **time_calls(lambda: sha_kernel(rhobar.group, build_module(rhobar, d),
                                                       places))})
     print(json.dumps(cases[-1 - len(SHA_DEGREES):]), file=sys.stderr)
+    group = rhobar.group
+    for d in SOLVE_DEGREES:
+        m, module = level(d), build_module(rhobar, d)
+        values = {g: tuple(random_elem(module.field, rng) for _ in range(3))
+                  for g in group.generators}
+        defects = [tuple(-x for x in cocycle_eval(module, values, rel)) for rel in group.relators]
+        cases.append({"op": "lift_solve", "module": "tame adjoint", "d": d,
+                      **time_calls(lambda: lift_solve(group, build_module(rhobar, d), defects))})
+        rho = deformation_tame(m, ELL).embed(d)
+        place = group.place("q03")
+        u = cr.lift_trivial(random_elem(module.field, rng), m)
+        target = evaluate_word(rho, place.sigma).trace() + cr.witt_scale(u, ELL ** (m - 1))
+        cases.append({"op": "solve_trace_targets", "module": "tame adjoint", "d": d, "m": m,
+                      **time_calls(lambda: solve_trace_targets(
+                          rho, build_module(rhobar, d), [(place, target)]))})
+        print(json.dumps(cases[-2:]), file=sys.stderr)
     report = {"benchmark": "kernel", "ell": ELL, "seed": SEED,
               "budget_s": BUDGET_S, "sample_every_s": SAMPLE_EVERY_S,
               "ref_chunk_ms": speed.REF_CHUNK_S * 1e3,
