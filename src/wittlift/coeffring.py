@@ -237,14 +237,16 @@ def _poly_inverse(a, modulus, ell):
 
 
 def _unit_inverse(ring, x):
-    """Inverse of the unit with canonical value x over ring (q = l^m): pow
-    at d = 1, else the residual inverse lifted by Newton steps (none when
-    q = l, the field case).  Raises ZeroInverse when x is not a unit."""
+    """Inverse of the unit with canonical value x over ring (q = l^m).  A
+    constant x (every coefficient past the first 0, so every value at d = 1)
+    is an integer unit mod q, inverted by pow at any d.  Otherwise the
+    residual inverse by the extended Euclid, lifted by Newton steps (none
+    when q = l, the field case).  Raises ZeroInverse when x is not a unit."""
     modulus, ell, q = ring.lifted_modulus, ring.ell, ring.q
-    if len(x) == 1:
+    if not any(x[1:]):
         if not x[0] % ell:
             raise ZeroInverse("not a unit")
-        return (pow(x[0], -1, q),)
+        return (pow(x[0], -1, q),) + (0,) * (len(x) - 1)
     y = _poly_inverse(x, modulus, ell)
     # y <- y(2 - xy) doubles the number of correct l-adic digits
     k = ell
@@ -413,7 +415,7 @@ class WittElem:
     __pow__ = _power
 
     def inverse(self):
-        """Inverse of a unit: pow at d = 1, else residual inverse plus Newton lifting."""
+        """Inverse of a unit: pow for a constant, else residual inverse plus Newton lifting."""
         if not self.is_unit():
             raise ZeroInverse("not a unit")
         r = self.ring

@@ -8,9 +8,12 @@ explicit linear system, so Z^1 is a nullspace and B^1 an image.  Every such
 system comes from two maps memoised per word on the module, the Fox Jacobian
 and the rows of A_w - I, and is eliminated once: over F_l when the module is
 an F_l module extended to F_{l^d} (GModule.base), with one right-hand-side
-column per coefficient over F_l.  Systems and their solutions hold canonical
-values; elements appear only where a cocycle's values are built
-(coeffring.element) or read (_entry_value).
+column per coefficient over F_l.  build_module memoises its modules on the
+residual deformation, and the extensions of one F_l module share it as
+their base, so a tower computes these maps once for all its levels.
+Systems and their solutions hold canonical values; elements appear only
+where a cocycle's values are built (coeffring.element) or read
+(_entry_value).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .errors import (
     UnknownGenerator,
 )
 from .galois_model import Deformation, evaluate_word
-from .matlin import Mat, _entry_value, _imul
+from .matlin import Mat, _entry_value, _imul, _mod_entries
 
 
 @dataclass(frozen=True)
@@ -37,7 +40,9 @@ class GModule:
     """A finite-dimensional module: an action matrix per generator.  When every
     action entry is a constant, this module is M (x) k for the F_l module M = base;
     as H^1(G, M (x) k) = H^1(G, M) (x) k, linear systems run on base, and act_gen's
-    inverses and word_matrix are base's, padded.  Otherwise base is the module."""
+    inverses and word_matrix are base's, padded.  Otherwise base is the module.
+    The extensions of one F_l module made by extended share it as their base,
+    and so its memo tables."""
 
     field: object  # F_{l^d}, the ring W(F_{l^d})/l
     dim: int
@@ -54,11 +59,23 @@ class GModule:
 
     @functools.cached_property
     def base(self):
+        """The F_l module whose extension this is, read from the action's
+        values, or the module itself; set by extended to the F_l module it
+        extends, so that every degree's module of one tower shares it."""
         if self.field.d == 1 or any(any(x[1:]) for a in self.action.values() for x in a.entries):
             return self
         f1 = cr.make_witt_ring(self.field.ell, 1, self.field.m)
         return GModule(f1, self.dim, {name: Mat(f1, a.n, tuple([x[:1] for x in a.entries]))
                                       for name, a in self.action.items()}, self.epsilon)
+
+    def extended(self, d):
+        """This module over F_{l^d}, d a multiple of its degree: the same action,
+        embedded.  The extension of an F_l module has it as its base."""
+        out = GModule(cr.make_field(self.field.ell, d), self.dim,
+                      {name: a.embed(d) for name, a in self.action.items()}, self.epsilon)
+        if self.field.d == 1:
+            out.__dict__["base"] = self  # where the cached_property keeps it
+        return out
 
     def act_gen(self, name, e=1):
         if name not in self.action:
@@ -120,34 +137,40 @@ def adjoint_coords(mat22):
     return (b, a, c)
 
 
-def adjoint_from_coords(ring, coords):
-    """Inverse of adjoint_coords: (b, a, c) -> [[a, b], [c, -a]]."""
-    b, a, c = coords
-    return Mat.from_rows(ring, [[a, b], [c, -a]])
-
-
 def build_module(rhobar, d):
     """The trace-zero conjugation module of a level-1 deformation, over F_{l^d};
-    dual_module gives its Cartier dual.  The conjugations run over F_l when
-    every residual entry is a constant, and the action is then padded."""
+    dual_module gives its Cartier dual.  The conjugations run once per rhobar,
+    memoised on it: over F_l when every residual entry is a constant, and
+    every degree's module is then extended from that F_l module, its base, so
+    that Fox Jacobians, delta rows and inverse actions are computed once for
+    all degrees."""
     if rhobar.ring.m != 1:
         raise ParamMismatch("build_module expects a level-1 deformation")
     if d % rhobar.ring.d != 0:
         raise ParamMismatch("coefficient degree must be a multiple of the residual degree")
-    gens = rhobar.group.generators
-    std = GModule(rhobar.ring, 2, {name: rhobar.image(name) for name in gens}, {}).base
-    base = std.field
+    images = rhobar.images.values()
+    e = 1 if all(not any(x[1:]) for g in images for x in g.entries) else rhobar.ring.d
+    core = rhobar._modules.get(e)
+    if core is None:
+        core = rhobar._modules[e] = _conjugation_module(rhobar, cr.make_field(rhobar.ring.ell, e))
+    return core if d == e else core.extended(d)
+
+
+def _conjugation_module(rhobar, field):
+    """The conjugation action on (e12, h, e21) over field, F_l or rhobar's
+    field, from rhobar's images and memoised inverses cut to field's degree."""
     basis = [
-        Mat.from_ints(base, [[0, 1], [0, 0]]),   # e12
-        Mat.from_ints(base, [[1, 0], [0, -1]]),  # h
-        Mat.from_ints(base, [[0, 0], [1, 0]]),   # e21
+        Mat.from_ints(field, [[0, 1], [0, 0]]),   # e12
+        Mat.from_ints(field, [[1, 0], [0, -1]]),  # h
+        Mat.from_ints(field, [[0, 0], [1, 0]]),   # e21
     ]
     action = {}
-    for name in gens:
-        g, ginv = std.act_gen(name), std.act_gen(name, -1)
+    for name in rhobar.group.generators:
+        g, ginv = (Mat(field, 2, tuple([x[:field.d] for x in a.entries]))
+                   for a in (rhobar.image(name), rhobar.inverse_image(name)))
         cols = [adjoint_coords(g * x * ginv) for x in basis]
-        action[name] = Mat.from_rows(base, [[c[i] for c in cols] for i in range(3)]).embed(d)
-    return GModule(cr.make_field(base.ell, d), 3, action, dict(rhobar.group.epsilon))
+        action[name] = Mat.from_rows(field, [[c[i] for c in cols] for i in range(3)])
+    return GModule(field, 3, action, dict(rhobar.group.epsilon))
 
 
 def module_from_action(field, action):
@@ -220,12 +243,17 @@ def fox_jacobian(group, module, word):
     P A^(e-1) to g's block (A the action of g); with e < 0 it subtracts
     P A^-1, ..., P A^e.  Memoised on the module; rows are tuples of canonical values.
     """
-    memo_key = (group.generators, word)
+    return _fox_rows(group.generators, module, word)
+
+
+def _fox_rows(generators, module, word):
+    """fox_jacobian with its columns in the order of these generators."""
+    memo_key = (generators, word)
     rows = module._fox.get(memo_key)
     if rows is not None:
         return rows
     field, dim = module.field, module.dim
-    index = {name: gi for gi, name in enumerate(group.generators)}
+    index = {name: gi for gi, name in enumerate(generators)}
     blocks = [Mat.zero(field, dim)] * len(index)
     prefix = Mat.identity(field, dim)
     for name, e in word:
@@ -312,15 +340,29 @@ def cocycle_flat(group, cocycle):
 # local restriction and the locally-trivial kernel
 
 
+def _word_values(f, word):
+    """f(word) as canonical values: the Fox Jacobian over f.module.base times
+    the flat values of f, each a block of coefficient columns over base's
+    field (as in linalg.solve), so that one product gives every coefficient."""
+    base, field = f.module.base, f.module.field
+    gens, w = tuple(f.values), base.field.d
+    jac = _fox_rows(gens, base, word)
+    cols = field.d // w
+    values = [_entry_value(field, x) for name in gens for x in f.values[name]]
+    flat = [v[i:i + w] for v in values for i in range(0, field.d, w)]
+    prod = cr._matmul(base.field, [x for r in jac for x in r], flat, len(flat) // cols, cols)
+    return [tuple([c for v in prod[i:i + cols] for c in v]) for i in range(0, len(prod), cols)]
+
+
 def restrict_and_classify(f, place):
     """Classify f at a place: zero_class, unramified_nonzero, or ramified.
 
     The local group is generated by the sigma and tau words; its coboundaries
-    are pairs ((A_sigma - I)m, (A_tau - I)m), solved over f.module.base.
+    are pairs ((A_sigma - I)m, (A_tau - I)m), solved over f.module.base, and
+    f's values at the two words come from base's Fox Jacobians (_word_values).
     """
-    base, field = f.module.base, f.module.field
-    fs = [_entry_value(field, x) for x in f(place.sigma)]
-    ft = [_entry_value(field, x) for x in f(place.tau)]
+    base = f.module.base
+    fs, ft = _word_values(f, place.sigma), _word_values(f, place.tau)
     # stacked system: does some m give both components as coboundaries?
     tau_rows = [list(r) for r in base.delta(place.tau)]
     stacked = [list(r) for r in base.delta(place.sigma)] + tau_rows
@@ -430,18 +472,27 @@ def lift_solve(group, module, defects):
     return LiftSolveResult(True, _vec_to_values(group, module, sol))
 
 
-def adjoint_step(ring, coords, k):
-    """I + l^k [[a, b], [c, -a]] over the Witt ring ring, for adjoint
-    coordinates (b, a, c) over its residue field."""
-    add = adjoint_from_coords(ring, tuple(
-        cr.witt_scale(cr.lift_trivial(x, ring.m), ring.ell ** k) for x in coords))
-    return Mat.identity(ring, 2) + add
+def adjoint_mul(coords, g, k):
+    """(I + l^k C) g for C = [[a, b], [c, -a]], adjoint coordinates (b, a, c)
+    over the residue field of g's ring W/l^m and 0 <= k < m, lifted trivially.
+    It is g + l^k lift(C (g mod l^(m-k))), as l^k x mod l^m depends only on
+    x mod l^(m-k): one 2 x 2 product over W/l^(m-k), over the residue field
+    when k = m - 1 as in every tower step."""
+    ring = g.ring
+    if not 0 <= k < ring.m:
+        raise ParamMismatch(f"adjoint step l^{k} at precision {ring.m}")
+    low = cr.make_witt_ring(ring.ell, ring.d, ring.m - k)
+    q, s = ring.q, ring.ell ** k
+    b, a, c = [_entry_value(ring.residue_field, x) for x in coords]
+    prod = cr._matmul(low, (a, b, c, _imul(a, -1, low.q)), _mod_entries(g.entries, low.q), 2, 2)
+    return Mat(ring, 2, tuple([tuple([(x + s * y) % q for x, y in zip(gx, px)])
+                               for gx, px in zip(g.entries, prod)]))
 
 
 def apply_adjustment(lifts, adjustment, m):
-    """Replace each lift g by (I + l^m c(g)) . lift(g)."""
-    return {name: adjoint_step(lift.ring, adjustment[name], m) * lift
-            for name, lift in lifts.items()}
+    """Replace each level-(m+1) lift g by (I + l^m c(g)) . g, through
+    adjoint_mul: one product over the residue field."""
+    return {name: adjoint_mul(adjustment[name], lift, m) for name, lift in lifts.items()}
 
 
 def check_cocycle(group, module, values):

@@ -154,18 +154,22 @@ class Deformation:
     """Level-m, degree-d representation of a ModelGroup by generator images.
 
     images must not change after construction: evaluate_word memoises word
-    products and generator inverses on the deformation.
+    products and generator inverses on the deformation, and
+    cohomology.build_module its conjugation module.
     """
 
     group: ModelGroup
     ring: object  # WittRingParams
     images: dict  # generator name -> Mat
-    # memo tables, filled on first use: word -> product, and generator name
-    # -> inverse image
+    # memo tables, filled on first use: word -> product, generator name ->
+    # inverse image, and degree e -> build_module's conjugation module over
+    # F_{l^e} (e = 1 when every entry is a constant)
     _words: dict = dataclasses.field(default_factory=dict, init=False,
                                      repr=False, compare=False)
     _inverses: dict = dataclasses.field(default_factory=dict, init=False,
                                         repr=False, compare=False)
+    _modules: dict = dataclasses.field(default_factory=dict, init=False,
+                                       repr=False, compare=False)
 
     def __post_init__(self):
         for name, eps in self.group.epsilon.items():
@@ -177,6 +181,13 @@ class Deformation:
         if name not in self.images:
             raise UnknownGenerator(name)
         return self.images[name]
+
+    def inverse_image(self, name):
+        """The inverse of a generator image, computed at most once."""
+        inv = self._inverses.get(name)
+        if inv is None:
+            inv = self._inverses[name] = self.image(name).inverse()
+        return inv
 
     def reduce(self, m2):
         ring2 = cr.make_witt_ring(self.ring.ell, self.ring.d, m2)
@@ -198,12 +209,10 @@ def evaluate_word(rho, word):
     if acc is not None:
         return acc
     for name, e in word:
-        x = rho.image(name)
         if e < 0:
-            inv = rho._inverses.get(name)
-            if inv is None:
-                inv = rho._inverses[name] = x.inverse()
-            x, e = inv, -e
+            x, e = rho.inverse_image(name), -e
+        else:
+            x = rho.image(name)
         x = x ** e
         acc = x if acc is None else acc * x
     if acc is None:

@@ -19,7 +19,7 @@ from . import linalg
 from .cohomology import (
     Cocycle,
     _coboundary_basis,
-    adjoint_step,
+    adjoint_mul,
     apply_adjustment,
     build_module,
     cocycle_eval,
@@ -72,14 +72,16 @@ TOWER_SCHEMA_VERSION = 2
 
 
 def twist(rho, f):
-    """g -> (I + l^(m-1) f~(g)) rho(g); validates the result is a homomorphism."""
+    """g -> (I + l^(m-1) f~(g)) rho(g), each by adjoint_mul's one product over
+    the residue field; validates the result is a homomorphism by evaluating
+    every relator."""
     ring = rho.ring
     m = ring.m
     if m < 2:
         raise ParamMismatch("twisting needs level m >= 2")
     if f.module.field.d != ring.d:
         raise ParamMismatch("cocycle degree does not match the deformation")
-    images = {name: adjoint_step(ring, f.values[name], m - 1) * rho.image(name)
+    images = {name: adjoint_mul(f.values[name], rho.image(name), m - 1)
               for name in rho.group.generators}
     out = Deformation(rho.group, ring, images)
     for rel in rho.group.relators:
@@ -346,11 +348,14 @@ class Tower:
 
 
 def tower_step(rho_m, plan, level):
-    """One stage: embed to degree 2^m, lift, repair relators, twist traces."""
+    """One stage: embed to degree 2^m, lift, repair relators, twist traces.
+    rho_m must reduce to plan.rhobar, whose memoised module serves every step."""
     group = rho_m.group
     m = rho_m.ring.m
     if level != m + 1:
         raise ParamMismatch("tower_step must target the next level")
+    if rho_m.reduce(1).images != plan.rhobar.embed(rho_m.ring.d).images:
+        raise ParamMismatch("rho_m does not reduce to the plan's residual representation")
     d_big = 2 ** m
     embedded = rho_m.embed(d_big)
     lifts = {}
@@ -358,7 +363,7 @@ def tower_step(rho_m, plan, level):
         lifted = embedded.image(name).lift_trivial(m + 1)
         lifts[name] = normalize_det(group, name, lifted)
     ring1 = next(iter(lifts.values())).ring
-    module = build_module(rho_m.reduce(1), d_big)
+    module = build_module(plan.rhobar, d_big)
     defects = relator_defects(embedded, lifts)
     res = lift_solve(group, module, defects)
     if not res.ok:

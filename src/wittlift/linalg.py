@@ -2,8 +2,9 @@
 
 Matrices are lists of row lists of the values Mat.entries holds: coefficient
 d-tuples with every coefficient in [0, l).  Every function takes the field
-those values live in and computes only through coeffring's two shared
-kernels, _matmul and _unit_inverse; no element object is built or read.
+those values live in and computes through coeffring's two shared kernels,
+_matmul and _unit_inverse, except that rref runs its row updates at d = 1 on
+the unwrapped ints; no element object is built or read.
 Echelonization always picks the leftmost pivot in the topmost unprocessed
 row, so every basis this module returns is deterministic.  solve takes a
 block right-hand side, so that an F_l system solves F_{l^d} right-hand sides.
@@ -22,36 +23,49 @@ def rref(rows, field):
     columns where it is nonzero) is recorded once.  The pivot row is scaled
     by one 1 x k product there, and every other row is updated in place on
     those columns only: row - x * pivot row as one 1 x 2 by 2 x k product.
+    At d = 1 the 1-tuples are unwrapped to ints once, the same updates run on
+    the ints mod l, and the values are wrapped again at the end.
     """
-    rows = [list(r) for r in rows]
+    ints = field.d == 1
+    rows = [[x for (x,) in r] if ints else list(r) for r in rows]
     if not rows:
         return rows, []
     ncols = len(rows[0])
     one, q = _one_zero(field)[0], field.q
+    nonzero = bool if ints else any
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if any(rows[i][c])), None)
+        pr = next((i for i in range(r, len(rows)) if nonzero(rows[i][c])), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         prow = rows[r]
-        support = [j for j in range(c, ncols) if any(prow[j])]
-        pvals = list(cr._matmul(field, (cr._unit_inverse(field, prow[c]),),
-                                [prow[j] for j in support], 1, len(support)))
+        support = [j for j in range(c, ncols) if nonzero(prow[j])]
+        if ints:
+            inv = cr._unit_inverse(field, (prow[c],))[0]
+            pvals = [prow[j] * inv % q for j in support]
+        else:
+            pvals = list(cr._matmul(field, (cr._unit_inverse(field, prow[c]),),
+                                    [prow[j] for j in support], 1, len(support)))
         for j, v in zip(support, pvals):
             prow[j] = v
         for row in rows:
             x = row[c]
-            if row is not prow and any(x):
-                new = cr._matmul(field, (one, _imul(x, -1, q)),
-                                 [row[j] for j in support] + pvals, 2, len(support))
+            if row is not prow and nonzero(x):
+                if ints:
+                    new = [(row[j] - x * v) % q for j, v in zip(support, pvals)]
+                else:
+                    new = cr._matmul(field, (one, _imul(x, -1, q)),
+                                     [row[j] for j in support] + pvals, 2, len(support))
                 for j, v in zip(support, new):
                     row[j] = v
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
+    if ints:
+        rows = [[(x,) for x in row] for row in rows]
     return rows, pivots
 
 

@@ -135,6 +135,33 @@ def test_witt_unit_inverse():
     assert x * x.inverse() == cr.witt_one(ring)
 
 
+def _euclid_newton_inverse(ring, x):
+    """The inverse of x as non-constant units get it: the extended Euclid's
+    residual inverse, then Newton's y <- y(2 - xy) in element arithmetic."""
+    xe = cr.element(ring, x)
+    y = cr.element(ring, cr._poly_inverse(x, ring.lifted_modulus, ring.ell))
+    two = cr.witt_from_int(ring, 2)
+    for _ in range(ring.m.bit_length()):  # each step doubles the correct digits
+        y = y * (two - xe * y)
+    return y.coeffs
+
+
+@pytest.mark.parametrize("d", [2, 4, 16, 2048])
+def test_constant_unit_inverse_matches_euclid_and_newton(d):
+    rng = random.Random(d)
+    for m in (1, 2, 3, 7, 12):
+        ring = cr.make_witt_ring(5, d, m)
+        for c in [1, ring.q - 1] + [rng.randrange(ring.q) for _ in range(6)]:
+            x = (c,) + (0,) * (d - 1)
+            if c % 5:
+                assert cr._unit_inverse(ring, x) == _euclid_newton_inverse(ring, x)
+            else:
+                with pytest.raises(ZeroInverse):
+                    cr._unit_inverse(ring, x)
+        with pytest.raises(ZeroInverse):
+            cr._unit_inverse(ring, (5 % ring.q,) + (0,) * (d - 1))
+
+
 def test_reduce_is_ring_map():
     ring = cr.make_witt_ring(5, 2, 3)
     x = cr.WittElem(ring, (17, 93))

@@ -13,6 +13,7 @@ import wittlift.coeffring as cr
 from wittlift.cohomology import (
     Cocycle,
     GModule,
+    adjoint_mul,
     apply_adjustment,
     build_module,
     check_cocycle,
@@ -383,6 +384,36 @@ def test_lift_solve_plug_back_seeded_defects():
             for gname, e in rel:
                 acc = acc * (fixed[gname] ** e)
             assert acc.is_identity()
+
+
+def _full_adjoint_product(coords, g, k):
+    """(I + l^k C) g as one product over g's ring, C = [[a, b], [c, -a]] with
+    the trivially lifted coordinates (b, a, c)."""
+    ring = g.ring
+    b, a, c = [cr.witt_scale(cr.lift_trivial(x, ring.m), ring.ell ** k) for x in coords]
+    return (Mat.identity(ring, 2) + Mat.from_rows(ring, [[a, b], [c, -a]])) * g
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_first_order_adjoint_product_matches_the_full_product(data):
+    d = data.draw(st.sampled_from([1, 2, 4, 16]), label="d")
+    m = data.draw(st.integers(2, 6), label="m")
+    k = data.draw(st.one_of(st.just(m - 1), st.integers(0, m - 1)), label="k")
+    ring = cr.make_witt_ring(5, d, m)
+    coeffs = st.lists(st.integers(0, 4), min_size=d, max_size=d)
+    coords = [cr.element(ring.residue_field, tuple(data.draw(coeffs))) for _ in range(3)]
+    # residues constant, as for a tower's lifts, or not
+    constant = data.draw(st.booleans(), label="constant residues")
+    digits = st.lists(st.integers(0, ring.q // 5 - 1), min_size=d, max_size=d)
+    entries = []
+    for _ in range(4):
+        residue = ([data.draw(st.integers(0, 4))] + [0] * (d - 1) if constant
+                   else data.draw(coeffs))
+        entries.append(cr.element(ring, tuple(
+            r + 5 * h for r, h in zip(residue, data.draw(digits)))))
+    g = Mat.from_rows(ring, [entries[:2], entries[2:]])
+    assert adjoint_mul(coords, g, k) == _full_adjoint_product(coords, g, k)
 
 
 def _o_mul22(a, b):

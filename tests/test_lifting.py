@@ -29,7 +29,7 @@ from wittlift.errors import (
     SchemaError,
     Unreachable,
 )
-from wittlift.galois_model import evaluate_word
+from wittlift.galois_model import Deformation, evaluate_word
 from wittlift.matlin import Mat, check_tame_relation, hensel_diagonalize
 from wittlift.lifting import (
     OracleConstraints,
@@ -44,6 +44,7 @@ from wittlift.lifting import (
     oracle_find_places,
     select_auxiliary,
     solve_trace_targets,
+    tower_step,
     tower_to_json_dict,
     trace_delta_digit,
     twist,
@@ -547,6 +548,45 @@ TAME_8_SHA256 = "41e22aa0fd40c543a45c897add67f0901e5b9065bfff5aa1a2273263baaa942
 
 def test_tame_tower_level_8():
     _check_pinned_tower(8, TAME_8_SHA256)
+
+
+def test_tame_tower_to_level_8_takes_no_euclid_inverse(monkeypatch):
+    # every lift has det = epsilon, a constant, which _unit_inverse inverts by pow
+    def refuse(*args):
+        raise AssertionError("_poly_inverse called")
+
+    monkeypatch.setattr(cr, "_poly_inverse", refuse)
+    _check_pinned_tower(8, TAME_8_SHA256)
+
+
+def test_level_5_build_computes_each_fox_jacobian_once(monkeypatch):
+    # every level's module extends the one F_5 module memoised on plan.rhobar
+    import wittlift.cohomology as co
+    computed = []
+    fox_rows = co._fox_rows
+
+    def counting(generators, module, word):
+        if (generators, word) not in module._fox:
+            computed.append(word)
+        return fox_rows(generators, module, word)
+
+    monkeypatch.setattr(co, "_fox_rows", counting)
+    build_tower(_tame_plan(5))
+    relators = residual_tame().group.relators
+    assert all(computed.count(rel) == 1 for rel in relators)
+    assert len(computed) == len(set(computed))
+
+
+def test_tower_step_refuses_a_rho_m_off_the_plans_residual():
+    plan = _tame_plan(3)
+    rho2 = tower_step(plan.rhobar, plan, 2).rho
+    rhobar = plan.rhobar
+    p = Mat.from_ints(rhobar.ring, [[1, 1], [0, 1]])
+    conj = Deformation(rhobar.group, rhobar.ring,
+                       {g: p * a * p.inverse() for g, a in rhobar.images.items()})
+    with pytest.raises(ParamMismatch, match="does not reduce"):
+        tower_step(rho2, replace(plan, rhobar=conj), 3)
+    assert tower_step(rho2, plan, 3).rho.ring.m == 3
 
 
 # sha256 of the level-10 tame tower and certificate, recorded at tower schema 2

@@ -23,12 +23,19 @@ Times, over W(F_{5^d})/5^m (unless said otherwise) with m the tower level of deg
 * the H^1 layer: cocycle_space over the finite suite (every finite group
   with every module of its suite, one call for the batch), and sha_kernel
   over all places of the tame module at d in {1, 2, 4}.  Each call builds
-  its modules, so their memo tables start empty;
+  its modules from a fresh residual deformation (build_module memoises
+  them on it), so their memo tables start empty;
 * a tower step's two solves at d in {16, 128, 512, 2048}: lift_solve of the
   tame adjoint module over F_{5^d} on solvable defects (those of a random
   cocycle), and solve_trace_targets of deformation_tame(m) embedded into
   W(F_{5^d})/5^m with a random top digit of the trace at q03 as the target.
-  Each call builds the module too, as the tower step does.
+  Each call builds the module too, from a fresh residual deformation, as
+  the first step of a tower does;
+* a tower step's products at d in {16, 512, 2048}: apply_adjustment of a
+  random adjustment to the images of deformation_tame(m) embedded into
+  W(F_{5^d})/5^m, and at d = 2048 the Mat.inverse of one adjusted image,
+  whose determinant is epsilon, a constant (the mat_inverse rows above
+  invert random units).
 
 Every timed call gets random operands drawn from SEED, with a unit
 determinant, so the numbers of two checkouts compare the same work.  Each
@@ -68,7 +75,7 @@ sys.path.insert(0, str(ROOT / "benchmarks"))
 import speed  # noqa: E402
 import wittlift.coeffring as cr  # noqa: E402
 from wittlift.cohomology import (  # noqa: E402
-    build_module, cocycle_eval, cocycle_space, lift_solve, sha_kernel)
+    apply_adjustment, build_module, cocycle_eval, cocycle_space, lift_solve, sha_kernel)
 from wittlift.galois_model import evaluate_word  # noqa: E402
 from wittlift.lifting import solve_trace_targets  # noqa: E402
 from wittlift.matlin import Mat, find_split_diagonal, integral_model, kelem_from_rational  # noqa: E402
@@ -82,6 +89,7 @@ DEGREES = (1, 2, 16, 128, 512, 2048)
 FROBENIUS_CASES = ((5, 8), (5, 32), (5, 128), (5, 512), (7, 4), (7, 8), (7, 16))
 SHA_DEGREES = (1, 2, 4)
 SOLVE_DEGREES = (16, 128, 512, 2048)
+ADJUST_DEGREES = (16, 512, 2048)
 SIZES = (2, 3)
 BUDGET_S = 0.3
 MIN_CALLS = 5
@@ -224,8 +232,8 @@ def main(argv=None):
     for d in SHA_DEGREES:
         cases.append({"op": "sha_kernel", "module": "tame adjoint", "d": d,
                       "places": len(places),
-                      **time_calls(lambda: sha_kernel(rhobar.group, build_module(rhobar, d),
-                                                      places))})
+                      **time_calls(lambda: sha_kernel(
+                          rhobar.group, build_module(residual_tame(ELL), d), places))})
     print(json.dumps(cases[-1 - len(SHA_DEGREES):]), file=sys.stderr)
     group = rhobar.group
     for d in SOLVE_DEGREES:
@@ -234,15 +242,27 @@ def main(argv=None):
                   for g in group.generators}
         defects = [tuple(-x for x in cocycle_eval(module, values, rel)) for rel in group.relators]
         cases.append({"op": "lift_solve", "module": "tame adjoint", "d": d,
-                      **time_calls(lambda: lift_solve(group, build_module(rhobar, d), defects))})
+                      **time_calls(lambda: lift_solve(
+                          group, build_module(residual_tame(ELL), d), defects))})
         rho = deformation_tame(m, ELL).embed(d)
         place = group.place("q03")
         u = cr.lift_trivial(random_elem(module.field, rng), m)
         target = evaluate_word(rho, place.sigma).trace() + cr.witt_scale(u, ELL ** (m - 1))
         cases.append({"op": "solve_trace_targets", "module": "tame adjoint", "d": d, "m": m,
                       **time_calls(lambda: solve_trace_targets(
-                          rho, build_module(rhobar, d), [(place, target)]))})
+                          rho, build_module(residual_tame(ELL), d), [(place, target)]))})
         print(json.dumps(cases[-2:]), file=sys.stderr)
+    for d in ADJUST_DEGREES:
+        m, field = level(d), cr.make_field(ELL, d)
+        lifts = deformation_tame(m, ELL).embed(d).images
+        adjustment = {g: tuple(random_elem(field, rng) for _ in range(3)) for g in lifts}
+        cases.append({"op": "apply_adjustment", "d": d, "m": m,
+                      **time_calls(lambda: apply_adjustment(lifts, adjustment, m - 1))})
+        print(json.dumps(cases[-1:]), file=sys.stderr)
+    g = apply_adjustment(lifts, adjustment, m - 1)["s"]
+    cases.append({"op": "mat_inverse", "n": 2, "d": d, "m": m, "det": "epsilon",
+                  **time_calls(g.inverse)})
+    print(json.dumps(cases[-1:]), file=sys.stderr)
     report = {"benchmark": "kernel", "ell": ELL, "seed": SEED,
               "budget_s": BUDGET_S, "sample_every_s": SAMPLE_EVERY_S,
               "ref_chunk_ms": speed.REF_CHUNK_S * 1e3,
