@@ -11,9 +11,9 @@ an F_l module extended to F_{l^d} (GModule.base), with one right-hand-side
 column per coefficient over F_l.  build_module memoises its modules on the
 residual deformation, and the extensions of one F_l module share it as
 their base, so a tower computes these maps once for all its levels.
-Systems and their solutions hold canonical values; elements appear only
-where a cocycle's values are built (coeffring.element) or read
-(_entry_value).
+Systems, their solutions, cocycle values and relator defects hold canonical
+values, as Mat.entries does; elements appear only in lift_solve's
+adjustment, built there and read back by apply_adjustment alone.
 """
 
 from __future__ import annotations
@@ -105,22 +105,6 @@ class GModule:
         return rows
 
 
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_neg(a):
-    return tuple(-x for x in a)
-
-
-def vec_zero(field, dim):
-    return (cr.ff_zero(field),) * dim
-
-
-def vec_is_zero(v):
-    return all(x.is_zero() for x in v)
-
-
 def _padded(module, vecs):
     """Vectors of values over module.base's field as vectors over module's."""
     zeros = (0,) * (module.field.d - module.base.field.d)
@@ -129,12 +113,6 @@ def _padded(module, vecs):
 
 # ---------------------------------------------------------------------------
 # module construction
-
-
-def adjoint_coords(mat22):
-    """Coordinates of a trace-zero 2x2 [[a,b],[c,-a]] in the basis (e12, h, e21)."""
-    (a, b), (c, _) = mat22.rows
-    return (b, a, c)
 
 
 def build_module(rhobar, d):
@@ -168,8 +146,9 @@ def _conjugation_module(rhobar, field):
     for name in rhobar.group.generators:
         g, ginv = (Mat(field, 2, tuple([x[:field.d] for x in a.entries]))
                    for a in (rhobar.image(name), rhobar.inverse_image(name)))
-        cols = [adjoint_coords(g * x * ginv) for x in basis]
-        action[name] = Mat.from_rows(field, [[c[i] for c in cols] for i in range(3)])
+        conj = [(g * x * ginv).entries for x in basis]
+        # row i: coordinate i in (e12, h, e21) of each conjugate [[a, b], [c, -a]], so b, a, c
+        action[name] = Mat(field, 3, tuple([y[j] for j in (1, 0, 2) for y in conj]))
     return GModule(field, 3, action, dict(rhobar.group.epsilon))
 
 
@@ -189,48 +168,50 @@ def dual_module(module):
     return GModule(module.field, module.dim, action, module.epsilon)
 
 
-def pairing(x, phi):
-    """The standard pairing sum_i x_i * phi_i."""
-    acc = x[0] * phi[0]
-    for a, b in zip(x[1:], phi[1:]):
-        acc = acc + a * b
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # cocycles
 
 
 @dataclass(frozen=True)
 class Cocycle:
+    """A 1-cocycle by its values on module's generators, checked (ParamMismatch)."""
+
     module: GModule
-    values: dict  # generator name -> tuple of FFElem
+    values: dict  # generator name -> tuple of d-tuples in [0, q), as in Mat.entries
+
+    def __post_init__(self):
+        field, dim = self.module.field, self.module.dim
+        for name in self.module.action:
+            vec = self.values.get(name, ())
+            if len(vec) != dim:
+                raise ParamMismatch(f"cocycle has {len(vec)} values at {name}, not {dim}")
+            if not all(isinstance(x, tuple) and len(x) == field.d
+                       and 0 <= min(x) and max(x) < field.q for x in vec):
+                raise ParamMismatch(f"cocycle values at {name} are not {field.d}-tuples "
+                                    f"of ints in [0, {field.q})")
+
+    @classmethod
+    def from_flat(cls, group, module, flat):
+        """The cocycle with flat values, as linalg gives them: dim per generator."""
+        dim = module.dim
+        return cls(module, {name: tuple(flat[i * dim:(i + 1) * dim])
+                            for i, name in enumerate(group.generators)})
 
     def __call__(self, word):
         return cocycle_eval(self.module, self.values, word)
 
 
 def cocycle_eval(module, values, word):
-    """Extend generator values to a word via f(gh) = f(g) + g.f(h)."""
-    field, dim = module.field, module.dim
-    acc = vec_zero(field, dim)
-    prefix = Mat.identity(field, dim)
-    for name, e in word:
-        if name not in values:
-            raise UnknownGenerator(name)
-        a = module.act_gen(name)
-        v = values[name]
-        if e >= 0:
-            for _ in range(e):
-                acc = vec_add(acc, prefix.apply(v))
-                prefix = prefix * a
-        else:
-            ainv = module.act_gen(name, -1)
-            vinv = vec_neg(ainv.apply(v))  # f(g^-1) = -g^-1.f(g)
-            for _ in range(-e):
-                prefix = prefix * ainv
-                acc = vec_add(acc, (prefix * a).apply(vinv))
-    return acc
+    """f(word) as canonical values, f the cocycle with these generator values:
+    module.base's Fox Jacobian times the flat values, each a block of
+    coefficient columns over base's field as in linalg.solve, in one product."""
+    base, field = module.base, module.field
+    gens, w = tuple(values), base.field.d
+    jac = _fox_rows(gens, base, word)
+    cols = field.d // w
+    flat = [v[i:i + w] for name in gens for v in values[name] for i in range(0, field.d, w)]
+    prod = cr._matmul(base.field, [x for r in jac for x in r], flat, len(flat) // cols, cols)
+    return [tuple([c for v in prod[i:i + cols] for c in v]) for i in range(0, len(prod), cols)]
 
 
 def fox_jacobian(group, module, word):
@@ -289,19 +270,12 @@ def relator_system(group, module):
             for row in fox_jacobian(group, module, rel)]
 
 
-def _vec_to_values(group, module, flat):
-    dim = module.dim
-    return {name: tuple([cr.element(module.field, v) for v in flat[i * dim:(i + 1) * dim]])
-            for i, name in enumerate(group.generators)}
-
-
-def coboundary_of(group, module, m_elem):
-    """The coboundary g -> g.m - m as a Cocycle."""
-    values = {}
-    for name in group.generators:
-        values[name] = vec_add(module.act_gen(name).apply(m_elem),
-                               vec_neg(m_elem))
-    return Cocycle(module, values)
+def coboundary_of(group, module, m):
+    """The coboundary g -> g.m - m = (A_g - I) m as a Cocycle, m canonical values."""
+    if len(m) != module.dim or any(len(x) != module.field.d for x in m):
+        raise ParamMismatch(f"m is not {module.dim} values over {module.field}")
+    return Cocycle(module, {name: cr._matmul(module.field, sum(module.delta(((name, 1),)), ()),
+                                             m, module.dim, 1) for name in group.generators})
 
 
 def _coboundary_basis(group, module):
@@ -330,28 +304,8 @@ def invariants_dim(group, module):
     return len(linalg.nullspace(rows, base.field))
 
 
-def cocycle_flat(group, cocycle):
-    """The generator values as canonical values, checked by _entry_value."""
-    return [_entry_value(cocycle.module.field, x) for name in group.generators
-            for x in cocycle.values[name]]
-
-
 # ---------------------------------------------------------------------------
 # local restriction and the locally-trivial kernel
-
-
-def _word_values(f, word):
-    """f(word) as canonical values: the Fox Jacobian over f.module.base times
-    the flat values of f, each a block of coefficient columns over base's
-    field (as in linalg.solve), so that one product gives every coefficient."""
-    base, field = f.module.base, f.module.field
-    gens, w = tuple(f.values), base.field.d
-    jac = _fox_rows(gens, base, word)
-    cols = field.d // w
-    values = [_entry_value(field, x) for name in gens for x in f.values[name]]
-    flat = [v[i:i + w] for v in values for i in range(0, field.d, w)]
-    prod = cr._matmul(base.field, [x for r in jac for x in r], flat, len(flat) // cols, cols)
-    return [tuple([c for v in prod[i:i + cols] for c in v]) for i in range(0, len(prod), cols)]
 
 
 def restrict_and_classify(f, place):
@@ -359,10 +313,10 @@ def restrict_and_classify(f, place):
 
     The local group is generated by the sigma and tau words; its coboundaries
     are pairs ((A_sigma - I)m, (A_tau - I)m), solved over f.module.base, and
-    f's values at the two words come from base's Fox Jacobians (_word_values).
+    f's values at the two words come from base's Fox Jacobians (cocycle_eval).
     """
     base = f.module.base
-    fs, ft = _word_values(f, place.sigma), _word_values(f, place.tau)
+    fs, ft = f(place.sigma), f(place.tau)
     # stacked system: does some m give both components as coboundaries?
     tau_rows = [list(r) for r in base.delta(place.tau)]
     stacked = [list(r) for r in base.delta(place.sigma)] + tau_rows
@@ -423,18 +377,19 @@ def normalize_det(group, name, lift):
 
 
 def _defect_coords(e_mat, m):
-    """Extract z with e_mat = I + l^m z, as adjoint coordinates over F_{l^d}."""
-    diff = (e_mat - Mat.identity(e_mat.ring, 2)).rows
-    if any(x.valuation() < m for row in diff for x in row):
+    """z with e_mat = I + l^m z, adjoint coordinates (b, a, c): the digits at l^m."""
+    ell, lm = e_mat.ring.ell, e_mat.ring.ell ** m
+    diff = (e_mat - Mat.identity(e_mat.ring, 2)).entries
+    if any(v % lm for x in diff for v in x):
         raise LiftsDoNotReduce("relator image is not I mod l^m")
-    (a, b), (c, a2) = [[cr.witt_digit(x, m) for x in row] for row in diff]
-    if not (a + a2).is_zero():
+    a, b, c, a2 = [tuple([v // lm % ell for v in x]) for x in diff]
+    if any((x + y) % ell for x, y in zip(a, a2)):
         raise DetNotEpsilon("relator defect has nonzero trace; normalize det first")
     return (b, a, c)
 
 
 def relator_defects(rho_m, lifts):
-    """Defect z_r per relator of the group, for generator lifts at level m+1;
+    """Defect z_r per relator (_defect_coords) for generator lifts at level m+1;
     evaluate_word multiplies the lifts, inverting each at most once."""
     group = rho_m.group
     m = rho_m.ring.m
@@ -451,8 +406,8 @@ def relator_defects(rho_m, lifts):
 @dataclass(frozen=True)
 class LiftSolveResult:
     ok: bool
-    adjustment: dict = None  # generator name -> adjoint coords over F_{l^d}
-    obstruction: tuple = None  # unsolvable stacked defect vector
+    adjustment: dict = None  # generator name -> adjoint coords, elements of F_{l^d}
+    obstruction: tuple = None  # unsolvable stacked right-hand side, canonical values
 
 
 def lift_solve(group, module, defects):
@@ -461,20 +416,25 @@ def lift_solve(group, module, defects):
     The module must be the adjoint module of the residual representation at
     the lifts' coefficient degree.  On success the assignment c satisfies
     (Fox system) . c = -z, so (I + l^m c(g)) lift(g) kills every defect.
-    The system is module.base's, one right-hand-side column per coefficient over F_l.
+    The system is module.base's, one right-hand-side column per coefficient
+    over F_l; the adjustment's coordinates are elements, built here once.
     """
-    base = module.base
-    rhs = [-x for z in defects for x in z]
-    values = [_entry_value(module.field, x) for x in rhs]
-    sol = linalg.solve(relator_system(group, base), values or [(0,) * module.field.d], base.field)
+    base, field, dim = module.base, module.field, module.dim
+    rhs = [_imul(x, -1, field.q) for z in defects for x in z]
+    if any(len(x) != field.d for x in rhs):
+        raise ParamMismatch(f"defects are not values over {field}")
+    sol = linalg.solve(relator_system(group, base), rhs or [(0,) * field.d], base.field)
     if sol is None:
         return LiftSolveResult(False, None, tuple(rhs))
-    return LiftSolveResult(True, _vec_to_values(group, module, sol))
+    els = [cr.element(field, x) for x in sol]
+    return LiftSolveResult(True, {name: tuple(els[i * dim:(i + 1) * dim])
+                                  for i, name in enumerate(group.generators)})
 
 
 def adjoint_mul(coords, g, k):
     """(I + l^k C) g for C = [[a, b], [c, -a]], adjoint coordinates (b, a, c)
-    over the residue field of g's ring W/l^m and 0 <= k < m, lifted trivially.
+    as canonical values over the residue field of g's ring W/l^m and
+    0 <= k < m, lifted trivially.
     It is g + l^k lift(C (g mod l^(m-k))), as l^k x mod l^m depends only on
     x mod l^(m-k): one 2 x 2 product over W/l^(m-k), over the residue field
     when k = m - 1 as in every tower step."""
@@ -483,7 +443,7 @@ def adjoint_mul(coords, g, k):
         raise ParamMismatch(f"adjoint step l^{k} at precision {ring.m}")
     low = cr.make_witt_ring(ring.ell, ring.d, ring.m - k)
     q, s = ring.q, ring.ell ** k
-    b, a, c = [_entry_value(ring.residue_field, x) for x in coords]
+    b, a, c = coords
     prod = cr._matmul(low, (a, b, c, _imul(a, -1, low.q)), _mod_entries(g.entries, low.q), 2, 2)
     return Mat(ring, 2, tuple([tuple([(x + s * y) % q for x, y in zip(gx, px)])
                                for gx, px in zip(g.entries, prod)]))
@@ -491,13 +451,16 @@ def adjoint_mul(coords, g, k):
 
 def apply_adjustment(lifts, adjustment, m):
     """Replace each level-(m+1) lift g by (I + l^m c(g)) . g, through
-    adjoint_mul: one product over the residue field."""
-    return {name: adjoint_mul(adjustment[name], lift, m) for name, lift in lifts.items()}
+    adjoint_mul: one product over the residue field.  The one reader of
+    lift_solve's adjustment elements, each checked by _entry_value."""
+    return {name: adjoint_mul([_entry_value(g.ring.residue_field, x) for x in adjustment[name]],
+                              g, m) for name, g in lifts.items()}
 
 
 def check_cocycle(group, module, values):
-    """Verify the relator conditions; raises NotACocycle on failure."""
+    """The Cocycle with these values; raises NotACocycle if a relator fails."""
+    f = Cocycle(module, values)
     for rel in group.relators:
-        if not vec_is_zero(cocycle_eval(module, values, rel)):
+        if any(map(any, f(rel))):
             raise NotACocycle(f"fails relator {rel}")
-    return Cocycle(module, values)
+    return f

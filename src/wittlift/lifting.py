@@ -22,18 +22,14 @@ from .cohomology import (
     adjoint_mul,
     apply_adjustment,
     build_module,
-    cocycle_eval,
-    cocycle_flat,
     cocycle_space,
     fox_jacobian,
     lift_solve,
     normalize_det,
-    pairing,
     relator_defects,
     relator_system,
     restrict_and_classify,
     sha_kernel,
-    _vec_to_values,
     dual_module,
 )
 from .errors import (
@@ -60,7 +56,7 @@ from .galois_model import (
     validate_deformation,
     check_running_hypotheses,
 )
-from .matlin import Mat, _entry_value, char_poly, lifted_eigenvalues, ratio_pair, splitting_roots
+from .matlin import Mat, char_poly, lifted_eigenvalues, ratio_pair, splitting_roots
 
 # 2: embed sends X to X^(D/d) where the degree-D modulus is the degree-d one
 # composed with x^(D/d); schema 1 took the smallest residual root there
@@ -73,14 +69,14 @@ TOWER_SCHEMA_VERSION = 2
 
 def twist(rho, f):
     """g -> (I + l^(m-1) f~(g)) rho(g), each by adjoint_mul's one product over
-    the residue field; validates the result is a homomorphism by evaluating
-    every relator."""
+    the residue field on f's values; validates the result is a homomorphism
+    by evaluating every relator."""
     ring = rho.ring
     m = ring.m
     if m < 2:
         raise ParamMismatch("twisting needs level m >= 2")
-    if f.module.field.d != ring.d:
-        raise ParamMismatch("cocycle degree does not match the deformation")
+    if f.module.field != ring.residue_field:
+        raise ParamMismatch("cocycle field does not match the deformation")
     images = {name: adjoint_mul(f.values[name], rho.image(name), m - 1)
               for name in rho.group.generators}
     out = Deformation(rho.group, ring, images)
@@ -91,21 +87,23 @@ def twist(rho, f):
 
 
 def trace_delta_digit(rho, f, word):
-    """The residual coefficient of the trace change of twist(rho, f) at a word:
-    tr' = tr + l^(m-1) * tr(f~(word) rho(word))."""
-    fw = cocycle_eval(f.module, f.values, word)
-    return pairing(_trace_weights(evaluate_word(rho, word).residue()), fw)
+    """The residual coefficient of the trace change of twist(rho, f) at a word,
+    a canonical value: tr' = tr + l^(m-1) * tr(f~(word) rho(word))."""
+    weights = _trace_weights(evaluate_word(rho, word).residue(), f.module.field)
+    return cr._matmul(f.module.field, weights, f(word), 3, 1)[0]
 
 
 # ---------------------------------------------------------------------------
 # trace targeting
 
 
-def _trace_weights(rres):
-    """w with tr([[a, b], [c, -a]] rres) = w . (b, a, c): the residual
-    entries (r10, r00 - r11, r01)."""
-    (r00, r01), (r10, r11) = rres.rows
-    return r10, r00 - r11, r01
+def _trace_weights(rres, field):
+    """w with tr([[a, b], [c, -a]] rres) = w . (b, a, c): the residual entries
+    (r10, r00 - r11, r01), canonical values over field, rres's ring."""
+    if rres.ring != field:
+        raise ParamMismatch(f"module over {field}, deformation over {rres.ring}")
+    r00, r01, r10, r11 = rres.entries
+    return r10, tuple([(x - y) % field.q for x, y in zip(r00, r11)]), r01
 
 
 def _trace_row(group, module, word, weights):
@@ -132,7 +130,7 @@ def solve_trace_targets(rho, module, targets, locked_places=()):
     m = ring.m
     field = module.field
     images = [evaluate_word(rho, place.sigma) for place, _ in targets]
-    weights = [[_entry_value(field, w) for w in _trace_weights(im.residue())] for im in images]
+    weights = [_trace_weights(im.residue(), field) for im in images]
     sysmod = module if any(any(w[1:]) for ws in weights for w in ws) else module.base
     rows = relator_system(group, sysmod)
     rhs = [(0,) * field.d] * len(rows)
@@ -152,14 +150,14 @@ def solve_trace_targets(rho, module, targets, locked_places=()):
             raise Unreachable(f"trace functional at {place.label} vanishes"
                               + (": rhobar(sigma) is scalar" if scalar else ""))
         rows.append(row)
-        rhs.append(_entry_value(field, u))
+        rhs.append(u.coeffs)
     lrows = [list(r) for place in locked_places for word in (place.sigma, place.tau)
              for r in fox_jacobian(group, sysmod, word)]
     sol = linalg.solve(rows + lrows, rhs + [(0,) * field.d] * len(lrows), sysmod.field)
     if sol is None:
         raise Unreachable("trace targets are not in the span of the "
                           "twist functionals")
-    return Cocycle(module, _vec_to_values(group, module, sol))
+    return Cocycle.from_flat(group, module, sol)
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +228,11 @@ def oracle_find_places(pool, rho_m, constraints=OracleConstraints(),
 
 
 def _check_pattern_independence(group, patterns):
-    if not patterns:
-        return
     module = patterns[0][0].module
     if any(coc.module != module for coc, _ in patterns):
         raise ParamMismatch("constraint classes live in different modules")
     b1 = _coboundary_basis(group, module)
-    vecs = [cocycle_flat(group, coc) for coc, _ in patterns]
+    vecs = [[x for name in group.generators for x in coc.values[name]] for coc, _ in patterns]
     if linalg.rank(b1 + vecs, module.field) != len(b1) + len(vecs):
         raise ParamMismatch("constraint classes are dependent in H^1")
 
@@ -336,8 +332,8 @@ class TowerLevel:
     rho: Deformation
     r_label: str
     target_trace: object  # WittElem or None at level 1
-    twist_values: dict
-    lift_adjustment: dict
+    twist_values: dict  # generator name -> canonical values of the twisting cocycle
+    lift_adjustment: dict  # lift_solve's adjustment, elements
     ramified: tuple
 
 
@@ -472,10 +468,8 @@ def tower_to_json_dict(tower):
             "r_label": lvl.r_label,
             "target_trace": cr.witt_to_str(lvl.target_trace)
             if lvl.target_trace is not None else None,
-            "twist": {k: [a.coeffs for a in v]
-                      for k, v in lvl.twist_values.items()},
-            "lift_adjustment": {k: [a.coeffs for a in v]
-                                for k, v in lvl.lift_adjustment.items()},
+            "twist": {k: list(v) for k, v in lvl.twist_values.items()},
+            "lift_adjustment": {k: [a.coeffs for a in v] for k, v in lvl.lift_adjustment.items()},
             "ramified": list(lvl.ramified),
         })
     return {

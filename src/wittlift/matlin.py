@@ -5,7 +5,7 @@ Mat holds its entries in the elements' own format, their coefficient
 d-tuples reduced mod q at every d, and multiplies through coeffring._matmul,
 one fused Kronecker dot product per output entry; Mat.entry_rows hands those
 canonical values on to linalg as they are.  Element objects appear only at
-the boundary (Mat.from_rows, Mat.rows, Mat.apply, scale, det and trace),
+the boundary (Mat.from_rows, Mat.rows, scale, det and trace),
 built through coeffring.element and read through _entry_value, the one
 checked element -> value conversion.  The module also covers
 characteristic polynomials and eigenvalues, Hensel diagonalization of 2x2
@@ -192,13 +192,6 @@ class Mat:
         self._check(other)
         n = self.n
         return _mat(self.ring, n, cr._matmul(self.ring, self.entries, other.entries, n, n))
-
-    def apply(self, vec):
-        """The matrix times the column vector vec of elements over its ring,
-        as a tuple of elements."""
-        ring = self.ring
-        out = cr._matmul(ring, self.entries, [_entry_value(ring, x) for x in vec], self.n, 1)
-        return tuple([cr.element(ring, v) for v in out])
 
     def transpose(self):
         n, a = self.n, self.entries

@@ -1,7 +1,8 @@
 """Brute-force oracles: cohomology of small finite groups, integrality of
-integral_model's conjugates in plain integers, matrix orders, and a
-reference integral-model decision on exact Fractions.  None of them
-multiplies through Mat.
+integral_model's conjugates in plain integers, matrix orders, a reference
+integral-model decision on exact Fractions, and a cocycle's value at a word
+by the prefix walk.  None of them but the walk multiplies through Mat, and
+the walk shares nothing with the Fox Jacobians it checks.
 
 The cohomology oracle shares no arithmetic with the library: it reads the
 faithful realization and the module action once as integers, enumerates the
@@ -15,7 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from wittlift.errors import Singular
+import wittlift.coeffring as cr
+from wittlift.errors import Singular, UnknownGenerator
+from wittlift.matlin import Mat
 
 
 def matrix_order(y, cap=10 ** 7):
@@ -134,6 +137,45 @@ def brute_force_h1(group, images, module):
     cob = np.concatenate([(ms @ a.T - ms) % ell for a in action], axis=1)
     dim_b = _log(len(np.unique(cob, axis=0)), ell)
     return dim_z, dim_b, dim_z - dim_b
+
+
+def pairing(x, phi):
+    """The standard pairing sum_i x_i * phi_i of two vectors of elements."""
+    acc = x[0] * phi[0]
+    for a, b in zip(x[1:], phi[1:]):
+        acc = acc + a * b
+    return acc
+
+
+def mat_apply(mat, vec):
+    """The Mat times the column vector vec of elements, on its element rows."""
+    return tuple(pairing(row, vec) for row in mat.rows)
+
+
+def walk_cocycle(module, values, word):
+    """f(word) by the prefix walk f(gh) = f(g) + g.f(h), f(g^-1) = -g^-1.f(g),
+    on element vectors and Mat products: the oracle of cohomology.cocycle_eval,
+    which takes none of its Fox Jacobian path.  values maps each generator to
+    canonical values, and the result is canonical values too."""
+    field, dim = module.field, module.dim
+    acc = (cr.ff_zero(field),) * dim
+    prefix = Mat.identity(field, dim)
+    for name, e in word:
+        if name not in values:
+            raise UnknownGenerator(name)
+        v = tuple(cr.element(field, x) for x in values[name])
+        a = module.act_gen(name)
+        if e >= 0:
+            for _ in range(e):
+                acc = tuple(x + y for x, y in zip(acc, mat_apply(prefix, v)))
+                prefix = prefix * a
+        else:
+            ainv = module.act_gen(name, -1)
+            vinv = tuple(-x for x in mat_apply(ainv, v))
+            for _ in range(-e):
+                prefix = prefix * ainv
+                acc = tuple(x + y for x, y in zip(acc, mat_apply(prefix * a, vinv)))
+    return [x.coeffs for x in acc]
 
 
 def _int_valuation(x, ell, m):

@@ -26,13 +26,17 @@ from wittlift.cohomology import (
     lift_solve,
     module_from_action,
     normalize_det,
-    pairing,
     relator_defects,
     relator_system,
     restrict_and_classify,
     sha_kernel,
 )
-from wittlift.errors import DetNotEpsilon, LiftsDoNotReduce, NotACocycle
+from wittlift.errors import (
+    DetNotEpsilon,
+    LiftsDoNotReduce,
+    NotACocycle,
+    ParamMismatch,
+)
 from wittlift.galois_model import (
     Deformation,
     ModelGroup,
@@ -48,7 +52,7 @@ from wittlift.presets import (
     surrogate_tame,
     module_suite,
 )
-from helpers_bruteforce import brute_force_h1, matrix_order
+from helpers_bruteforce import brute_force_h1, mat_apply, matrix_order, pairing, walk_cocycle
 
 F5 = cr.make_field(5, 1)
 
@@ -107,7 +111,7 @@ def test_cartier_dual_pairing():
         x = tuple(cr.ff_from_int(F5, rng.randrange(5)) for _ in range(3))
         phi = tuple(cr.ff_from_int(F5, rng.randrange(5)) for _ in range(3))
         eps = cr.ff_from_int(F5, rho.group.epsilon[name])
-        lhs = pairing(mod.action[name].apply(x), dual.action[name].apply(phi))
+        lhs = pairing(mat_apply(mod.action[name], x), mat_apply(dual.action[name], phi))
         assert lhs == pairing(x, phi) * eps
 
 
@@ -171,7 +175,7 @@ def test_brute_force_oracle_does_not_use_the_fox_jacobian(monkeypatch):
 
     for fn in ("fox_jacobian", "relator_system", "cocycle_space"):
         monkeypatch.setattr(co, fn, refuse)
-    for owner, name in ((Mat, "__mul__"), (Mat, "apply"), (Mat, "inverse"),
+    for owner, name in ((Mat, "__mul__"), (Mat, "inverse"),
                         (co.GModule, "act_gen"), (cr.FFElem, "__add__"),
                         (cr.FFElem, "__mul__")):
         monkeypatch.setattr(owner, name, refuse)
@@ -192,16 +196,17 @@ def _fox_cases():
 
 
 def _unit_cocycle_columns(group, module, word):
-    """Oracle: cocycle_eval at the word of every unit cocycle, one per
+    """Oracle: the prefix walk at the word of every unit cocycle, one per
     (generator, coordinate), as canonical values."""
-    zero, one = cr.ff_zero(module.field), cr.ff_one(module.field)
+    zero = (0,) * module.field.d
+    one = (1,) + zero[1:]
     cols = []
     for name in group.generators:
         for ci in range(module.dim):
             values = {g: tuple(one if g == name and k == ci else zero
                                for k in range(module.dim))
                       for g in group.generators}
-            cols.append(tuple(x.coeffs for x in cocycle_eval(module, values, word)))
+            cols.append(tuple(walk_cocycle(module, values, word)))
     return cols
 
 
@@ -226,6 +231,102 @@ def test_fox_jacobian_of_the_empty_word_is_zero():
             ((zero,) * width,) * module.dim, label
 
 
+def test_the_walk_oracle_takes_no_fox_path(monkeypatch):
+    """The walk evaluates a random cocycle of every _fox_cases() module with
+    _fox_rows, fox_jacobian and cocycle_eval refusing, and agrees with
+    cocycle_eval as computed before."""
+    import wittlift.cohomology as co
+    rng = random.Random(7)
+    runs = []
+    for label, group, module in _fox_cases():
+        q, d = module.field.q, module.field.d
+        values = {g: tuple(tuple(rng.randrange(q) for _ in range(d)) for _ in range(module.dim))
+                  for g in group.generators}
+        word = tuple((rng.choice(group.generators), rng.randint(-4, 4)) for _ in range(5))
+        runs.append((label, module, values, word, cocycle_eval(module, values, word)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the walk reached the Fox path")
+
+    for fn in ("_fox_rows", "fox_jacobian", "cocycle_eval"):
+        monkeypatch.setattr(co, fn, refuse)
+    for label, module, values, word, want in runs:
+        assert walk_cocycle(module, values, word) == want, label
+
+
+@functools.lru_cache(maxsize=None)
+def _eval_cases():
+    """(label, group, module): the tame adjoint module and its dual at
+    d = 1, 2, 4, 16, a module over F_25 whose action is not constant (so its
+    base is itself), and the finite suite."""
+    rho = residual_tame()
+    cases = []
+    for d in (1, 2, 4, 16):
+        module = build_module(rho, d)
+        cases += [(f"tame/d{d}", rho.group, module),
+                  (f"tame dual/d{d}", rho.group, dual_module(module))]
+    f25 = cr.make_field(5, 2)
+    x, one, zero = cr.element(f25, (0, 1)), cr.ff_one(f25), cr.ff_zero(f25)
+    free = ModelGroup(("x", "y"), (), (), {"x": 1, "y": 1})
+    module = module_from_action(f25, {"x": Mat.from_rows(f25, [[x, one], [zero, one]]),
+                                      "y": Mat.from_rows(f25, [[one, zero], [x, x]])})
+    assert module.base is module
+    cases.append(("F_25 non-constant", free, module))
+    cases += [(f"{name}/{mod_name}", group, module)
+              for name, group, images, _ in finite_groups()
+              for mod_name, module in module_suite(group, images)]
+    return tuple(cases)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cocycle_eval_matches_the_walk(data):
+    label, group, module = data.draw(st.sampled_from(_eval_cases()))
+    field = module.field
+    value = st.lists(st.integers(0, field.q - 1), min_size=field.d, max_size=field.d).map(tuple)
+    values = {g: tuple(data.draw(value) for _ in range(module.dim)) for g in group.generators}
+    word = tuple(data.draw(st.lists(
+        st.tuples(st.sampled_from(group.generators), st.integers(-4, 4)), max_size=6)))
+    assert cocycle_eval(module, values, word) == walk_cocycle(module, values, word), label
+
+
+def _tame_values():
+    """The tame adjoint module over F_25 and valid values for a Cocycle on it."""
+    module = build_module(residual_tame(), 2)
+    return module, {g: ((1, 0), (0, 3), (4, 4)) for g in module.action}
+
+
+def test_cocycle_refuses_a_missing_generator():
+    module, values = _tame_values()
+    Cocycle(module, values)
+    del values["t"]
+    with pytest.raises(ParamMismatch, match="0 values at t, not 3"):
+        Cocycle(module, values)
+
+
+def test_cocycle_refuses_a_vector_of_the_wrong_length():
+    module, values = _tame_values()
+    values["s"] = values["s"][:2]
+    with pytest.raises(ParamMismatch, match="2 values at s, not 3"):
+        Cocycle(module, values)
+
+
+def test_cocycle_refuses_values_that_are_not_d_tuples():
+    module, values = _tame_values()
+    for bad in (cr.element(module.field, (1, 0)), (1,), (1, 0, 0), [1, 0]):
+        values["u"] = ((0, 0), bad, (0, 0))
+        with pytest.raises(ParamMismatch, match="at u are not 2-tuples"):
+            Cocycle(module, values)
+
+
+def test_cocycle_refuses_a_coefficient_outside_0_q():
+    module, values = _tame_values()
+    for bad in ((5, 0), (0, -1)):
+        values["w"] = ((0, 0), (0, 0), bad)
+        with pytest.raises(ParamMismatch, match=r"at w are not 2-tuples of ints in \[0, 5\)"):
+            Cocycle(module, values)
+
+
 def test_relator_system_without_relators_is_one_zero_row():
     fr = ModelGroup(("x", "y"), (), (), {"x": 1, "y": 1})
     assert relator_system(fr, trivial_module(fr, 3)) == [[(0,)] * 6]
@@ -239,7 +340,7 @@ def test_inverse_action_is_computed_once_per_generator(monkeypatch):
     monkeypatch.setattr(Mat, "inverse",
                         lambda a: calls.append(1) or inverse(a))
     word = parse_word("s^-2 t^-1 s^-1 u w^-3")
-    one, zero = cr.ff_one(module.field), cr.ff_zero(module.field)
+    one, zero = (1, 0), (0, 0)
     values = {g: (one, zero, one) for g in rho.group.generators}
     for _ in range(2):
         module.word_matrix(word)
@@ -258,22 +359,20 @@ def test_coboundary_dimension_identity():
 
 
 def test_z1_elements_vanish_on_relators():
-    from wittlift.cohomology import _vec_to_values
     for name, group, images, order in finite_groups():
         for mod_name, module in module_suite(group, images):
             z1, _, _ = cocycle_space(group, module)
             for z in z1:
-                values = _vec_to_values(group, module, z)
+                values = Cocycle.from_flat(group, module, z).values
                 for rel in group.relators:
-                    assert all(x.is_zero()
-                               for x in cocycle_eval(module, values, rel))
+                    assert all(not any(x) for x in walk_cocycle(module, values, rel))
 
 
 def test_restrict_and_classify_branches():
     fr = ModelGroup(("x", "y"), (), (), {"x": 1, "y": 1})
     mod = trivial_module(fr, 1)
     place = Place("v", parse_word("x"), parse_word("y"), 7)
-    one, zero = cr.ff_one(F5), cr.ff_zero(F5)
+    one, zero = (1,), (0,)
     assert restrict_and_classify(
         Cocycle(mod, {"x": (zero,), "y": (zero,)}), place) == "zero_class"
     assert restrict_and_classify(
@@ -288,10 +387,18 @@ def test_coboundary_is_zero_class_everywhere():
     mod = build_module(rho, 1)
     rng = random.Random(9)
     for _ in range(10):
-        m = tuple(cr.ff_from_int(F5, rng.randrange(5)) for _ in range(3))
+        m = tuple((rng.randrange(5),) for _ in range(3))
         cob = coboundary_of(group, mod, m)
         for place in group.places:
             assert restrict_and_classify(cob, place) == "zero_class"
+
+
+def test_coboundary_of_refuses_a_vector_of_the_wrong_shape():
+    rho = residual_tame()
+    module = build_module(rho, 2)
+    for m in (((1, 0), (2, 0)), ((1, 0), (2, 0), (3,)), ((1, 0),) * 4):
+        with pytest.raises(ParamMismatch, match="is not 3 values"):
+            coboundary_of(rho.group, module, m)
 
 
 def test_sha_kernel_empty_place_set_is_h1():
@@ -305,7 +412,6 @@ def test_sha_kernel_empty_place_set_is_h1():
 
 def test_sha_kernel_matches_direct_enumeration():
     """Ш over the tame surrogate's place set, cross-checked elementwise."""
-    from wittlift.cohomology import _vec_to_values, cocycle_flat
     from wittlift import linalg
     rho = residual_tame()
     group = rho.group
@@ -314,14 +420,14 @@ def test_sha_kernel_matches_direct_enumeration():
     sha = sha_kernel(group, mod, places)
     # every reported class is locally trivial everywhere
     for vec in sha:
-        coc = Cocycle(mod, _vec_to_values(group, mod, vec))
+        coc = Cocycle.from_flat(group, mod, vec)
         for place in places:
             assert restrict_and_classify(coc, place) == "zero_class"
     # direct kernel dimension oracle: scan all of Z^1 reduced against B^1
     z1, b1, _ = cocycle_space(group, mod)
     locally_trivial = []
     for z in z1:
-        coc = Cocycle(mod, _vec_to_values(group, mod, z))
+        coc = Cocycle.from_flat(group, mod, z)
         if all(restrict_and_classify(coc, p) == "zero_class" for p in places):
             locally_trivial.append(z)
     # dimension of the span of locally-trivial basis vectors beyond B^1;
@@ -347,7 +453,7 @@ def test_relator_defects_zero_for_true_lift():
     rho = deformation_tame(2)
     lifts = {g: deformation_tame(3).image(g) for g in rho.group.generators}
     defects = relator_defects(rho, lifts)
-    assert all(all(x.is_zero() for x in z) for z in defects)
+    assert all(all(not any(x) for x in z) for z in defects)
 
 
 def test_relator_defects_rejects_non_reducing_lift():
@@ -388,9 +494,10 @@ def test_lift_solve_plug_back_seeded_defects():
 
 def _full_adjoint_product(coords, g, k):
     """(I + l^k C) g as one product over g's ring, C = [[a, b], [c, -a]] with
-    the trivially lifted coordinates (b, a, c)."""
+    the trivially lifted coordinates (b, a, c), canonical values."""
     ring = g.ring
-    b, a, c = [cr.witt_scale(cr.lift_trivial(x, ring.m), ring.ell ** k) for x in coords]
+    b, a, c = [cr.witt_scale(cr.lift_trivial(cr.element(ring.residue_field, x), ring.m),
+                             ring.ell ** k) for x in coords]
     return (Mat.identity(ring, 2) + Mat.from_rows(ring, [[a, b], [c, -a]])) * g
 
 
@@ -402,7 +509,7 @@ def test_first_order_adjoint_product_matches_the_full_product(data):
     k = data.draw(st.one_of(st.just(m - 1), st.integers(0, m - 1)), label="k")
     ring = cr.make_witt_ring(5, d, m)
     coeffs = st.lists(st.integers(0, 4), min_size=d, max_size=d)
-    coords = [cr.element(ring.residue_field, tuple(data.draw(coeffs))) for _ in range(3)]
+    coords = [tuple(data.draw(coeffs)) for _ in range(3)]
     # residues constant, as for a tower's lifts, or not
     constant = data.draw(st.booleans(), label="constant residues")
     digits = st.lists(st.integers(0, ring.q // 5 - 1), min_size=d, max_size=d)
@@ -430,7 +537,7 @@ def _o_defects(group, lifts, m):
     """Defect coordinates (b, a, c) of each relator, from a schoolbook product
     of the lifts' entries: the relator image is I + l^m [[a, b], [c, -a]]."""
     ring = next(iter(lifts.values())).ring
-    field, lm = ring.residue_field, ring.ell ** m
+    lm = ring.ell ** m
     out = []
     for rel in group.relators:
         acc = [[cr.witt_one(ring), cr.witt_zero(ring)], [cr.witt_zero(ring), cr.witt_one(ring)]]
@@ -443,8 +550,7 @@ def _o_defects(group, lifts, m):
         acc[0][0] = acc[0][0] - cr.witt_one(ring)
         acc[1][1] = acc[1][1] - cr.witt_one(ring)
         assert all(c % lm == 0 for r in acc for x in r for c in x.coeffs)
-        digit = [[cr.FFElem(field, tuple(c // lm % ring.ell for c in x.coeffs)) for x in r]
-                 for r in acc]
+        digit = [[tuple(c // lm % ring.ell for c in x.coeffs) for x in r] for r in acc]
         out.append((digit[0][1], digit[0][0], digit[1][0]))
     return out
 
@@ -548,8 +654,8 @@ def test_check_cocycle_raises_on_junk():
     group = surrogate_tame()
     rho = residual_tame()
     module = build_module(rho, 1)
-    one = cr.ff_one(F5)
-    zero = cr.ff_zero(F5)
+    one = (1,)
+    zero = (0,)
     bad = {g: (one, zero, zero) for g in group.generators}
     with pytest.raises(NotACocycle):
         check_cocycle(group, module, bad)
@@ -608,7 +714,6 @@ def test_h1_layer_outputs_are_pinned():
     two localization rank checks.  Recorded while B^1 still came from
     coboundary_of and independent_complement ran one rank per vector."""
     import hashlib
-    from wittlift.cohomology import _vec_to_values
     from wittlift.lifting import _localization_ranks
 
     def vecs(rows):
@@ -630,7 +735,7 @@ def test_h1_layer_outputs_are_pinned():
             for k in range(len(group.places) + 1):
                 lines.append(repr(vecs(sha_kernel(group, mod, group.places[:k]))))
             for z in z1:
-                f = Cocycle(mod, _vec_to_values(group, mod, z))
+                f = Cocycle.from_flat(group, mod, z)
                 lines.append(repr([restrict_and_classify(f, p) for p in group.places]))
     rho = deformation_tame(2)
     module = build_module(rho.reduce(1), 1)
@@ -729,14 +834,13 @@ def test_extended_modules_solve_over_f_ell_as_over_the_extension(data):
     module = make(d)
     assert module.base.field == F5, label
     field = module.field
-    elem = st.lists(st.integers(0, 4), min_size=d, max_size=d).map(
-        lambda cs: cr.element(field, tuple(cs)))
+    elem = st.lists(st.integers(0, 4), min_size=d, max_size=d).map(tuple)
     places = data.draw(st.lists(st.sampled_from(group.places), max_size=3,
                                 unique_by=lambda p: p.label)) if group.places else []
     if data.draw(st.booleans()):  # defects of a cocycle's values: solvable
         values = {g: tuple(data.draw(elem) for _ in range(module.dim))
                   for g in group.generators}
-        defects = [tuple(-x for x in cocycle_eval(module, values, rel))
+        defects = [tuple(tuple(-c % 5 for c in x) for x in cocycle_eval(module, values, rel))
                    for rel in group.relators]
     else:
         defects = [tuple(data.draw(elem) for _ in range(module.dim))

@@ -1,7 +1,9 @@
 """Source guards over src/wittlift: every element is built by
 coeffring.element (or by type(x) inside an element method), the names of
 the old field/Witt-ring split and of the element bridges into linalg do not
-come back, and linalg, which runs on canonical values, names no element."""
+come back, linalg, which runs on canonical values, names no element, and
+cohomology and lifting, whose cocycles and defects are canonical values,
+build or read elements only at the lift_solve result boundary."""
 
 import ast
 from pathlib import Path
@@ -11,6 +13,11 @@ ELEMENT_CLASSES = {"WittElem", "FFElem"}
 DELETED = {"FieldParams", "ff_embed", "_is_field", "elem_matmul", "_matmul_entries"}
 # names that build or read an element; linalg uses none of them
 ELEMENT_NAMES = {"element", "ff_zero", "ff_one", "FFElem", "WittElem", "is_zero", "inverse"}
+# the calls that build or read an element, and the functions of cohomology and
+# lifting that may make them: lift_solve builds its adjustment's elements and
+# apply_adjustment reads them back
+BOUNDARY_CALLS = {"element", "_entry_value"}
+BOUNDARY = {("cohomology", "lift_solve"), ("cohomology", "apply_adjustment")}
 
 
 def _identifiers(node):
@@ -45,6 +52,10 @@ def _violations(module, source):
             if callee in ELEMENT_CLASSES and (module, scope) != ("coeffring", ("element",)):
                 found.append(f"{module}:{node.lineno}: calls {callee}( outside "
                              f"coeffring.element")
+            if (module in ("cohomology", "lifting") and callee in BOUNDARY_CALLS
+                    and (module, scope[0] if scope else None) not in BOUNDARY):
+                found.append(f"{module}:{node.lineno}: calls {callee}( outside "
+                             f"the lift_solve boundary")
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = scope + (node.name,)
         for child in ast.iter_child_nodes(node):
@@ -70,6 +81,15 @@ def test_guard_catches_what_it_forbids():
     assert _violations("linalg", "v = cr.element(field, (1,))\n")
     assert not _violations("linalg", "inv = cr._unit_inverse(field, x)\n")
     assert not _violations("cohomology", "inv = x.inverse()\n")
+    assert _violations("cohomology", "def cocycle_eval(m, v, w):\n    return _entry_value(f, x)\n")
+    assert _violations("cohomology", "def coboundary_of(g, m, x):\n    return cr.element(f, x)\n")
+    assert _violations("lifting", "def twist(rho, f):\n    return [element(r, v) for v in f]\n")
+    assert _violations("lifting", "def lift_solve(g, m, z):\n    return cr.element(f, z)\n")
+    assert _violations("cohomology", "x = _entry_value(f, y)\n")
+    assert not _violations("cohomology", "def lift_solve(g, m, z):\n    return cr.element(f, z)\n")
+    assert not _violations("cohomology",
+                           "def apply_adjustment(l, a, m):\n    return _entry_value(f, a)\n")
+    assert not _violations("matlin", "def trace(self):\n    return cr.element(r, v)\n")
 
 
 def test_elements_are_built_only_through_element():

@@ -238,9 +238,11 @@ def main(argv=None):
     group = rhobar.group
     for d in SOLVE_DEGREES:
         m, module = level(d), build_module(rhobar, d)
-        values = {g: tuple(random_elem(module.field, rng) for _ in range(3))
+        # a cocycle's values and the defects they give are canonical values
+        values = {g: tuple(random_elem(module.field, rng).coeffs for _ in range(3))
                   for g in group.generators}
-        defects = [tuple(-x for x in cocycle_eval(module, values, rel)) for rel in group.relators]
+        defects = [tuple(tuple(-c % ELL for c in x) for x in cocycle_eval(module, values, rel))
+                   for rel in group.relators]
         cases.append({"op": "lift_solve", "module": "tame adjoint", "d": d,
                       **time_calls(lambda: lift_solve(
                           group, build_module(residual_tame(ELL), d), defects))})
