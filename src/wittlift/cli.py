@@ -249,9 +249,9 @@ def _cmd_density(args):
     if args.exact and not counts_exactly(query):
         ell, n, m = query.ell, query.n, query.m
         raise ValueError(
-            f"--exact: GL_{n}(Z/{ell}^{m}) has {gl_order(ell, n, m)} elements, "
-            f"and counting them enumerates {ell}^({m}*{n}^2) matrices, more "
-            f"than ENUM_LIMIT = {ENUM_LIMIT}; without --exact it is sampled")
+            f"--exact: GL_{n}(Z/{ell}^{m}) has {gl_order(ell, n, m)} elements; a "
+            f"full group is counted exactly only while {ell}^({m}*{n}^2) <= "
+            f"ENUM_LIMIT = {ENUM_LIMIT}, and without --exact it is sampled")
     sample = args.sample if args.sample else 200000
     res = tube_measure(query, seed=args.seed, sample_count=sample)
     _report(args, {

@@ -32,7 +32,7 @@ from .errors import (
     UnknownGenerator,
 )
 from .galois_model import Deformation, evaluate_word
-from .matlin import Mat, _entry_value, _imul, _mod_entries
+from .matlin import Mat, _entry_value, _imul, _mat, _mod_entries
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class GModule:
         if self.field.d == 1 or any(any(x[1:]) for a in self.action.values() for x in a.entries):
             return self
         f1 = cr.make_witt_ring(self.field.ell, 1, self.field.m)
-        return GModule(f1, self.dim, {name: Mat(f1, a.n, tuple([x[:1] for x in a.entries]))
+        return GModule(f1, self.dim, {name: _mat(f1, a.n, tuple([x[:1] for x in a.entries]))
                                       for name, a in self.action.items()}, self.epsilon)
 
     def extended(self, d):
@@ -144,11 +144,11 @@ def _conjugation_module(rhobar, field):
     ]
     action = {}
     for name in rhobar.group.generators:
-        g, ginv = (Mat(field, 2, tuple([x[:field.d] for x in a.entries]))
+        g, ginv = (_mat(field, 2, tuple([x[:field.d] for x in a.entries]))
                    for a in (rhobar.image(name), rhobar.inverse_image(name)))
         conj = [(g * x * ginv).entries for x in basis]
         # row i: coordinate i in (e12, h, e21) of each conjugate [[a, b], [c, -a]], so b, a, c
-        action[name] = Mat(field, 3, tuple([y[j] for j in (1, 0, 2) for y in conj]))
+        action[name] = _mat(field, 3, tuple([y[j] for j in (1, 0, 2) for y in conj]))
     return GModule(field, 3, action, dict(rhobar.group.epsilon))
 
 
@@ -204,9 +204,13 @@ class Cocycle:
 def cocycle_eval(module, values, word):
     """f(word) as canonical values, f the cocycle with these generator values:
     module.base's Fox Jacobian times the flat values, each a block of
-    coefficient columns over base's field as in linalg.solve, in one product."""
+    coefficient columns over base's field as in linalg.solve, in one product.
+    ParamMismatch unless each generator has module.dim field.d-tuples."""
     base, field = module.base, module.field
     gens, w = tuple(values), base.field.d
+    for name in gens:
+        if list(map(len, values[name])) != [field.d] * module.dim:
+            raise ParamMismatch(f"cocycle values at {name} are not {module.dim} {field.d}-tuples")
     jac = _fox_rows(gens, base, word)
     cols = field.d // w
     flat = [v[i:i + w] for name in gens for v in values[name] for i in range(0, field.d, w)]
@@ -445,8 +449,8 @@ def adjoint_mul(coords, g, k):
     q, s = ring.q, ring.ell ** k
     b, a, c = coords
     prod = cr._matmul(low, (a, b, c, _imul(a, -1, low.q)), _mod_entries(g.entries, low.q), 2, 2)
-    return Mat(ring, 2, tuple([tuple([(x + s * y) % q for x, y in zip(gx, px)])
-                               for gx, px in zip(g.entries, prod)]))
+    return _mat(ring, 2, tuple([tuple([(x + s * y) % q for x, y in zip(gx, px)])
+                                for gx, px in zip(g.entries, prod)]))
 
 
 def apply_adjustment(lifts, adjustment, m):

@@ -7,16 +7,20 @@ seeded unbiased estimate above a size threshold.
 Whether v(f(gamma)) > alpha holds depends only on gamma mod l^(alpha+1), and
 reduction from level m maps the full group onto GL_n(Z/l^k) with fibres of
 equal size, so counts and samples are taken at level k = min(alpha + 1, m).
-A full group is counted on a broadcast grid: entry j of every matrix over
-Z/l^k is arange(l^k) laid along axis j, so a monomial is an outer product of
-one-dimensional power tables and the det-unit mask is broadcast the same way.
-Subgroup closures and samples pass their rows' columns to the same
-polynomial evaluator.  Entries and values are int64 while n * l^(2k) fits,
-Python ints past it.
+A full group is counted on its l^(n^2) residues by Hensel fibre counting
+(Igusa, An Introduction to the Theory of Local Zeta Functions, 2000): entry
+j of every residue is arange(l) laid along axis j, so a monomial is an outer
+product of one-dimensional power tables and the det-unit mask is broadcast
+the same way; only singular zeros recurse, on f(a + l y).  Subgroup
+closures and samples pass their rows' columns to the same polynomial
+evaluator.  Entries and values are int64 while n * l^(2k) fits, Python ints
+past it.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,13 +94,14 @@ def gl_order(ell, n, m):
 
 def counts_exactly(query):
     """Whether tube_measure counts exactly (subgroups, and full groups whose
-    l^(m n^2) matrices fit ENUM_LIMIT) rather than samples."""
+    l^(m n^2) matrices fit ENUM_LIMIT, though _fibre_count never builds the
+    level-m grid) rather than samples."""
     return bool(query.generators) or \
         query.ell ** (query.m * query.n * query.n) <= ENUM_LIMIT
 
 
-def _poly_eval(query, entries, modulus):
-    """The polynomial mod modulus at the n^2 matrix entries (row-major),
+def _poly_eval(monomials, entries, modulus):
+    """The monomials' sum mod modulus at the n^2 matrix entries (row-major),
     arrays below modulus that broadcast against each other.
 
     Each monomial is an outer product of its factors' power arrays, so on a
@@ -104,7 +109,7 @@ def _poly_eval(query, entries, modulus):
     the broadcast shape of the monomials (a Python int if all are constant).
     """
     acc = 0
-    for mono in query.monomials:
+    for mono in monomials:
         term = mono.coeff % modulus
         for x, e in zip(entries, mono.exps):
             if e:
@@ -122,8 +127,59 @@ def _tube_hits(query, entries, unit):
     broadcasting to unit's shape."""
     if query.alpha >= query.m:
         return 0
-    vals = _poly_eval(query, entries, query.ell ** (query.alpha + 1))
+    vals = _poly_eval(query.monomials, entries, query.ell ** (query.alpha + 1))
     return int(np.count_nonzero((vals == 0) & unit))
+
+
+def _shift(monomials, a, ell):
+    """f(a + l y) as monomials in y, expanded in Python ints."""
+    return [Monomial(mono.coeff * math.prod(math.comb(e, t) * ai ** (e - t) * ell ** t
+                                            for ai, e, t in zip(a, mono.exps, ts)), ts)
+            for mono in monomials
+            for ts in itertools.product(*[range(e + 1) for e in mono.exps])]
+
+
+def _fibre_count(monomials, ell, k, unit):
+    """#{x over Z/l^k : f(x) = 0 mod l^k, unit[x mod l]}, f the monomials'
+    sum, unit a boolean array with one axis of length l per variable (N).
+
+    f's content l^c is divided out first.  Then one pass over the residues
+    a: a zero with a nonzero gradient mod l has l^((N-1)(k-1)) zeros above
+    it (Hensel); at a singular one f(a + l y) = f(a) mod l^2, so it has none
+    if v(f(a)) = 1, l^N at k = 2, and otherwise those of f(a + l y), whose
+    content is at least 2.
+    """
+    acc = {}
+    for mono in monomials:
+        acc[mono.exps] = (acc.get(mono.exps, 0) + mono.coeff) % ell ** k
+    f = [Monomial(c, e) for e, c in acc.items() if c]
+    nvars = unit.ndim
+    c = min((next(v for v in itertools.count() if mono.coeff % ell ** (v + 1))
+             for mono in f), default=k)
+    if c >= k:
+        return int(np.count_nonzero(unit)) * ell ** (nvars * (k - 1))
+    if c:
+        return ell ** (nvars * c) * _fibre_count(
+            [Monomial(mono.coeff // ell ** c, mono.exps) for mono in f], ell, k - c, unit)
+    grid = np.ix_(*[np.arange(ell)] * nvars)
+    vals = _poly_eval(f, grid, ell ** min(k, 2))
+    zero = (vals % ell == 0) & unit
+    if k == 1:
+        return int(np.count_nonzero(zero))
+    flat = np.ones_like(unit)
+    for j in range(nvars):
+        flat &= _poly_eval([Monomial(mono.coeff * mono.exps[j], mono.exps[:j] + (
+            mono.exps[j] - 1,) + mono.exps[j + 1:]) for mono in f if mono.exps[j]],
+            grid, ell) == 0
+    hits = int(np.count_nonzero(zero & ~flat)) * ell ** ((nvars - 1) * (k - 1))
+    deep = zero & flat & (vals == 0)
+    if k == 2:
+        return hits + int(np.count_nonzero(deep)) * ell ** nvars
+    for a in np.argwhere(deep):
+        # f(a + l y) mod l^k depends on y mod l^(k-1) alone
+        hits += _fibre_count(_shift(f, [int(x) for x in a], ell), ell, k,
+                             np.ones_like(unit)) // ell ** nvars
+    return hits
 
 
 def _det_unit_mask(entries, n, ell):
@@ -172,8 +228,9 @@ class TubeResult:
 def tube_measure(query, seed=0, sample_count=200000):
     """Exact fraction by counting, or a seeded estimate when too large.
 
-    Both count at level k = min(alpha + 1, m).  A full group's population is
-    |GL_n(Z/l^m)|; a subgroup's is the size of its closure at level m.
+    Both count at level k = min(alpha + 1, m), a full group by _fibre_count.
+    A full group's population is |GL_n(Z/l^m)|; a subgroup's is the size of
+    its closure at level m.
     """
     ell, n, m = query.ell, query.n, query.m
     k = min(query.alpha + 1, m)
@@ -186,8 +243,8 @@ def tube_measure(query, seed=0, sample_count=200000):
     if counts_exactly(query):
         hits = 0
         if query.alpha < m:  # at alpha = m the tube is empty
-            grid = np.ix_(*[np.arange(ell ** k)] * (n * n))
-            hits = _tube_hits(query, grid, _det_unit_mask(grid, n, ell))
+            grid = np.ix_(*[np.arange(ell)] * (n * n))
+            hits = _fibre_count(query.monomials, ell, k, _det_unit_mask(grid, n, ell))
         return TubeResult(Fraction(hits, gl_order(ell, n, k)), True,
                           gl_order(ell, n, m))
     if sample_count < 1:

@@ -136,17 +136,20 @@ class Mat:
     n: int
     entries: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "entries", _mod_entries(self.entries, self.ring.q))
+
     @classmethod
     def from_rows(cls, ring, rows):
         """The matrix with rows of elements over ring."""
         n, xs = _flatten_square(rows)
-        return cls(ring, n, tuple([_entry_value(ring, x) for x in xs]))
+        return _mat(ring, n, tuple([_entry_value(ring, x) for x in xs]))
 
     @classmethod
     def from_ints(cls, ring, rows):
         n, xs = _flatten_square(rows)
         q, zeros = ring.q, (0,) * (ring.d - 1)
-        return cls(ring, n, tuple([(v % q,) + zeros for v in xs]))
+        return _mat(ring, n, tuple([(v % q,) + zeros for v in xs]))
 
     @classmethod
     def identity(cls, ring, n):

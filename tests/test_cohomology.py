@@ -319,6 +319,21 @@ def test_cocycle_refuses_values_that_are_not_d_tuples():
             Cocycle(module, values)
 
 
+def test_cocycle_eval_refuses_values_of_the_wrong_length():
+    # two values per generator of a 3-dimensional module used to give 5 values
+    rho = residual_tame()
+    module = build_module(rho, 1)
+    rel = rho.group.relators[0]
+    with pytest.raises(ParamMismatch, match="at s are not 3 1-tuples"):
+        cocycle_eval(module, {g: ((1,), (2,)) for g in rho.group.generators}, rel)
+    with pytest.raises(ParamMismatch, match="at s are not 3 1-tuples"):
+        cocycle_eval(module, {g: ((1,), (2, 0), (0,)) for g in rho.group.generators}, rel)
+    module, values = _tame_values()
+    values["u"] = ((0, 0), (1,), (0, 0))
+    with pytest.raises(ParamMismatch, match="at u are not 3 2-tuples"):
+        cocycle_eval(module, values, rel)
+
+
 def test_cocycle_refuses_a_coefficient_outside_0_q():
     module, values = _tame_values()
     for bad in ((5, 0), (0, -1)):

@@ -267,13 +267,13 @@ def _oracle(ell, n, m, monomials, generators):
     if generators:
         elems = _closure(generators, n, mod)
     else:
-        elems = [x for x in itertools.product(range(mod), repeat=n * n)
-                 if _det(x, n) % ell]
+        elems = (x for x in itertools.product(range(mod), repeat=n * n)
+                 if _det(x, n) % ell)
     pows = [[x ** e % mod for x in range(mod)] for e in range(4)]
     # valuation of f(x) mod l^m, which is m when f(x) = 0 mod l^m
     vals = [next(v for v in range(m + 1) if v == m or y % ell ** (v + 1))
             for y in range(mod)]
-    above = [0] * (m + 1)  # above[a] = #{x : v(f(x)) > a}
+    at = [0] * (m + 1)  # at[v] = #{x : v(f(x)) = v}
     for x in elems:
         y = 0
         for mono in monomials:
@@ -281,9 +281,9 @@ def _oracle(ell, n, m, monomials, generators):
             for xi, e in zip(x, mono.exps):
                 term *= pows[e][xi]
             y += term
-        for a in range(vals[y % mod]):
-            above[a] += 1
-    return len(elems), [Fraction(h, len(elems)) for h in above]
+        at[vals[y % mod]] += 1
+    population = sum(at)
+    return population, [Fraction(sum(at[a + 1:]), population) for a in range(m + 1)]
 
 
 def _monomials(n):
@@ -301,19 +301,99 @@ def _check_every_alpha(ell, n, m, monos, gens):
         assert res.fraction == want[alpha]
 
 
+def _poly_mul(p, q):
+    """The product of two polynomials given as monomial tuples."""
+    acc = {}
+    for a in p:
+        for b in q:
+            e = tuple(x + y for x, y in zip(a.exps, b.exps))
+            acc[e] = acc.get(e, 0) + a.coeff * b.coeff
+    return tuple(Monomial(c, e) for e, c in acc.items() if c)
+
+
+def _scaled(c, p):
+    return tuple(Monomial(c * mono.coeff, mono.exps) for mono in p)
+
+
+_DET_MINUS_ONE = det_minus_one_query(5, 1, 0).monomials
+_X_MINUS_ONE = (Monomial(1, (1,)), Monomial(-1, (0,)))
+_TRACE = (Monomial(1, (1, 0, 0, 0)), Monomial(1, (0, 0, 0, 1)))
+
+
 @settings(max_examples=12, deadline=None, derandomize=True)
-@example(((5, 2, 2), det_minus_one_query(5, 2, 0).monomials))
+@example(((5, 2, 2), _DET_MINUS_ONE))
 # cubes of units mod 7 take three values and squares two, so these examples
 # tell an exponent of 3 from 2 or 4; the last one has no non-constant term
 @example(((7, 2, 1), (Monomial(1, (0, 0, 0, 3)), Monomial(-1, (0, 0, 0, 0)))))
 @example(((7, 1, 2), (Monomial(1, (3,)), Monomial(-1, (0,)))))
 @example(((5, 2, 2), (Monomial(5, (0, 0, 0, 0)),)))
-@given(st.sampled_from([(5, 1, 1), (5, 1, 2), (5, 2, 1), (5, 2, 2),
-                        (7, 1, 1), (7, 1, 2), (7, 2, 1)]).flatmap(
+# singular zeros: every zero of (det - 1)^2 and of x1^2 x4^2 is singular with
+# v(f) >= 2 at its integer representative; tr^2 - 4 det has both kinds
+@example(((5, 2, 2), _poly_mul(_DET_MINUS_ONE, _DET_MINUS_ONE)))
+@example(((5, 2, 2), _poly_mul(_TRACE, _TRACE) + _scaled(-4, _DET_MINUS_ONE[:2])))
+@example(((5, 2, 2), (Monomial(1, (2, 0, 0, 2)),)))
+# content 5 and 25, the zero polynomial and a unit constant
+@example(((5, 2, 2), _scaled(5, _DET_MINUS_ONE)))
+@example(((5, 2, 2), _scaled(25, _poly_mul(_DET_MINUS_ONE, _DET_MINUS_ONE))))
+@example(((5, 2, 2), ()))
+@example(((5, 2, 1), (Monomial(1, (0, 0, 0, 0)),)))
+# levels 3 to 6 recurse at the singular zero x = 1: (x - 1)^2 - 125 has
+# v(f(1)) = 3, and (x - 1 + 5)(x - 1)^2 vanishes to order 3 at x = 1
+@example(((5, 1, 6), _poly_mul(_X_MINUS_ONE, _X_MINUS_ONE)))
+@example(((5, 1, 6), _poly_mul(_X_MINUS_ONE, _X_MINUS_ONE) + (Monomial(-125, (0,)),)))
+@example(((5, 1, 5), _poly_mul(_X_MINUS_ONE, _poly_mul(_X_MINUS_ONE, _X_MINUS_ONE))))
+@example(((5, 1, 6), _poly_mul(_X_MINUS_ONE + (Monomial(5, (0,)),),
+                               _poly_mul(_X_MINUS_ONE, _X_MINUS_ONE))))
+@example(((5, 1, 4), _scaled(25, _poly_mul(_X_MINUS_ONE, _X_MINUS_ONE))))
+@given(st.sampled_from([(5, 1, 1), (5, 1, 2), (5, 1, 3), (5, 1, 4), (5, 1, 6),
+                        (5, 2, 1), (5, 2, 2), (7, 1, 1), (7, 1, 2), (7, 2, 1)]).flatmap(
     lambda lnm: st.tuples(st.just(lnm), _monomials(lnm[1]))))
 def test_full_group_counts_at_alpha_plus_one(case):
     (ell, n, m), monos = case
     _check_every_alpha(ell, n, m, monos, ())
+
+
+@pytest.mark.parametrize("monos, want", [
+    # det = 1 mod 7 on 1/6 of GL_2(F_7), each residue smooth: 1/(l^alpha (l - 1))
+    (_DET_MINUS_ONE, (Fraction(1, 6), Fraction(1, 42))),
+    # every zero singular with v(f) >= 2, so all its l^4 lifts count
+    (_poly_mul(_DET_MINUS_ONE, _DET_MINUS_ONE), (Fraction(1, 6), Fraction(1, 6))),
+    # x1 x4 = 0 mod 7 on 252 + 252 - 36 = 468 of the 2016 residues
+    ((Monomial(1, (2, 0, 0, 2)),), (Fraction(13, 56), Fraction(13, 56))),
+    # (det - 1) x1 + 7 vanishes mod 7 on 252 + 336 - 42 = 546 residues; the 42
+    # with x1 = 0 and det = 1 are singular with v(f) = 1, the other 504 smooth
+    # and each has 7^3 of its 7^4 lifts: 504 / (7 * 2016)
+    (_poly_mul(_DET_MINUS_ONE, (Monomial(1, (1, 0, 0, 0)),)) + (Monomial(7, (0, 0, 0, 0)),),
+     (Fraction(13, 48), Fraction(1, 28))),
+    ((Monomial(7, (0, 0, 0, 0)),), (1, 0)),
+    ((Monomial(49, (0, 0, 0, 0)),), (1, 1)),
+])
+def test_full_group_closed_forms_at_7_2_2(monos, want):
+    # the oracle would enumerate all 49^4 matrices at level 2
+    for alpha, frac in enumerate(want + (0,)):
+        res = tube_measure(TubeQuery(7, 2, 2, alpha, monos))
+        assert res.exact and res.population == 2016 * 7 ** 4
+        assert res.fraction == frac, alpha
+
+
+def test_full_group_count_stays_on_the_residues(monkeypatch):
+    """At level k = 2 no full-group array has more than l^(n^2) cells."""
+    import wittlift.density as den
+    sizes = []
+    poly_eval = den._poly_eval
+
+    def checked(monomials, entries, modulus):
+        out = poly_eval(monomials, entries, modulus)
+        sizes.extend([np.size(x) for x in entries] + [np.size(out)])
+        return out
+
+    monkeypatch.setattr(den, "_poly_eval", checked)
+    cases = [(5, 2, _DET_MINUS_ONE), (5, 2, _poly_mul(_DET_MINUS_ONE, _DET_MINUS_ONE)),
+             (7, 2, _DET_MINUS_ONE), (5, 1, _poly_mul(_X_MINUS_ONE, _X_MINUS_ONE))]
+    for ell, n, monos in cases:
+        sizes.clear()
+        assert tube_measure(TubeQuery(ell, n, 2, 1, monos)).exact
+        assert sizes and max(sizes) <= ell ** (n * n), (ell, n, max(sizes))
 
 
 # generator sets whose closures stay below ~2 * 10^4 elements at m <= 3

@@ -97,6 +97,13 @@ def test_mat_equality_is_canonical():
     assert Mat.from_ints(ring, [[-124]]) == x
 
 
+def test_mat_constructor_reduces_its_entries():
+    # Mat(...) used to keep (7,) over F_5, unequal to the reduced (2,)
+    assert Mat(F5, 1, ((7,),)) == Mat.from_ints(F5, [[2]])
+    ring = cr.make_witt_ring(5, 2, 3)
+    assert Mat(ring, 1, ((126, -125),)).entries == ((1, 0),)
+
+
 # ---------------------------------------------------------------------------
 # Mat on coefficient tuples against an element-object oracle
 

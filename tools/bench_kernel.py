@@ -35,7 +35,10 @@ Times, over W(F_{5^d})/5^m (unless said otherwise) with m the tower level of deg
   random adjustment to the images of deformation_tame(m) embedded into
   W(F_{5^d})/5^m, and at d = 2048 the Mat.inverse of one adjusted image,
   whose determinant is epsilon, a constant (the mat_inverse rows above
-  invert random units).
+  invert random units);
+* tube_measure of det - 1 and (det - 1)^2 over the full GL_n(Z/l^m) at
+  (l, n, m, alpha) in TUBE_CASES, each counted exactly at level alpha + 1
+  (at n = 1, det - 1 is x - 1).
 
 Every timed call gets random operands drawn from SEED, with a unit
 determinant, so the numbers of two checkouts compare the same work.  Each
@@ -76,6 +79,7 @@ import speed  # noqa: E402
 import wittlift.coeffring as cr  # noqa: E402
 from wittlift.cohomology import (  # noqa: E402
     apply_adjustment, build_module, cocycle_eval, cocycle_space, lift_solve, sha_kernel)
+from wittlift.density import Monomial, TubeQuery, tube_measure  # noqa: E402
 from wittlift.galois_model import evaluate_word  # noqa: E402
 from wittlift.lifting import solve_trace_targets  # noqa: E402
 from wittlift.matlin import Mat, find_split_diagonal, integral_model, kelem_from_rational  # noqa: E402
@@ -91,6 +95,7 @@ SHA_DEGREES = (1, 2, 4)
 SOLVE_DEGREES = (16, 128, 512, 2048)
 ADJUST_DEGREES = (16, 512, 2048)
 SIZES = (2, 3)
+TUBE_CASES = ((5, 2, 2, 1), (7, 2, 2, 1), (5, 1, 8, 7))
 BUDGET_S = 0.3
 MIN_CALLS = 5
 SAMPLE_EVERY_S = 0.05
@@ -125,6 +130,21 @@ def split_trials():
     """The finite workload's find_split_diagonal generators for SEED."""
     return [[Mat.from_ints(cr.make_witt_ring(ELL, 1, trial["m"]), [list(r) for r in g])
              for g in trial["gens"]] for trial in Finite.spec(SEED)["split"]]
+
+
+def tube_polys(n):
+    """det - 1 and (det - 1)^2 as monomial tuples over n x n matrices, n <= 2."""
+    if n == 1:
+        return {"det-1": (Monomial(1, (1,)), Monomial(-1, (0,))),
+                "(det-1)^2": (Monomial(1, (2,)), Monomial(-2, (1,)), Monomial(1, (0,)))}
+    det = ((1, (1, 0, 0, 1)), (-1, (0, 1, 1, 0)), (-1, (0, 0, 0, 0)))
+    square = {}
+    for c1, e1 in det:
+        for c2, e2 in det:
+            e = tuple(x + y for x, y in zip(e1, e2))
+            square[e] = square.get(e, 0) + c1 * c2
+    return {"det-1": tuple(Monomial(c, e) for c, e in det),
+            "(det-1)^2": tuple(Monomial(c, e) for e, c in square.items() if c)}
 
 
 def time_calls(fn):
@@ -265,6 +285,13 @@ def main(argv=None):
     cases.append({"op": "mat_inverse", "n": 2, "d": d, "m": m, "det": "epsilon",
                   **time_calls(g.inverse)})
     print(json.dumps(cases[-1:]), file=sys.stderr)
+    for ell, n, m, alpha in TUBE_CASES:
+        for name, monos in tube_polys(n).items():
+            query = TubeQuery(ell, n, m, alpha, monos)
+            cases.append({"op": "tube_measure", "f": name, "ell": ell, "n": n, "m": m,
+                          "alpha": alpha, "fraction": str(tube_measure(query).fraction),
+                          **time_calls(lambda: tube_measure(query))})
+        print(json.dumps(cases[-2:]), file=sys.stderr)
     report = {"benchmark": "kernel", "ell": ELL, "seed": SEED,
               "budget_s": BUDGET_S, "sample_every_s": SAMPLE_EVERY_S,
               "ref_chunk_ms": speed.REF_CHUNK_S * 1e3,
