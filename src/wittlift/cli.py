@@ -26,6 +26,7 @@ from .density import (
 )
 from .errors import (
     InputError,
+    InvalidQuery,
     OracleNotFound,
     SchemaError,
     UnboundedGroup,
@@ -248,7 +249,7 @@ def _cmd_density(args):
                       int(data["alpha"]), monos, gens)
     if args.exact and not counts_exactly(query):
         ell, n, m = query.ell, query.n, query.m
-        raise ValueError(
+        raise InvalidQuery(
             f"--exact: GL_{n}(Z/{ell}^{m}) has {gl_order(ell, n, m)} elements; a "
             f"full group is counted exactly only while {ell}^({m}*{n}^2) <= "
             f"ENUM_LIMIT = {ENUM_LIMIT}, and without --exact it is sampled")

@@ -5,25 +5,27 @@ coefficient-wise trivial lift of the monic irreducible modulus f of F_{l^d}.
 One parameter type, WittRingParams, describes every ring: F_{l^d} is
 W(F_{l^d})/l, the object that both make_field(l, d) and make_witt_ring(l, d,
 1) return, so residue() is reduce(1).  One class, WittElem, does the
-arithmetic; element(ring, coeffs) builds every element, an FFElem (a
-WittElem with the field's repr) at m = 1.
+arithmetic, an FFElem (a WittElem with the field's repr) at m = 1.
 Elements are length-d coefficient tuples (ascending powers of the class of
-x).  All values are immutable.  The module's caches are functools.lru_cache
-functions, write-once and idempotent: the field and ring parameters and the
-Kronecker plans; on a binomial modulus X^D + a (l not dividing D) the
-per-ring Frobenius^k tables; per degree pair whether the big modulus is the
-small one composed with x^(D/d), where embed is the scatter X -> X^(D/d); on
-other moduli the powers of the generator's Frobenius image and of its
-embedding images (one Hensel substitution serves both), and the residual
-roots.  witt_digit reads the l-adic digits of an element.
+x) in [0, q), q = l^m: element(ring, coeffs) and the class reduce them once,
+_elem builds results from such canonical values, and _mul is the one
+product of two.  All values are immutable.  The module's caches are
+functools.lru_cache functions, write-once and idempotent: the field and
+ring parameters and the Kronecker plans; on a binomial modulus X^D + a (l
+not dividing D) the per-ring Frobenius^k tables; per degree pair whether the
+big modulus is the small one composed with x^(D/d), where embed is the
+scatter X -> X^(D/d); on other moduli the powers of the generator's
+Frobenius image and of its embedding images (one Hensel substitution serves
+both), and the residual roots.  witt_digit reads the l-adic digits of an
+element.
 
 Canonical text form of a Witt element: ``l^m:d:[c0,...,c_{d-1}]``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
+import itertools
 import random
 import re
 import struct
@@ -119,7 +121,8 @@ def _kronecker_plan(modulus, q, terms=1):
 
 
 def _kron_pack(x, plan):
-    """The Kronecker integer of a coefficient tuple with entries in [0, q)."""
+    """The Kronecker integer of a canonical value (every coefficient in [0, q),
+    as in every element and Mat entry), packed as it is."""
     width = plan[3]
     if width > 8:
         return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in x]),
@@ -148,27 +151,23 @@ def _kron_reduce(p, plan, q):
     return tuple([c % q for c in prod[:d]])
 
 
-def _poly_mulmod(a, b, modulus, q):
-    """Product of two coefficient tuples of length d, reduced mod (modulus, q).
-
-    The one-term case of _matmul's dot products: Kronecker substitution with
-    one pack per operand, one big-integer product and one reduction.
-    Operands with a coefficient outside [0, q) are reduced first.
-    """
-    if len(a) == 1:
-        return (a[0] * b[0] % q,)
-    both = (*a, *b)
-    if min(both) < 0 or max(both) >= q:
-        a, b = [c % q for c in a], [c % q for c in b]
-    plan = _kronecker_plan(modulus, q)
-    return _kron_reduce(_kron_pack(a, plan) * _kron_pack(b, plan), plan, q)
+def _mul(ring, x, y):
+    """The product of the canonical values x and y over ring: _matmul's
+    one-term case with its own steps, one pack per operand, one big-integer
+    product and one reduction (Kronecker substitution)."""
+    q = ring.q
+    if ring.d == 1:
+        return (x[0] * y[0] % q,)
+    plan = _kronecker_plan(ring.lifted_modulus, q)
+    return _kron_reduce(_kron_pack(x, plan) * _kron_pack(y, plan), plan, q)
 
 
 def _matmul(ring, a, b, inner, cols):
     """Row-major product of matrices of canonical values over ring.
 
     a has len(a) // inner rows and inner columns, b has inner rows and cols
-    columns; a value is a d-tuple of ints in [0, q).  Each output entry is one
+    columns; a value is a d-tuple of ints in [0, q), as every element's
+    coefficients and every Mat entry are, so none is checked.  Each output entry is one
     dot product: at d > 1 every input entry is packed once, the inner
     big-integer products of a row and a column are summed, and the sum is
     unpacked and folded once (Kronecker substitution applied to the whole dot
@@ -242,18 +241,17 @@ def _unit_inverse(ring, x):
     is an integer unit mod q, inverted by pow at any d.  Otherwise the
     residual inverse by the extended Euclid, lifted by Newton steps (none
     when q = l, the field case).  Raises ZeroInverse when x is not a unit."""
-    modulus, ell, q = ring.lifted_modulus, ring.ell, ring.q
+    ell, q = ring.ell, ring.q
     if not any(x[1:]):
         if not x[0] % ell:
             raise ZeroInverse("not a unit")
         return (pow(x[0], -1, q),) + (0,) * (len(x) - 1)
-    y = _poly_inverse(x, modulus, ell)
+    y = _poly_inverse(x, ring.lifted_modulus, ell)
     # y <- y(2 - xy) doubles the number of correct l-adic digits
     k = ell
     while k < q:
-        t = _poly_mulmod(x, y, modulus, q)
-        y = _poly_mulmod(y, ((2 - t[0]) % q,) + tuple([-c % q for c in t[1:]]),
-                         modulus, q)
+        t = _mul(ring, x, y)
+        y = _mul(ring, y, ((2 - t[0]) % q,) + tuple([-c % q for c in t[1:]]))
         k *= k
     return y
 
@@ -266,7 +264,7 @@ def _power(x, e):
     if e < 0:
         return _power(x.inverse(), -e)
     if e == 0:
-        return dataclasses.replace(x, coeffs=(1,) + (0,) * (len(x.coeffs) - 1))
+        return witt_one(x.ring)
     result = None
     base = x
     while True:
@@ -339,17 +337,12 @@ def make_field(ell, d):
     check_ell(ell)
     if d < 1:
         raise InvalidQuery(f"extension degree d = {d} must be >= 1")
-    for k in range(ell ** d):
-        coeffs = []
-        kk = k
-        for _ in range(d):
-            coeffs.append(kk % ell)
-            kk //= ell
-        coeffs.append(1)
+    for k, digits in enumerate(itertools.product(range(ell), repeat=d)):
+        coeffs = digits[::-1] + (1,)
         if d == 1 or (coeffs[0] != 0 and (
                 _binomial_is_irreducible(ell, d, k) if k < ell
-                else _int_poly_is_irreducible(tuple(coeffs), ell))):
-            return WittRingParams(ell, d, 1, tuple(coeffs))
+                else _int_poly_is_irreducible(coeffs, ell))):
+            return WittRingParams(ell, d, 1, coeffs)
     raise RuntimeError("no irreducible modulus found")  # unreachable
 
 
@@ -369,13 +362,18 @@ def make_witt_ring(ell, d, m):
 
 @dataclass(frozen=True)
 class WittElem:
-    """Element of W(F_{l^d})/l^m, stored as a length-d coefficient tuple mod
-    q = l^m.  Equality and hashing read (ring, coeffs) only, so the class
+    """Element of W(F_{l^d})/l^m, stored as a length-d coefficient tuple with
+    every coefficient in [0, q), q = l^m: the constructor reduces each one
+    mod q.  Equality and hashing read (ring, coeffs) only, so the class
     (FFElem at m = 1, see element) chooses the repr and nothing else.
-    Operators build elements of the operands' own class."""
+    Operators build their results through _elem."""
 
     ring: WittRingParams
     coeffs: tuple
+
+    def __post_init__(self):
+        q = self.ring.q
+        object.__setattr__(self, "coeffs", tuple([c % q for c in self.coeffs]))
 
     def __eq__(self, other):
         if not isinstance(other, WittElem):
@@ -392,25 +390,20 @@ class WittElem:
     def __add__(self, other):
         self._check(other)
         q = self.ring.q
-        return type(self)(self.ring,
-                          tuple([(a + b) % q for a, b in zip(self.coeffs, other.coeffs)]))
+        return _elem(self.ring, tuple([(a + b) % q for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __sub__(self, other):
         self._check(other)
         q = self.ring.q
-        return type(self)(self.ring,
-                          tuple([(a - b) % q for a, b in zip(self.coeffs, other.coeffs)]))
+        return _elem(self.ring, tuple([(a - b) % q for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self):
         q = self.ring.q
-        return type(self)(self.ring, tuple(-a % q for a in self.coeffs))
+        return _elem(self.ring, tuple([-a % q for a in self.coeffs]))
 
     def __mul__(self, other):
         self._check(other)
-        return type(self)(
-            self.ring,
-            _poly_mulmod(self.coeffs, other.coeffs, self.ring.lifted_modulus, self.ring.q),
-        )
+        return _elem(self.ring, _mul(self.ring, self.coeffs, other.coeffs))
 
     __pow__ = _power
 
@@ -418,18 +411,13 @@ class WittElem:
         """Inverse of a unit: pow for a constant, else residual inverse plus Newton lifting."""
         if not self.is_unit():
             raise ZeroInverse("not a unit")
-        r = self.ring
-        return type(self)(r, _unit_inverse(r, self.coeffs))
+        return _elem(self.ring, _unit_inverse(self.ring, self.coeffs))
 
     def __truediv__(self, other):
         return self * other.inverse()
 
     def is_zero(self):
-        q = self.ring.q
-        for c in self.coeffs:
-            if c % q:
-                return False
-        return True
+        return not any(self.coeffs)
 
     def is_unit(self):
         ell = self.ring.ell
@@ -457,9 +445,7 @@ class WittElem:
         """Reduction to precision m2 <= m (a ring map)."""
         if m2 > self.ring.m:
             raise ParamMismatch("cannot reduce to higher precision")
-        ring2 = make_witt_ring(self.ring.ell, self.ring.d, m2)
-        q2 = ring2.q
-        return element(ring2, tuple(c % q2 for c in self.coeffs))
+        return element(make_witt_ring(self.ring.ell, self.ring.d, m2), self.coeffs)
 
     def sort_key(self):
         return self.coeffs
@@ -485,28 +471,43 @@ class FFElem(WittElem):
         return f"ff({list(self.coeffs)})"
 
 
+_new = object.__new__
+
+
+def _elem(ring, coeffs):
+    """The element of ring with the canonical coefficient tuple coeffs, every
+    coefficient in [0, q): an FFElem at m = 1, else a WittElem, filled into
+    its __dict__ as matlin._mat fills a Mat, so nothing is reduced or checked."""
+    x = _new(FFElem if ring.m == 1 else WittElem)
+    fields = x.__dict__
+    fields["ring"] = ring
+    fields["coeffs"] = coeffs
+    return x
+
+
 def element(ring, coeffs):
-    """The element of ring with coefficient tuple coeffs: an FFElem at m = 1,
-    else a WittElem.  Every element is built here or by type(x)."""
-    return (FFElem if ring.m == 1 else WittElem)(ring, coeffs)
+    """The element of ring with the coefficients coeffs, each reduced mod q:
+    an FFElem at m = 1, else a WittElem."""
+    q = ring.q
+    return _elem(ring, tuple([c % q for c in coeffs]))
 
 
 def witt_zero(ring):
-    return element(ring, (0,) * ring.d)
+    return _elem(ring, (0,) * ring.d)
 
 
 def witt_one(ring):
-    return element(ring, (1,) + (0,) * (ring.d - 1))
+    return _elem(ring, (1,) + (0,) * (ring.d - 1))
 
 
 def witt_from_int(ring, k):
-    return element(ring, (k % ring.q,) + (0,) * (ring.d - 1))
+    return element(ring, (k,) + (0,) * (ring.d - 1))
 
 
 def witt_gen(ring):
     """Class of x (the constant -c0 when d = 1)."""
     if ring.d == 1:
-        return element(ring, (-ring.lifted_modulus[0] % ring.q,))
+        return element(ring, (-ring.lifted_modulus[0],))
     return element(ring, (0, 1) + (0,) * (ring.d - 2))
 
 
@@ -514,14 +515,9 @@ ff_zero, ff_one, ff_from_int, ff_gen = witt_zero, witt_one, witt_from_int, witt_
 
 
 def witt_elements(ring):
-    q, d = ring.q, ring.d
-    for k in range(q ** d):
-        coeffs = []
-        kk = k
-        for _ in range(d):
-            coeffs.append(kk % q)
-            kk //= q
-        yield element(ring, tuple(coeffs))
+    # the first coefficient varies fastest
+    for coeffs in itertools.product(range(ring.q), repeat=ring.d):
+        yield _elem(ring, coeffs[::-1])
 
 
 def lift_trivial(a, m):
@@ -532,14 +528,14 @@ def lift_trivial(a, m):
 def witt_scale(x, k):
     """x * k for an integer k (avoids building witt_from_int repeatedly)."""
     q = x.ring.q
-    return type(x)(x.ring, tuple(c * k % q for c in x.coeffs))
+    return _elem(x.ring, tuple([c * k % q for c in x.coeffs]))
 
 
 def witt_digit(x, k):
     """The k-th l-adic digit of x, an element of the residue field: the
     coefficients (c // l^k) mod l."""
     ell, lk = x.ring.ell, x.ring.ell ** k
-    return element(x.ring.residue_field, tuple((c // lk) % ell for c in x.coeffs))
+    return _elem(x.ring.residue_field, tuple([c // lk % ell for c in x.coeffs]))
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +558,7 @@ def witt_from_str(s):
     coeffs = tuple(int(t) for t in body.split(",")) if body else ()
     if len(coeffs) != d:
         raise InvalidQuery(f"expected {d} coefficients in {s!r}")
-    ring = make_witt_ring(ell, d, m)
-    return element(ring, tuple(c % ring.q for c in coeffs))
+    return element(make_witt_ring(ell, d, m), coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +610,7 @@ def _scatter(coeffs, perm, mult, ring):
     q = ring.q
     for c, p, s in zip(coeffs, perm, mult):
         out[p] = c * s % q
-    return element(ring, tuple(out))
+    return _elem(ring, tuple(out))
 
 
 def _lifted_root(small, big, rbar):
@@ -631,12 +626,19 @@ def _powers(g, n):
     return tuple(powers)
 
 
+def _power_sum(v, powers, q):
+    """sum c_i g^i as a canonical value mod q, for v = (c_0, c_1, ...) and
+    the powers of g."""
+    acc = [0] * len(powers[0].coeffs)
+    for c, p in zip(v, powers):
+        if c:
+            acc = [a + c * b for a, b in zip(acc, p.coeffs)]
+    return tuple([a % q for a in acc])
+
+
 def _substitute(x, powers, big):
     """The image sum c_i g^i in big of x = sum c_i X^i, given the powers of g."""
-    acc = witt_zero(big)
-    for c, p in zip(x.coeffs, powers):
-        acc = acc + witt_scale(p, c)
-    return acc
+    return _elem(big, _power_sum(x.coeffs, powers, big.q))
 
 
 @functools.lru_cache(maxsize=None)
@@ -726,15 +728,9 @@ def poly_deg(p):
 
 
 def poly_add(a, b):
-    params = (a or b)[0].ring
-    n = max(len(a), len(b))
-    z = ff_zero(params)
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else z
-        y = b[i] if i < len(b) else z
-        out.append(x + y)
-    return poly_trim(out)
+    if len(a) < len(b):
+        a, b = b, a
+    return poly_trim([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
 
 def poly_sub(a, b):
@@ -782,10 +778,7 @@ def poly_gcd(a, b):
     a, b = poly_trim(list(a)), poly_trim(list(b))
     while b:
         a, b = b, poly_mod(a, b)
-    if a:
-        inv = a[-1].inverse()
-        a = [c * inv for c in a]
-    return a
+    return poly_monic(a)
 
 def poly_monic(a):
     a = poly_trim(list(a))
@@ -808,14 +801,7 @@ def poly_powmod(base, e, mod):
 
 
 def poly_deriv(a):
-    params = a[0].ring
-    out = []
-    for i in range(1, len(a)):
-        c = ff_zero(params)
-        for _ in range(i % params.ell):
-            c = c + a[i]
-        out.append(c)
-    return poly_trim(out)
+    return poly_trim([witt_scale(c, i) for i, c in enumerate(a)][1:])
 
 
 def _poly_sort_key(p):
@@ -890,8 +876,7 @@ def ff_factorize(poly):
         if poly_deg(f) > 0:
             add(poly_monic(f), mult)
 
-    out = sorted(factors.values(), key=lambda fm: _poly_sort_key(fm[0]))
-    return [(f, mult) for f, mult in out]
+    return sorted(factors.values(), key=lambda fm: _poly_sort_key(fm[0]))
 
 
 def _equal_degree_split(f, k, rng):
@@ -908,9 +893,7 @@ def _equal_degree_split(f, k, rng):
         if poly_deg(r) < 1:
             continue
         g = poly_gcd(r, f)
-        if 0 < poly_deg(g) < n:
-            pass
-        else:
+        if not 0 < poly_deg(g) < n:
             s = poly_powmod(r, e, f)
             g = poly_gcd(poly_sub(s, [ff_one(params)]), f)
             if not (0 < poly_deg(g) < n):
@@ -977,29 +960,40 @@ def _residual_root(ell, d, d_big):
     return roots[0][0]
 
 
-def embed(x, d_big):
-    """Injective ring map W(F_{l^d})/l^m -> W(F_{l^d'})/l^m for d | d'.
+def _embedding(small, d_big):
+    """(big, image): big = W(F_{l^d_big})/l^m and image the map of embed
+    from small into it on canonical values.
 
     The stride scatter X^i -> X^(i*d'/d) from degree 1 and on _composed
     pairs (every 2-power pair at l = 5 and 13), else a sum over the
     Hensel-lifted generator powers.
     """
-    small = x.ring
     if d_big % small.d != 0:
         raise NonDivisibleDegrees(f"{small.d} does not divide {d_big}")
-    if small.d == d_big:
-        return x
     big = make_witt_ring(small.ell, d_big, small.m)
     if small.d > 1 and not _composed(small.ell, small.d, d_big):
-        return _substitute(x, _embedding_powers(small, big), big)
-    out = [0] * d_big
-    out[::d_big // small.d] = [c % big.q for c in x.coeffs]
-    return element(big, tuple(out))
+        powers, q = _embedding_powers(small, big), big.q
+        return big, lambda v: _power_sum(v, powers, q)
+    stride = d_big // small.d
+
+    def scatter(v):
+        out = [0] * d_big
+        out[::stride] = v
+        return tuple(out)
+    return big, scatter
+
+
+def embed(x, d_big):
+    """Injective ring map W(F_{l^d})/l^m -> W(F_{l^d'})/l^m for d | d'."""
+    if x.ring.d == d_big:
+        return x
+    big, image = _embedding(x.ring, d_big)
+    return _elem(big, image(x.coeffs))
 
 
 def in_subring(x, d0):
     """True iff x lies in the image of W(F_{l^{d0}})/l^m, for d0 | d: x equals
-    its Frobenius^d0 image, coefficients read mod l^m."""
+    its Frobenius^d0 image."""
     r = x.ring
     if r.d % d0 != 0:
         raise NonDivisibleDegrees(f"{d0} does not divide {r.d}")

@@ -189,6 +189,8 @@ class Cocycle:
                        and 0 <= min(x) and max(x) < field.q for x in vec):
                 raise ParamMismatch(f"cocycle values at {name} are not {field.d}-tuples "
                                     f"of ints in [0, {field.q})")
+        if len(self.values) != len(self.module.action):
+            raise ParamMismatch("cocycle has values at names that are not generators")
 
     @classmethod
     def from_flat(cls, group, module, flat):
@@ -198,19 +200,26 @@ class Cocycle:
                             for i, name in enumerate(group.generators)})
 
     def __call__(self, word):
-        return cocycle_eval(self.module, self.values, word)
+        return cocycle_eval(self.module, self, word)
 
 
 def cocycle_eval(module, values, word):
     """f(word) as canonical values, f the cocycle with these generator values:
     module.base's Fox Jacobian times the flat values, each a block of
     coefficient columns over base's field as in linalg.solve, in one product.
-    ParamMismatch unless each generator has module.dim field.d-tuples."""
+    values is a Cocycle on module, checked when it was built, or a dict of
+    generator values: ParamMismatch unless each has module.dim field.d-tuples."""
     base, field = module.base, module.field
+    if isinstance(values, Cocycle):
+        if values.module is not module and values.module != module:
+            raise ParamMismatch("the cocycle is on another module")
+        values = values.values
+    else:
+        for name in values:
+            if list(map(len, values[name])) != [field.d] * module.dim:
+                raise ParamMismatch(f"cocycle values at {name} are not "
+                                    f"{module.dim} {field.d}-tuples")
     gens, w = tuple(values), base.field.d
-    for name in gens:
-        if list(map(len, values[name])) != [field.d] * module.dim:
-            raise ParamMismatch(f"cocycle values at {name} are not {module.dim} {field.d}-tuples")
     jac = _fox_rows(gens, base, word)
     cols = field.d // w
     flat = [v[i:i + w] for name in gens for v in values[name] for i in range(0, field.d, w)]

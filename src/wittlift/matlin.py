@@ -3,18 +3,18 @@ the ring at m = 1.
 
 Mat holds its entries in the elements' own format, their coefficient
 d-tuples reduced mod q at every d, and multiplies through coeffring._matmul,
-one fused Kronecker dot product per output entry; Mat.entry_rows hands those
-canonical values on to linalg as they are.  Element objects appear only at
-the boundary (Mat.from_rows, Mat.rows, scale, det and trace),
-built through coeffring.element and read through _entry_value, the one
-checked element -> value conversion.  The module also covers
-characteristic polynomials and eigenvalues, Hensel diagonalization of 2x2
-matrices over truncated Witt rings, multiplicative Jordan decomposition, the
-tame-relation branch test, the BFS closure of integer matrix groups,
-split-diagonal extraction from subgroups with full residual image, and the
-integral-model decision (witness checks and lattice saturation) on integers;
-KElem is a (num, den) view of an exact rational without arithmetic, used
-only at the boundary.
+one fused Kronecker dot product per output entry (coeffring._mul for one
+product); Mat.entry_rows hands those values on to linalg as they are.
+Elements appear only at the boundary (Mat.from_rows, Mat.rows, scale, det
+and trace), built by coeffring._elem and read by _entry_value, which checks
+the ring and takes the coefficients as every element holds them, canonical.
+The module also covers characteristic polynomials and eigenvalues, Hensel
+diagonalization of 2x2 matrices over truncated Witt rings, multiplicative
+Jordan decomposition, the tame-relation branch test, the BFS closure of
+integer matrix groups, split-diagonal extraction from subgroups with full
+residual image, and the integral-model decision (witness checks and lattice
+saturation) on integers; KElem is a (num, den) view of an exact rational
+without arithmetic, used only at the boundary.
 """
 
 from __future__ import annotations
@@ -46,11 +46,10 @@ ENUM_LIMIT = 10 ** 7
 
 def _entry_value(ring, x):
     """The canonical Mat entry of the element x over ring: its coefficient
-    tuple reduced mod q = l^m."""
+    tuple, which every element holds reduced mod q = l^m."""
     if x.ring is not ring and x.ring != ring:
         raise ParamMismatch(f"{x.ring} vs {ring}")
-    q = ring.q
-    return tuple([c % q for c in x.coeffs])
+    return x.coeffs
 
 
 def _one_zero(ring):
@@ -76,13 +75,9 @@ def _is_unit(ring, v):
     return any(c % ell for c in v)
 
 
-def _mul(ring, x, y):
-    return cr._matmul(ring, (x,), (y,), 1, 1)[0]
-
-
 def _product(ring, xs):
     """The product of the entries xs, 1 for none."""
-    return functools.reduce(lambda x, y: _mul(ring, x, y), xs) if xs else _one_zero(ring)[0]
+    return functools.reduce(lambda x, y: cr._mul(ring, x, y), xs) if xs else _one_zero(ring)[0]
 
 
 def _imul(v, s, q):
@@ -129,7 +124,7 @@ class Mat:
     at every d.  Every constructor reduces, so equal matrices have equal
     entries.  Products, determinants and inverses run on the entries through
     coeffring._matmul; entry_rows is a view of the entries as rows, and rows
-    one of elements, built through coeffring.element on each access.
+    one of elements, built through coeffring._elem on each access.
     """
 
     ring: object
@@ -168,9 +163,9 @@ class Mat:
 
     @property
     def rows(self):
-        """The entries as rows of elements, built by coeffring.element."""
+        """The entries as rows of elements, built by coeffring._elem."""
         ring = self.ring
-        return tuple(tuple([cr.element(ring, v) for v in r]) for r in self.entry_rows)
+        return tuple(tuple([cr._elem(ring, v) for v in r]) for r in self.entry_rows)
 
     def _check(self, other):
         if (other.ring is not self.ring and other.ring != self.ring) \
@@ -206,10 +201,10 @@ class Mat:
             self.ring, (_entry_value(self.ring, s),), self.entries, 1, self.n ** 2))
 
     def trace(self):
-        return cr.element(self.ring, _sum(self.ring, self.entries[::self.n + 1]))
+        return cr._elem(self.ring, _sum(self.ring, self.entries[::self.n + 1]))
 
     def det(self):
-        return cr.element(self.ring, _det(self.ring, self.entries, self.n))
+        return cr._elem(self.ring, _det(self.ring, self.entries, self.n))
 
     def is_identity(self):
         return self.entries == Mat.identity(self.ring, self.n).entries
@@ -247,7 +242,7 @@ class Mat:
                                               rows[i] + rows[c], 2, 2 * n))
         diag = [rows[i][i] for i in range(n)]
         others = [_product(ring, diag[:i] + diag[i + 1:]) for i in range(n)]
-        dinv = cr._matmul(ring, (cr._unit_inverse(ring, _mul(ring, others[0], diag[0])),),
+        dinv = cr._matmul(ring, (cr._unit_inverse(ring, cr._mul(ring, others[0], diag[0])),),
                           others, 1, n)
         return _mat(ring, n, cr._matmul(
             ring, [dinv[i] if i == j else zero for i in range(n) for j in range(n)],
@@ -266,17 +261,15 @@ class Mat:
         return _mat(ring2, self.n, _mod_entries(self.entries, ring2.q))
 
     def embed(self, d_big):
-        """The entrywise embed into W(F_{l^d_big})/l^m of a Witt-ring matrix; from
-        d = 1, in every modulus, each entry's coefficients padded with zeros."""
-        ring = cr.make_witt_ring(self.ring.ell, d_big, self.ring.m)
-        if self.ring.d == 1:
-            zeros = (0,) * (d_big - 1)
-            return _mat(ring, self.n, tuple([x + zeros for x in self.entries]))
-        return Mat.from_rows(ring, [[cr.embed(a, d_big) for a in r] for r in self.rows])
+        """The entrywise embed into W(F_{l^d_big})/l^m, on the entries' values."""
+        ring, image = cr._embedding(self.ring, d_big)
+        return _mat(ring, self.n, tuple([image(x) for x in self.entries]))
 
     def lift_trivial(self, m):
-        ring = cr.make_witt_ring(self.ring.ell, self.ring.d, m)
-        return _mat(ring, self.n, _mod_entries(self.entries, ring.q))
+        """The same entries over W(F_{l^d})/l^m, m at least the precision."""
+        if m < self.ring.m:
+            raise ParamMismatch("cannot lift to lower precision")
+        return _mat(cr.make_witt_ring(self.ring.ell, self.ring.d, m), self.n, self.entries)
 
     def __repr__(self):
         return f"Mat({[[list(a.coeffs) for a in r] for r in self.rows]})"
@@ -302,7 +295,7 @@ def char_poly(g):
             ents = list(am.entries)
             ents[::n + 1] = [_sum(ring, (x, c[k])) for x in ents[::n + 1]]
             am = g * _mat(ring, n, tuple(ents))
-    return [cr.element(ring, v) for v in reversed(c)]
+    return [cr._elem(ring, v) for v in reversed(c)]
 
 
 def splitting_roots(poly_ff):

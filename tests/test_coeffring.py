@@ -118,6 +118,21 @@ def test_unreduced_zero_has_no_inverse():
         cr.WittElem(cr.make_witt_ring(5, 1, 3), (250,)).inverse()
 
 
+def test_elements_are_canonical_by_construction():
+    # at the parent these kept their raw tuples: equal to zero by is_zero
+    # only, hashed apart from it, and printed as 5^2:2:[30,-1]
+    f = cr.make_field(5, 1)
+    for z in (cr.element(f, (5,)), cr.FFElem(f, (5,))):
+        assert z == cr.ff_zero(f) and hash(z) == hash(cr.ff_zero(f))
+        assert z.coeffs == (0,)
+    ring = cr.make_witt_ring(5, 2, 2)
+    for x in (cr.WittElem(ring, (30, -1)), cr.element(ring, (30, -1))):
+        assert x.coeffs == (5, 24)
+        assert cr.witt_to_str(x) == "5^2:2:[5,24]"
+        assert cr.witt_from_str("5^2:2:[30,-1]") == x
+    assert len({cr.element(ring, (c, 0)) for c in (1, 26, -24, 51)}) == 1
+
+
 def test_witt_ring_arithmetic_round_trip():
     ring = cr.make_witt_ring(5, 2, 3)
     rng = random.Random(7)
@@ -554,7 +569,7 @@ def _kernel_cases(draw):
     d = draw(st.sampled_from([1, 2, 3, 4, 8, 16]))
     m = draw(st.sampled_from([1, 3, 30]))
     q = ell ** m
-    # unreduced and negative coefficients, as the constructors accept them
+    # unreduced and negative coefficients, which the constructors reduce mod q
     coeff = st.one_of(st.integers(0, q - 1), st.integers(-3 * q, 3 * q))
     a = tuple(draw(st.lists(coeff, min_size=d, max_size=d)))
     b = tuple(draw(st.lists(coeff, min_size=d, max_size=d)))
@@ -569,7 +584,7 @@ def test_products_match_schoolbook(case):
     ring = cr.make_witt_ring(ell, d, m)
     q = ring.q
     expect = _oracle_mulmod(a, b, f.modulus, q)
-    assert cr._poly_mulmod(a, b, ring.lifted_modulus, q) == expect
+    assert cr._mul(ring, tuple(c % q for c in a), tuple(c % q for c in b)) == expect
     assert (cr.WittElem(ring, a) * cr.WittElem(ring, b)).coeffs == expect
     assert (cr.FFElem(f, a) * cr.FFElem(f, b)).coeffs == \
         _oracle_mulmod(a, b, f.modulus, ell)
@@ -621,7 +636,7 @@ def test_multiword_slots_match_schoolbook(case):
     modulus, q = ring.lifted_modulus, ring.q
     if d > 1:
         assert cr._kronecker_plan(modulus, q, inner)[3] >= 24
-    assert cr._poly_mulmod(a[0], b[0], modulus, q) == _oracle_mulmod(a[0], b[0], modulus, q)
+    assert cr._mul(ring, a[0], b[0]) == _oracle_mulmod(a[0], b[0], modulus, q)
     expect = []
     for i in range(0, len(a), inner):
         for j in range(cols):

@@ -334,6 +334,22 @@ def test_cocycle_eval_refuses_values_of_the_wrong_length():
         cocycle_eval(module, values, rel)
 
 
+def test_cocycle_refuses_values_at_names_that_are_not_generators():
+    module, values = _tame_values()
+    values["z"] = values["s"]
+    with pytest.raises(ParamMismatch, match="not generators"):
+        Cocycle(module, values)
+
+
+def test_a_cocycle_evaluates_as_its_values_on_its_own_module_only():
+    module, values = _tame_values()
+    f = Cocycle(module, values)
+    rel = residual_tame().group.relators[0]
+    assert f(rel) == cocycle_eval(module, f, rel) == cocycle_eval(module, values, rel)
+    with pytest.raises(ParamMismatch, match="another module"):
+        cocycle_eval(dual_module(module), f, rel)
+
+
 def test_cocycle_refuses_a_coefficient_outside_0_q():
     module, values = _tame_values()
     for bad in ((5, 0), (0, -1)):

@@ -18,6 +18,7 @@ from wittlift.errors import (
     DoesNotSpan,
     EigenvaluesNotInField,
     InvalidQuery,
+    NonDivisibleDegrees,
     ParamMismatch,
     RepeatedResidualEigenvalues,
     ResidualImageTooSmall,
@@ -102,6 +103,32 @@ def test_mat_constructor_reduces_its_entries():
     assert Mat(F5, 1, ((7,),)) == Mat.from_ints(F5, [[2]])
     ring = cr.make_witt_ring(5, 2, 3)
     assert Mat(ring, 1, ((126, -125),)).entries == ((1, 0),)
+
+
+def test_lift_trivial_refuses_a_lower_precision():
+    ring = cr.make_witt_ring(5, 2, 2)
+    g = Mat.from_ints(ring, [[7, 1], [24, 1]])
+    with pytest.raises(ParamMismatch):
+        g.lift_trivial(1)
+    for m in (2, 3, 5):
+        lifted = g.lift_trivial(m)
+        assert lifted.ring is cr.make_witt_ring(5, 2, m)
+        assert lifted.entries == g.entries and lifted.reduce(2) == g
+
+
+def test_mat_embed_is_the_entrywise_embed():
+    rng = random.Random(11)
+    # from degree 1, on composed pairs and on moduli that are not composed
+    for ell, d, d_big, m in ((5, 1, 4, 2), (5, 2, 8, 3), (7, 2, 4, 2), (5, 3, 6, 2), (7, 4, 8, 1)):
+        ring = cr.make_witt_ring(ell, d, m)
+        g = Mat.from_rows(ring, [[cr.element(ring, tuple(rng.randrange(ring.q) for _ in range(d)))
+                                  for _ in range(2)] for _ in range(2)])
+        e = g.embed(d_big)
+        assert e.ring is cr.make_witt_ring(ell, d_big, m)
+        assert e.rows == tuple(tuple(cr.embed(a, d_big) for a in r) for r in g.rows)
+        assert g.embed(d) == g
+    with pytest.raises(NonDivisibleDegrees):
+        Mat.identity(cr.make_witt_ring(5, 2, 2), 2).embed(3)
 
 
 # ---------------------------------------------------------------------------

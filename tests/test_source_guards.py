@@ -1,7 +1,9 @@
 """Source guards over src/wittlift: every element is built by
-coeffring.element (or by type(x) inside an element method), the names of
-the old field/Witt-ring split and of the element bridges into linalg do not
-come back, linalg, which runs on canonical values, names no element, and
+coeffring.element, which reduces its coefficients, or by the trusted
+builder coeffring._elem, which does not and so is named only in coeffring
+and in matlin's Mat views of canonical values; the names of the old
+field/Witt-ring split and of the element bridges into linalg do not come
+back, linalg, which runs on canonical values, names no element, and
 cohomology and lifting, whose cocycles and defects are canonical values,
 build or read elements only at the lift_solve result boundary."""
 
@@ -18,6 +20,10 @@ ELEMENT_NAMES = {"element", "ff_zero", "ff_one", "FFElem", "WittElem", "is_zero"
 # apply_adjustment reads them back
 BOUNDARY_CALLS = {"element", "_entry_value"}
 BOUNDARY = {("cohomology", "lift_solve"), ("cohomology", "apply_adjustment")}
+# the element builder that takes coefficients as canonical, and the scopes
+# outside coeffring that may name it: matlin's views of canonical values
+TRUSTED_BUILDER = "_elem"
+TRUSTED_VIEWS = {("Mat", "rows"), ("Mat", "trace"), ("Mat", "det"), ("char_poly",)}
 
 
 def _identifiers(node):
@@ -46,6 +52,10 @@ def _violations(module, source):
                 found.append(f"{module}:{node.lineno}: uses {name}")
             if module == "linalg" and name in ELEMENT_NAMES:
                 found.append(f"{module}:{node.lineno}: uses the element name {name}")
+            if name == TRUSTED_BUILDER and module != "coeffring" and not (
+                    module == "matlin" and scope in TRUSTED_VIEWS):
+                found.append(f"{module}:{node.lineno}: uses {name} outside coeffring "
+                             f"and matlin's Mat views")
         if isinstance(node, ast.Call):
             func = node.func
             callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
@@ -56,7 +66,7 @@ def _violations(module, source):
                     and (module, scope[0] if scope else None) not in BOUNDARY):
                 found.append(f"{module}:{node.lineno}: calls {callee}( outside "
                              f"the lift_solve boundary")
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -90,6 +100,18 @@ def test_guard_catches_what_it_forbids():
     assert not _violations("cohomology",
                            "def apply_adjustment(l, a, m):\n    return _entry_value(f, a)\n")
     assert not _violations("matlin", "def trace(self):\n    return cr.element(r, v)\n")
+    assert not _violations("coeffring", "def witt_zero(ring):\n    return _elem(ring, z)\n")
+    assert not _violations("matlin",
+                           "class Mat:\n    def rows(self):\n        return cr._elem(r, v)\n")
+    assert not _violations("matlin", "def char_poly(g):\n    return [cr._elem(r, v) for v in c]\n")
+    assert _violations("matlin",
+                       "class Mat:\n    def scale(self, s):\n        return cr._elem(r, v)\n")
+    assert _violations("matlin", "def rows(self):\n    return cr._elem(r, v)\n")
+    assert _violations("matlin", "from .coeffring import _elem\n")
+    assert _violations("linalg", "v = cr._elem(field, x)\n")
+    assert _violations("cohomology", "def lift_solve(g, m, z):\n    return cr._elem(f, z)\n")
+    assert _violations("lifting", "build = cr._elem\n")
+    assert _violations("density", "x = _elem(ring, (1,))\n")
 
 
 def test_elements_are_built_only_through_element():
